@@ -228,7 +228,7 @@ func (s *Sim) Snapshot() (*snapshot.State, error) {
 			Fired: s.eng.Fired(),
 		},
 		Workload: snapshot.WorkloadSnap{
-			Log:      append([]workload.Record(nil), rec.Log()...),
+			Log:      rec.Log(),
 			Pending:  rec.Pending(),
 			Threads:  rec.ThreadCount(),
 			Frames:   append([]event.Time(nil), s.ctx.FPS.Times()...),

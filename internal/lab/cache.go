@@ -174,23 +174,32 @@ func (c *Cache) prefixPath(key string) string {
 }
 
 // GetPrefix loads the encoded prefix snapshot stored under key, reporting
-// whether a valid blob was found. The blob is validated by a full decode —
-// the codec checksums and version-checks it — and corrupt or stale entries
-// are removed so the follow-up PutPrefix replaces them.
+// whether a valid blob was found. The blob is validated by a full decode and
+// removed if corrupt or stale, as in loadPrefix.
 func (c *Cache) GetPrefix(key string) ([]byte, bool) {
+	data, _, ok := c.loadPrefix(key)
+	return data, ok
+}
+
+// loadPrefix reads the prefix blob stored under key and decodes it once,
+// returning both the encoded and the decoded form. The decode is the
+// validation — the codec checksums and version-checks the blob — and corrupt
+// or stale entries are removed so the follow-up PutPrefix replaces them.
+func (c *Cache) loadPrefix(key string) ([]byte, *snapshot.State, bool) {
 	if c == nil {
-		return nil, false
+		return nil, nil, false
 	}
 	p := c.prefixPath(key)
 	data, err := os.ReadFile(p)
 	if err != nil {
-		return nil, false
+		return nil, nil, false
 	}
-	if _, err := snapshot.Decode(data); err != nil {
+	st, err := snapshot.Decode(data)
+	if err != nil {
 		os.Remove(p)
-		return nil, false
+		return nil, nil, false
 	}
-	return data, true
+	return data, st, true
 }
 
 // PutPrefix stores an encoded prefix snapshot under key, with the same

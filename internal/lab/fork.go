@@ -14,9 +14,10 @@ import (
 
 // prefixEntry is one singleflight slot of the in-process prefix tier. The
 // state is the snapshot decoded from its wire form exactly once: core.Resume
-// treats a State as read-only (every Restore copies, the replayer copies the
-// log), so concurrent continuations can share it. Decoding per fork would
-// cost more than the continuation itself on short runs.
+// treats a State as read-only (every Restore copies, the replayer reads the
+// log in place and records into a tail of its own), so concurrent
+// continuations can share it. Decoding per fork would cost more than the
+// continuation itself on short runs.
 type prefixEntry struct {
 	once      sync.Once
 	state     *snapshot.State
@@ -105,12 +106,8 @@ func (r *Runner) prefixState(spec *ForkSpec) (*snapshot.State, error) {
 // recovered into errors so a broken base config fails the jobs that share
 // it rather than the whole sweep.
 func (r *Runner) loadOrBuildPrefix(spec *ForkSpec, key string) (st *snapshot.State, simulated bool, err error) {
-	if blob, ok := r.Cache.GetPrefix(key); ok {
-		st, err := snapshot.Decode(blob)
-		if err == nil {
-			return st, false, nil
-		}
-		// GetPrefix validates, so this is near-unreachable; rebuild anyway.
+	if _, st, ok := r.Cache.loadPrefix(key); ok {
+		return st, false, nil
 	}
 	defer func() {
 		if p := recover(); p != nil {

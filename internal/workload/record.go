@@ -99,10 +99,17 @@ const (
 
 // Recorder captures (and later replays) a run's workload log. A nil *Recorder
 // on the Ctx disables recording entirely; plain runs pay nothing.
+//
+// The log is held in two parts. prefix is the replayed log a resumed run was
+// created from; it is shared with the snapshot (and with every other fork of
+// it) and never written. tail holds the records this run appended itself, so
+// a fork pays only for what its continuation records, not for a copy of the
+// prefix.
 type Recorder struct {
 	mode    recMode
-	log     []Record
-	cursor  int
+	prefix  []Record // replay source, shared read-only
+	tail    []Record // records appended by this run
+	cursor  int      // next prefix record to replay
 	nextWid int
 	live    map[int]event.Handle         // record mode: pending wid → handle
 	fns     map[int]func(now event.Time) // replay mode: registered wid → fn
@@ -115,16 +122,16 @@ func NewRecorder() *Recorder {
 	return &Recorder{mode: modeRecord, live: make(map[int]event.Handle)}
 }
 
-// NewReplayer returns a Recorder in replay mode over a copy of log. The copy
-// makes the Recorder own its backing array, so the resumed run can append new
-// records without mutating the (possibly shared) snapshot it was created
-// from.
+// NewReplayer returns a Recorder in replay mode over log. The Recorder reads
+// log but never writes it, not even past its length: once the resumed run
+// switches to record mode it appends to a tail of its own. So any number of
+// Recorders may replay one snapshot's log concurrently.
 func NewReplayer(log []Record) *Recorder {
 	return &Recorder{
-		mode: modeReplay,
-		log:  append([]Record(nil), log...),
-		live: make(map[int]event.Handle),
-		fns:  make(map[int]func(now event.Time)),
+		mode:   modeReplay,
+		prefix: log,
+		live:   make(map[int]event.Handle),
+		fns:    make(map[int]func(now event.Time)),
 	}
 }
 
@@ -134,8 +141,17 @@ func (r *Recorder) Recording() bool { return r != nil && r.mode == modeRecord }
 
 func (r *Recorder) replaying() bool { return r != nil && r.mode == modeReplay }
 
-// Log returns the recorded log. The caller must treat it as read-only.
-func (r *Recorder) Log() []Record { return r.log }
+// Log returns the whole log, the replayed prefix followed by the records this
+// run appended, as a fresh slice the caller owns. An empty log is nil.
+func (r *Recorder) Log() []Record {
+	n := len(r.prefix) + len(r.tail)
+	if n == 0 {
+		return nil
+	}
+	out := make([]Record, 0, n)
+	out = append(out, r.prefix...)
+	return append(out, r.tail...)
+}
 
 // PendingCount returns the number of workload events currently queued on the
 // engine. Capture uses it to prove every engine event is accounted for.
@@ -186,7 +202,7 @@ func (r *Recorder) schedule(eng *event.Engine, at event.Time, fn func(now event.
 func (r *Recorder) wrap(wid int, fn func(now event.Time)) event.Handler {
 	return func(now event.Time) {
 		delete(r.live, wid)
-		r.log = append(r.log, Record{Kind: RecFire, Wid: wid, At: now})
+		r.tail = append(r.tail, Record{Kind: RecFire, Wid: wid, At: now})
 		fn(now)
 	}
 }
@@ -195,7 +211,7 @@ func (r *Recorder) wrap(wid int, fn func(now event.Time)) event.Handler {
 // invocations are driven from the log and must not re-log).
 func (r *Recorder) noteSeg(th int, now event.Time) {
 	if r.mode == modeRecord {
-		r.log = append(r.log, Record{Kind: RecSeg, Th: th, At: now})
+		r.tail = append(r.tail, Record{Kind: RecSeg, Th: th, At: now})
 	}
 }
 
@@ -204,7 +220,7 @@ func (r *Recorder) noteSeg(th int, now event.Time) {
 // the live read would be wrong).
 func (r *Recorder) observeBusy(busy bool) bool {
 	if r.mode == modeRecord {
-		r.log = append(r.log, Record{Kind: RecBusy, Busy: busy})
+		r.tail = append(r.tail, Record{Kind: RecBusy, Busy: busy})
 		return busy
 	}
 	rec := r.next()
@@ -220,16 +236,16 @@ func (r *Recorder) observeBusy(busy bool) bool {
 // inspection and for a future session-resume path.
 func (r *Recorder) NotePhase(app string, now event.Time) {
 	if r.mode == modeRecord {
-		r.log = append(r.log, Record{Kind: RecPhase, App: app, At: now})
+		r.tail = append(r.tail, Record{Kind: RecPhase, App: app, At: now})
 	}
 }
 
 // next consumes one record.
 func (r *Recorder) next() Record {
-	if r.cursor >= len(r.log) {
+	if r.cursor >= len(r.prefix) {
 		diverge("log exhausted at record %d", r.cursor)
 	}
-	rec := r.log[r.cursor]
+	rec := r.prefix[r.cursor]
 	r.cursor++
 	return rec
 }
@@ -243,7 +259,7 @@ func (r *Recorder) Replay(eng *event.Engine) {
 	if r.mode != modeReplay {
 		diverge("Replay called on a recording Recorder")
 	}
-	for r.cursor < len(r.log) {
+	for r.cursor < len(r.prefix) {
 		rec := r.next()
 		switch rec.Kind {
 		case RecFire:
