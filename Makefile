@@ -24,15 +24,18 @@ bench-smoke:
 # measures the tracked benchmarks -count=6 and records the medians-ready raw
 # output into BENCH_baseline.json; bench-compare re-measures and fails if a
 # gated benchmark's median regressed >10% (time only on the same CPU model;
-# allocs/op everywhere — it is machine-independent).
+# allocs/op everywhere — it is machine-independent). The gate runs at a fixed
+# GOMAXPROCS because some benchmarks' allocs/op grow with the worker count;
+# the baseline was measured at -cpu 2.
+GATED_CPU = 2
 GATED_BENCH = BenchmarkSingleRun|BenchmarkFig2Speedup|BenchmarkFig3SpecPower|BenchmarkDigestOff|BenchmarkDigestOn|BenchmarkForkSweep|BenchmarkExplore
 
 bench-baseline:
-	go test -run '^$$' -bench '$(GATED_BENCH)' -benchmem -count 6 . | tee /tmp/blbench-baseline.txt
+	go test -run '^$$' -bench '$(GATED_BENCH)' -benchmem -cpu $(GATED_CPU) -count 6 . | tee /tmp/blbench-baseline.txt
 	go run ./cmd/blbench record -out BENCH_baseline.json /tmp/blbench-baseline.txt
 
 bench-compare:
-	go test -run '^$$' -bench '$(GATED_BENCH)' -benchmem -count 6 . | tee /tmp/blbench-new.txt
+	go test -run '^$$' -bench '$(GATED_BENCH)' -benchmem -cpu $(GATED_CPU) -count 6 . | tee /tmp/blbench-new.txt
 	go run ./cmd/blbench compare -baseline BENCH_baseline.json \
 		-critical '^($(GATED_BENCH))$$' -max-regress 10 /tmp/blbench-new.txt
 
@@ -42,7 +45,7 @@ bench-compare:
 # once; standalone it measures fresh.
 bench-record:
 	@[ -s /tmp/blbench-new.txt ] || \
-		go test -run '^$$' -bench '$(GATED_BENCH)' -benchmem -count 6 . | tee /tmp/blbench-new.txt
+		go test -run '^$$' -bench '$(GATED_BENCH)' -benchmem -cpu $(GATED_CPU) -count 6 . | tee /tmp/blbench-new.txt
 	go run ./cmd/blbench history -append -file BENCH_history.jsonl \
 		-rev $$(git rev-parse --short HEAD 2>/dev/null || echo unknown) /tmp/blbench-new.txt
 	go run ./cmd/blbench history -file BENCH_history.jsonl

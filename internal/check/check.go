@@ -14,10 +14,11 @@
 //
 // The auditor is a pure observer: it schedules its own 10 ms sampling event
 // immediately after the metrics sampler's so both read identical state, it
-// chains (never replaces) the scheduler's TickHook and the telemetry
-// OnEvent subscriber, and it never mutates the system — an audited run
-// produces byte-identical results to an unaudited one, which internal/lab's
-// audit mode exploits to verify cached results against fresh simulations.
+// subscribes to the scheduler tick (sched.System.OnTick), it chains (never
+// replaces) the telemetry OnEvent subscriber, and it never mutates the
+// system — an audited run produces byte-identical results to an unaudited
+// one, which internal/lab's audit mode exploits to verify cached results
+// against fresh simulations.
 package check
 
 import (
@@ -139,7 +140,7 @@ func New() *Auditor { return &Auditor{} }
 // metrics sampler's Start and before any workload is built, so the auditor's
 // 10 ms sampling event fires immediately after the sampler's at every shared
 // timestamp and both observe identical frequency and busy-time state
-// (core.Run and session.NewLive do this via the Config.Check hook). Safe on
+// (core.Assemble does this for runs and sessions via Config.Check). Safe on
 // nil; a second Attach is ignored.
 func (a *Auditor) Attach(sys *sched.System, pw power.Params) {
 	if a == nil || a.sys != nil {
@@ -168,13 +169,7 @@ func (a *Auditor) Attach(sys *sched.System, pw power.Params) {
 		}
 	}
 
-	prevTick := sys.TickHook
-	sys.TickHook = func(now event.Time) {
-		a.onTick(now)
-		if prevTick != nil {
-			prevTick(now)
-		}
-	}
+	sys.OnTick(a.onTick)
 
 	a.sampleFn = a.onSample
 	sys.Eng.After(metrics.SampleInterval, a.sampleFn)

@@ -122,51 +122,15 @@ type Config struct {
 	// throttling governor.
 	Thermal *thermal.Params
 
-	// Telemetry, when non-nil, is attached to every subsystem for the run:
-	// the scheduler emits migration/wake/preempt/boost events, the governor
-	// its frequency decisions, the thermal model throttle steps, hotplug
-	// transitions are recorded, and the 10 ms sampler publishes power
-	// snapshots. Latency and frame-time distributions land in the
-	// "latency_ms" and "frame_time_ms" histograms. Nil (the default)
-	// disables all recording at near-zero cost.
-	Telemetry *telemetry.Collector
-
-	// Profiler, when non-nil, attributes the run to individual tasks:
-	// run/wait/sleep time split by core type, per-(core type, MHz) frequency
-	// residency, each power interval's energy split across the tasks that
-	// ran in it, and migration accounting. Result.Profile carries the final
-	// snapshot. Nil (the default) disables attribution at near-zero cost.
-	Profiler *profile.Profiler
-
-	// Xray, when non-nil, is the causal decision tracer for the run: the
-	// scheduler records every wake placement and migration with its full
-	// candidate set and rejection reasons, the governor every frequency step
-	// with the per-core demands, the thermal model every cap step, and
-	// hotplug transitions — all causally linked into walkable chains (see
-	// internal/xray). Like Telemetry and Profiler, it is a pure observer: a
-	// traced run produces byte-identical results, and nil (the default)
-	// disables tracing at one pointer check per decision.
-	Xray *xray.Tracer
+	// Observers are the run's pure observers, all nil by default (see
+	// Observers).
+	Observers
 
 	// OnSystem, if set, is called with the assembled scheduler system right
 	// before the workload is built — an extension point for attaching trace
-	// recorders or custom policies.
+	// recorders or custom policies. Its tick subscribers run after the
+	// observers'.
 	OnSystem func(sys *sched.System)
-
-	// Check, when non-nil, attaches a runtime invariant auditor to the run
-	// (see internal/check): it continuously verifies conservation laws —
-	// legal cluster frequencies, the little-core hotplug constraint, time and
-	// energy accounting — and its Finish hook reconciles the end-of-run
-	// totals. Nil (the default) disables auditing at near-zero cost. The
-	// auditor is a pure observer: an audited run produces identical results.
-	Check Checker
-
-	// Digest, when non-nil, folds a rolling hash of simulator state into
-	// chained per-window digests at every scheduler tick (see
-	// internal/delta): the run's fingerprint, and the substrate the
-	// first-divergence finder bisects when two configs are compared. Like
-	// the other observers it is pure and nil-disabled at zero cost.
-	Digest *delta.Recorder
 
 	// SnapshotAt, when positive, makes Run capture a whole-simulation
 	// snapshot at that time and hand it to OnSnapshot before continuing to
@@ -180,11 +144,58 @@ type Config struct {
 	OnSnapshot func(st *snapshot.State)
 }
 
+// Observers are the pure observers a run or a session can carry. Each is
+// nil by default, which disables it at the cost of a pointer check per hook
+// site; an observed run produces byte-identical results. Assemble attaches
+// them in one pass, in this order: Telemetry, Profiler and Xray onto the
+// scheduler before it starts, then Telemetry and Xray onto the governor,
+// Telemetry and Profiler onto the metrics sampler, Check right after the
+// sampler starts, Telemetry and Xray onto the thermal model, and Digest
+// last. Check and Digest subscribe to the scheduler tick in that order,
+// ahead of any OnSystem hook.
+type Observers struct {
+	// Telemetry, when non-nil, is attached to every subsystem: the scheduler
+	// emits migration/wake/preempt/boost events, the governor its frequency
+	// decisions, the thermal model throttle steps, hotplug transitions are
+	// recorded, and the 10 ms sampler publishes power snapshots. Latency and
+	// frame-time distributions land in the "latency_ms" and "frame_time_ms"
+	// histograms.
+	Telemetry *telemetry.Collector
+
+	// Profiler, when non-nil, attributes the run to individual tasks:
+	// run/wait/sleep time split by core type, per-(core type, MHz) frequency
+	// residency, each power interval's energy split across the tasks that
+	// ran in it, and migration accounting. Result.Profile carries the final
+	// snapshot of a run.
+	Profiler *profile.Profiler
+
+	// Xray, when non-nil, is the causal decision tracer: the scheduler
+	// records every wake placement and migration with its full candidate set
+	// and rejection reasons, the governor every frequency step with the
+	// per-core demands, the thermal model every cap step, and hotplug
+	// transitions — all causally linked into walkable chains (see
+	// internal/xray).
+	Xray *xray.Tracer
+
+	// Check, when non-nil, is a runtime invariant auditor (see
+	// internal/check): it continuously verifies conservation laws — legal
+	// cluster frequencies, the little-core hotplug constraint, time and
+	// energy accounting — and its Finish hook reconciles the end-of-run
+	// totals.
+	Check Checker
+
+	// Digest, when non-nil, folds a rolling hash of simulator state into
+	// chained per-window digests at every scheduler tick (see
+	// internal/delta): the run's fingerprint, and the substrate the
+	// first-divergence finder bisects when two configs are compared.
+	Digest *delta.Recorder
+}
+
 // Checker is the runtime invariant auditor hook. *check.Auditor implements
 // it; the interface is declared structurally here so internal/check can
 // depend on this package's Result without an import cycle.
 type Checker interface {
-	// Attach installs the checker on the assembled system. Run calls it
+	// Attach installs the checker on the assembled system. Assemble calls it
 	// immediately after the metrics sampler starts (and before the thermal
 	// model or any workload is built), so the checker's sampling events fire
 	// right after the sampler's at every shared timestamp.

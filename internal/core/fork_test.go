@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"biglittle/internal/apps"
@@ -247,11 +248,12 @@ func TestResumeCompat(t *testing.T) {
 		}
 	}
 
-	// A session-style checkpoint (phase marker in the log) must be refused.
+	// A doctored log (a record of a kind replay does not know) must be
+	// refused.
 	st2 := *st
-	st2.Workload.Log = append([]workload.Record{{Kind: workload.RecPhase, App: "x"}}, st.Workload.Log...)
-	if _, err := Resume(cfg, &st2); err == nil {
-		t.Error("Resume accepted a session checkpoint")
+	st2.Workload.Log = append([]workload.Record{{Kind: workload.RecKind(255)}}, st.Workload.Log...)
+	if _, err := Resume(cfg, &st2); err == nil || !strings.Contains(err.Error(), "unknown record kind") {
+		t.Errorf("Resume of a log with an unknown record kind: err = %v, want an unknown-kind divergence", err)
 	}
 
 	// NewSim must reject configs whose observers cannot be captured.

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"biglittle/internal/altsched"
+	"biglittle/internal/apps"
 	"biglittle/internal/event"
 	"biglittle/internal/governor"
 	"biglittle/internal/metrics"
@@ -28,7 +29,8 @@ type gov interface {
 // it forward in steps with RunTo, capture a whole-simulation snapshot
 // between steps, and Finish to collect the Result. Run is assembly plus
 // run-to-end; NewSim/Resume expose the stepping for snapshot/fork
-// (DESIGN.md §9).
+// (DESIGN.md §9), and Assemble/Build let a session build one app after
+// another on the same platform.
 type Sim struct {
 	cfg      Config
 	eng      *event.Engine
@@ -38,14 +40,32 @@ type Sim struct {
 	gov      gov
 	sampler  *metrics.Sampler
 	therm    *thermal.Model
-	ctx      *workload.Ctx
+	rng      *rand.Rand         // the run's one random source, shared by every Build
+	rec      *workload.Recorder // nil unless recording or replaying
+	ctx      *workload.Ctx      // the workload Build made last
 	finished bool
 }
 
-// newSim assembles the platform, policies, observers, and workload exactly
-// as Run always has. rec, when non-nil, interposes workload recording for
-// snapshot capture (or replay, when resuming).
+// Assemble builds cfg's platform, scheduler, policies and observers, with no
+// workload yet: call Build for each app to run on it. cfg.App is not used.
+func Assemble(cfg Config) *Sim {
+	return assemble(cfg.Normalized(), nil)
+}
+
+// newSim assembles cfg and builds its app over the whole run. rec, when
+// non-nil, interposes workload recording for snapshot capture (or replay,
+// when resuming).
 func newSim(cfg Config, rec *workload.Recorder) *Sim {
+	s := assemble(cfg, rec)
+	s.Build(cfg.App, cfg.Duration)
+	return s
+}
+
+// assemble builds the simulation in a fixed order, which fixes the order of
+// events due at the same instant: platform, scheduler, scheduler policy,
+// governor, metrics sampler, auditor, thermal model, digest recorder, then
+// OnSystem. The observers attach along the way, as Observers documents.
+func assemble(cfg Config, rec *workload.Recorder) *Sim {
 	eng := event.New()
 	var soc *platform.SoC
 	switch {
@@ -59,17 +79,20 @@ func newSim(cfg Config, rec *workload.Recorder) *Sim {
 	if err := cfg.Cores.Apply(soc); err != nil {
 		panic(err) // configurations are validated values; misuse is a bug
 	}
+	obs := cfg.Observers
 	sys := sched.New(eng, soc, cfg.Sched)
-	sys.Tel = cfg.Telemetry
-	sys.Prof = cfg.Profiler
-	sys.Xray = cfg.Xray
+	sys.Tel, sys.Prof, sys.Xray = obs.Telemetry, obs.Profiler, obs.Xray
 	pw := cfg.Power
 	sys.EnergyModel = func(typ platform.CoreType, mhz int) float64 {
 		return pw.CorePowerMW(typ, mhz, 1) - pw.CorePowerMW(typ, mhz, 0)
 	}
 	sys.Start()
 
-	sim := &Sim{cfg: cfg, eng: eng, soc: soc, sys: sys}
+	s := &Sim{
+		cfg: cfg, eng: eng, soc: soc, sys: sys,
+		rng: rand.New(rand.NewSource(cfg.Seed)),
+		rec: rec,
+	}
 
 	switch cfg.Scheduler {
 	case EfficiencyBased:
@@ -77,83 +100,108 @@ func newSim(cfg Config, rec *workload.Recorder) *Sim {
 	case ParallelismAware:
 		altsched.NewParallelism(sys)
 	case EAS:
-		sim.eas = altsched.NewEAS(sys, cfg.Power)
+		s.eas = altsched.NewEAS(sys, cfg.Power)
 	}
 
 	switch cfg.Governor {
 	case Performance:
-		sim.gov = governor.NewPerformance(sys)
+		s.gov = governor.NewPerformance(sys)
 	case Powersave:
-		sim.gov = governor.NewPowersave(sys)
+		s.gov = governor.NewPowersave(sys)
 	case Userspace:
-		sim.gov = governor.NewUserspace(sys, cfg.PinnedMHz)
+		s.gov = governor.NewUserspace(sys, cfg.PinnedMHz)
 	case Ondemand:
 		g := governor.NewOndemand(sys, cfg.Gov.SampleMs, 80)
-		g.Tel = cfg.Telemetry
-		g.Xray = cfg.Xray
-		sim.gov = g
+		g.Tel, g.Xray = obs.Telemetry, obs.Xray
+		s.gov = g
 	case Conservative:
 		g := governor.NewConservative(sys, cfg.Gov.SampleMs, 80, 35)
-		g.Tel = cfg.Telemetry
-		g.Xray = cfg.Xray
-		sim.gov = g
+		g.Tel, g.Xray = obs.Telemetry, obs.Xray
+		s.gov = g
 	case PAST:
 		g := governor.NewPAST(sys, cfg.Gov.SampleMs)
-		g.Tel = cfg.Telemetry
-		g.Xray = cfg.Xray
-		sim.gov = g
+		g.Tel, g.Xray = obs.Telemetry, obs.Xray
+		s.gov = g
 	default:
 		g := governor.NewInteractive(sys, cfg.Gov)
-		g.Tel = cfg.Telemetry
-		g.Xray = cfg.Xray
-		sim.gov = g
+		g.Tel, g.Xray = obs.Telemetry, obs.Xray
+		s.gov = g
 	}
-	sim.gov.Start()
+	s.gov.Start()
 
-	sampler := metrics.NewSampler(sys, cfg.Power)
-	sampler.Tel = cfg.Telemetry
-	sampler.Prof = cfg.Profiler
-	sampler.Start()
-	sim.sampler = sampler
+	s.sampler = metrics.NewSampler(sys, cfg.Power)
+	s.sampler.Tel, s.sampler.Prof = obs.Telemetry, obs.Profiler
+	s.sampler.Start()
 
 	// The auditor attaches directly after the sampler so its sampling events
 	// always fire right after the sampler's and both read identical state.
-	if cfg.Check != nil {
-		cfg.Check.Attach(sys, pw)
+	if obs.Check != nil {
+		obs.Check.Attach(sys, pw)
 	}
 
 	if cfg.Thermal != nil {
-		sim.therm = thermal.Attach(sys, cfg.Power, *cfg.Thermal)
-		sim.therm.Tel = cfg.Telemetry
-		sim.therm.Xray = cfg.Xray
-		sim.therm.Start()
+		s.therm = thermal.Attach(sys, cfg.Power, *cfg.Thermal)
+		s.therm.Tel, s.therm.Xray = obs.Telemetry, obs.Xray
+		s.therm.Start()
 	}
 
-	// The digest recorder attaches last among the tick observers so its fold
-	// sees the run fully assembled (thermal model included) and runs after
-	// any hooks the subsystems above installed.
-	cfg.Digest.Attach(sys, sampler, sim.therm, cfg.Duration)
+	// The digest recorder attaches last among the observers so its fold sees
+	// the run fully assembled (thermal model included) and its tick
+	// subscription runs after the auditor's.
+	obs.Digest.Attach(sys, s.sampler, s.therm, cfg.Duration)
 
 	if cfg.OnSystem != nil {
 		cfg.OnSystem(sys)
 	}
+	return s
+}
 
-	sim.ctx = &workload.Ctx{
-		Eng:      eng,
-		Sys:      sys,
-		Rng:      rand.New(rand.NewSource(cfg.Seed)),
-		Duration: cfg.Duration,
+// Build builds app's workload on the assembled platform, generating work
+// until the absolute time until. Every Build draws from the run's one random
+// source, so apps built one after another continue a single stream. It
+// returns the workload's context, whose trackers hold the app's frames and
+// latencies.
+func (s *Sim) Build(app apps.App, until event.Time) *workload.Ctx {
+	ctx := &workload.Ctx{
+		Eng:      s.eng,
+		Sys:      s.sys,
+		Rng:      s.rng,
+		Duration: until,
 		FPS:      &metrics.FPSTracker{},
 		Lat:      &metrics.LatencyTracker{},
-		Rec:      rec,
+		Rec:      s.rec,
 	}
-	if tel := cfg.Telemetry; tel != nil {
+	if tel := s.cfg.Telemetry; tel != nil {
 		lat := tel.Histogram("latency_ms")
-		sim.ctx.Lat.Observe = func(d event.Time) { lat.Observe(d.Milliseconds()) }
+		ctx.Lat.Observe = func(d event.Time) { lat.Observe(d.Milliseconds()) }
 	}
-	cfg.App.Build(sim.ctx)
-	return sim
+	app.Build(ctx)
+	s.ctx = ctx
+	return ctx
 }
+
+// ObserveFrames records the gaps between fps's frames in the telemetry
+// "frame_time_ms" histogram, when telemetry is attached.
+func (s *Sim) ObserveFrames(fps *metrics.FPSTracker) {
+	tel := s.cfg.Telemetry
+	if tel == nil {
+		return
+	}
+	ft := tel.Histogram("frame_time_ms")
+	times := fps.Times()
+	for i := 1; i < len(times); i++ {
+		ft.Observe((times[i] - times[i-1]).Milliseconds())
+	}
+}
+
+// Sys returns the scheduler system.
+func (s *Sim) Sys() *sched.System { return s.sys }
+
+// Sampler returns the metrics sampler.
+func (s *Sim) Sampler() *metrics.Sampler { return s.sampler }
+
+// Thermal returns the thermal model, or nil when the run has none.
+func (s *Sim) Thermal() *thermal.Model { return s.therm }
 
 // NewSim assembles a snapshot-capable simulation: the workload's
 // interactions are recorded from the first event, so Snapshot can capture
@@ -203,7 +251,7 @@ func (s *Sim) Now() event.Time { return s.eng.Now() }
 // It fails if any pending engine event belongs to no snapshottable
 // subsystem, rather than writing a snapshot that cannot restore.
 func (s *Sim) Snapshot() (*snapshot.State, error) {
-	rec := s.ctx.Rec
+	rec := s.rec
 	if !rec.Recording() {
 		return nil, errors.New("core: Snapshot needs a recording simulation (use NewSim, not Resume mid-replay)")
 	}
@@ -275,11 +323,6 @@ func compat(cfg Config, st *snapshot.State) error {
 		return fmt.Errorf("core: resume and snapshot disagree on custom platform use")
 	case cfg.Duration < st.Time:
 		return fmt.Errorf("core: resume duration %v precedes the capture point %v", cfg.Duration, st.Time)
-	}
-	for _, r := range st.Workload.Log {
-		if r.Kind == workload.RecPhase {
-			return fmt.Errorf("core: snapshot is a live-session checkpoint (phase %q) — sessions cannot be resumed by core.Resume", r.App)
-		}
 	}
 	return nil
 }
@@ -428,14 +471,7 @@ func (s *Sim) Finish() Result {
 	}
 	s.finished = true
 	cfg, ctx, sampler, soc, sys, therm := s.cfg, s.ctx, s.sampler, s.soc, s.sys, s.therm
-
-	if tel := cfg.Telemetry; tel != nil {
-		ft := tel.Histogram("frame_time_ms")
-		times := ctx.FPS.Times()
-		for i := 1; i < len(times); i++ {
-			ft.Observe((times[i] - times[i-1]).Milliseconds())
-		}
-	}
+	s.ObserveFrames(ctx.FPS)
 
 	res := Result{
 		App:       cfg.App.Name,

@@ -5,7 +5,7 @@
 // tolerance-aware significance marking.
 //
 // The Recorder follows the repo's pure-observer contract (telemetry, profile,
-// xray, check): it chains onto sched.System.TickHook, reads simulator state
+// xray, check): it subscribes to sched.System.OnTick, reads simulator state
 // after SyncAll has settled it, and never writes back. A nil *Recorder is
 // valid everywhere; recording off costs one pointer check and zero
 // allocations, and recording on changes no simulated byte.
@@ -139,8 +139,7 @@ type Recorder struct {
 	steps  []Step
 }
 
-// Attach hooks the recorder onto the system's scheduler tick, chaining any
-// previously installed TickHook per the hook-chaining contract. sampler and
+// Attach subscribes the recorder to the system's scheduler tick. sampler and
 // therm may be nil (their components are simply not folded); duration sizes
 // the default window and preallocates the chain so steady-state recording
 // allocates nothing.
@@ -151,9 +150,9 @@ func (r *Recorder) Attach(sys *sched.System, sampler *metrics.Sampler, therm *th
 	if r.sys != nil {
 		// Re-attachment to a different system: a forked continuation rebuilt
 		// the world (core.Resume) and this recorder's chain spans the fork.
-		// Move the hook, keep the window and the accumulated digests.
+		// Move the subscription, keep the window and the accumulated digests.
 		r.sys, r.sampler, r.therm = sys, sampler, therm
-		r.hook(sys)
+		sys.OnTick(r.onTick)
 		return
 	}
 	r.sys, r.sampler, r.therm = sys, sampler, therm
@@ -168,18 +167,7 @@ func (r *Recorder) Attach(sys *sched.System, sampler *metrics.Sampler, therm *th
 	if duration > 0 {
 		r.sealed = make([]uint64, 0, duration/r.window+2)
 	}
-	r.hook(sys)
-}
-
-// hook chains onTick onto sys's scheduler tick.
-func (r *Recorder) hook(sys *sched.System) {
-	prev := sys.TickHook
-	sys.TickHook = func(now event.Time) {
-		if prev != nil {
-			prev(now)
-		}
-		r.onTick(now)
-	}
+	sys.OnTick(r.onTick)
 }
 
 // onTick folds one tick of state. Ticks land at multiples of the scheduler

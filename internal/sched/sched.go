@@ -214,26 +214,18 @@ type System struct {
 	// pointer check per decision (see internal/sched/xray.go).
 	Xray *xray.Tracer
 
-	// TickHook, if set, runs at the end of every scheduler tick (used by
-	// metrics and tests to observe a consistent state).
-	//
-	// Hook-chaining contract (applies to TickHook, MigrateHook, and
-	// WakeHook alike): installing a hook on a system that already has one
-	// MUST save the previous hook and invoke it from the replacement —
-	// hooks form a chain, not a slot. trace.Attach is the reference
-	// implementation. Overwriting without chaining silently detaches
-	// whatever was observing the system before you.
-	TickHook func(now event.Time)
+	// tickSubs are the OnTick subscribers, in subscription order.
+	tickSubs []func(now event.Time)
 
 	// MigrateHook, if set, replaces the built-in HMP threshold migration:
 	// it runs every tick after load updates and may call MoveToType to
 	// reassign tasks. Alternative scheduling policies (efficiency-based,
-	// parallelism-aware; §IV-A of the paper) plug in here. See TickHook
-	// for the hook-chaining contract.
+	// parallelism-aware; §IV-A of the paper) plug in here. It is a single
+	// policy slot, not a chain: installing a policy replaces the previous one.
 	MigrateHook func(now event.Time)
 	// WakeHook, if set, overrides HMP wake placement: it returns the core
-	// type a waking task should be placed on. Pinned tasks ignore it. See
-	// TickHook for the hook-chaining contract.
+	// type a waking task should be placed on. Pinned tasks ignore it. Like
+	// MigrateHook, it is a single policy slot.
 	WakeHook func(t *Task) platform.CoreType
 
 	// EnergyModel, if set, returns the marginal active power (mW) of a core
@@ -625,10 +617,19 @@ func (s *System) onTick(now event.Time) {
 	for _, c := range s.cpus {
 		s.dispatch(c, now)
 	}
-	if s.TickHook != nil {
-		s.TickHook(now)
+	for _, fn := range s.tickSubs {
+		fn(now)
 	}
 	s.tickEv = s.Eng.After(s.tick, s.tickFn)
+}
+
+// OnTick subscribes fn to the end of every scheduler tick, where the state is
+// consistent: every core is synced and this tick's migrations and dispatches
+// are done. Subscribers run in the order they subscribed, for the life of the
+// system. Observers (trace, check, delta) use it to read state; they must not
+// change it.
+func (s *System) OnTick(fn func(now event.Time)) {
+	s.tickSubs = append(s.tickSubs, fn)
 }
 
 // updateLoads feeds each task's tracker with its runnable fraction of the

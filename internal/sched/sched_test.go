@@ -360,7 +360,7 @@ func TestPropertyQueueInvariants(t *testing.T) {
 		eng.At(event.Time(rng.Intn(5))*event.Millisecond, gen)
 	}
 	violations := 0
-	s.TickHook = func(now event.Time) {
+	s.OnTick(func(now event.Time) {
 		seen := map[*Task]int{}
 		for _, c := range s.cpus {
 			for qi, task := range c.queue {
@@ -388,7 +388,7 @@ func TestPropertyQueueInvariants(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 	eng.Run(2 * event.Second)
 	if violations != 0 {
 		t.Fatalf("%d queue invariant violations", violations)
@@ -528,7 +528,7 @@ func TestPropertyHotplugNeverKillsLastLittle(t *testing.T) {
 			}
 
 			decisions := 0
-			s.TickHook = func(now event.Time) {
+			s.OnTick(func(now event.Time) {
 				// Intermittent work keeps tasks cycling through sleep, deep
 				// idle, and the waking window while cores churn beneath them.
 				if rng.Intn(3) == 0 {
@@ -553,7 +553,7 @@ func TestPropertyHotplugNeverKillsLastLittle(t *testing.T) {
 						t.Fatalf("at %v: task %d is %v on offline core %d", now, i, st, tk.CPU())
 					}
 				}
-			}
+			})
 			eng.Run(event.Second) // 1000 ticks x 10 decisions
 			if decisions < 10000 {
 				t.Fatalf("only %d hotplug decisions exercised, want >= 10000", decisions)

@@ -40,8 +40,8 @@ type Sample struct {
 // amortized O(1) cost per tick.
 const DefaultMaxSamples = 120_000
 
-// Recorder captures one Sample per scheduler tick via the system's
-// TickHook (chaining any hook already installed).
+// Recorder captures one Sample per scheduler tick as a sched.System OnTick
+// subscriber.
 type Recorder struct {
 	sys     *sched.System
 	from    event.Time
@@ -70,13 +70,7 @@ type Recorder struct {
 // (DefaultMaxSamples unless overridden), keeping the most recent window.
 func Attach(sys *sched.System, from, to event.Time) *Recorder {
 	r := &Recorder{sys: sys, from: from, to: to, names: map[int]string{}}
-	prev := sys.TickHook
-	sys.TickHook = func(now event.Time) {
-		if prev != nil {
-			prev(now)
-		}
-		r.capture(now)
-	}
+	sys.OnTick(r.capture)
 	return r
 }
 

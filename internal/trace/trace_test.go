@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -166,14 +167,22 @@ func TestResidencyReportsWait(t *testing.T) {
 	}
 }
 
-func TestChainsExistingHook(t *testing.T) {
+// TestTickSubscribersRunInOrder pins the OnTick contract the observers rely
+// on: every subscriber runs at every tick, in the order it subscribed, so a
+// subscriber sees the recorder's sample for a tick only if it subscribed
+// after the recorder.
+func TestTickSubscribersRunInOrder(t *testing.T) {
 	eng, sys := rig()
-	called := 0
-	sys.TickHook = func(event.Time) { called++ }
-	Attach(sys, 0, 50*event.Millisecond)
-	eng.Run(50 * event.Millisecond)
-	if called == 0 {
-		t.Fatal("previous TickHook was not chained")
+	var got []string
+	var r *Recorder
+	sys.OnTick(func(event.Time) { got = append(got, fmt.Sprintf("before:%d", len(r.Samples))) })
+	r = Attach(sys, 0, 0)
+	sys.OnTick(func(event.Time) { got = append(got, fmt.Sprintf("after:%d", len(r.Samples))) })
+	eng.Run(3 * event.Millisecond)
+
+	want := []string{"before:0", "after:1", "before:1", "after:2", "before:2", "after:3"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("tick subscribers ran as %v, want %v", got, want)
 	}
 }
 

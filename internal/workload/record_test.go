@@ -88,7 +88,7 @@ func TestReplayerSharesLog(t *testing.T) {
 	backing := make([]Record, len(c.log)+spare)
 	copy(backing, c.log)
 	for i := len(c.log); i < len(backing); i++ {
-		backing[i] = Record{Kind: RecPhase, App: "sentinel", Wid: i}
+		backing[i] = Record{Kind: RecKind(255), Wid: i}
 	}
 	orig := append([]Record(nil), backing...)
 	shared := backing[:len(c.log)]
