@@ -224,7 +224,7 @@ cover:
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/spec/
 	go test -run '^$$' -fuzz '^FuzzParseCoreConfig$$' -fuzztime 30s ./internal/platform/
-	go test -run '^$$' -fuzz '^FuzzInts$$' -fuzztime 30s ./internal/cli/
+	go test -run '^$$' -fuzz '^FuzzApplyOverrides$$' -fuzztime 30s ./internal/cli/
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/snapshot/
 
 # Regenerate the golden-master corpus after an intentional model change; the

@@ -29,9 +29,7 @@ import (
 	"biglittle/internal/check"
 	"biglittle/internal/core"
 	"biglittle/internal/event"
-	"biglittle/internal/governor"
 	"biglittle/internal/platform"
-	"biglittle/internal/power"
 	"biglittle/internal/profile"
 	"biglittle/internal/sched"
 	"biglittle/internal/session"
@@ -73,12 +71,6 @@ func Apps() []App { return apps.All() }
 // AppByName looks an application model up by name (e.g. "bbench").
 func AppByName(name string) (App, error) { return apps.ByName(name) }
 
-// LatencyApps returns the seven latency-oriented applications (Figure 4).
-func LatencyApps() []App { return apps.LatencyApps() }
-
-// FPSApps returns the five FPS-oriented applications (Figure 5).
-func FPSApps() []App { return apps.FPSApps() }
-
 // Micro returns the §III-B utilization microbenchmark: a spinner holding
 // dutyPct utilization at pinnedMHz, optionally pinned to core pinCore
 // (-1 for no affinity).
@@ -105,8 +97,8 @@ func NewThread(ctx *Ctx, name string, speedup float64) *Thread {
 	return workload.NewThread(ctx, name, speedup)
 }
 
-// InteractionLoop, Periodic, PoissonBursts, Continuous and TouchKicks expose
-// the demand generators used by the bundled app models.
+// InteractionLoop, Periodic and PoissonBursts expose the demand generators
+// used by the bundled app models.
 func InteractionLoop(ctx *Ctx, cfg InteractionConfig) { workload.InteractionLoop(ctx, cfg) }
 
 // Periodic runs a periodic activity on th.
@@ -116,12 +108,6 @@ func Periodic(ctx *Ctx, th *Thread, cfg PeriodicConfig) { workload.Periodic(ctx,
 func PoissonBursts(ctx *Ctx, th *Thread, meanInterval Time, work, cv float64) {
 	workload.PoissonBursts(ctx, th, meanInterval, work, cv)
 }
-
-// Continuous keeps th fully busy until the run ends.
-func Continuous(ctx *Ctx, th *Thread, segment float64) { workload.Continuous(ctx, th, segment) }
-
-// TouchKicks models the Android input booster's frequency floor on touch.
-func TouchKicks(ctx *Ctx, meanGap Time) { workload.TouchKicks(ctx, meanGap) }
 
 // Mc is one million work cycles (a little core at 1.3 GHz executes 1300 Mc
 // per second).
@@ -149,18 +135,6 @@ const (
 	Powersave   = core.Powersave
 	Userspace   = core.Userspace
 )
-
-// SchedConfig holds the HMP scheduler tunables (Algorithm 1).
-type SchedConfig = sched.Config
-
-// GovConfig holds the interactive governor tunables (Algorithm 2).
-type GovConfig = governor.InteractiveConfig
-
-// PowerParams is the calibrated whole-system power model.
-type PowerParams = power.Params
-
-// DefaultPower returns the calibrated Exynos 5422 power model.
-func DefaultPower() PowerParams { return power.Default() }
 
 // DefaultConfig returns the paper's baseline configuration for app: L4+B4,
 // HMP scheduler with 700/256 thresholds and 32 ms load half-life, the
@@ -302,22 +276,8 @@ type Profiler = profile.Profiler
 // attribution tables; take one with Profiler.Snapshot.
 type ProfileSnapshot = profile.Snapshot
 
-// TaskProfile is one task's row of a ProfileSnapshot.
-type TaskProfile = profile.TaskSnapshot
-
 // NewProfiler creates an enabled per-task attribution profiler.
 func NewProfiler() *Profiler { return profile.New() }
-
-// SchedulerKind selects the thread-to-core mapping policy (§IV-A).
-type SchedulerKind = core.SchedulerKind
-
-// Scheduler kinds.
-const (
-	HMP              = core.HMP
-	EfficiencyBased  = core.EfficiencyBased
-	ParallelismAware = core.ParallelismAware
-	EAS              = core.EAS
-)
 
 // Additional governor kinds (§IV-D lineage).
 const (
@@ -338,16 +298,9 @@ func DefaultThermal() ThermalParams { return thermal.Default() }
 // threads.
 func Stress(n int) App { return apps.Stress(n) }
 
-// WorkloadSpec is the JSON document format for defining application models
-// without recompiling; see the internal/spec package documentation for the
-// schema and LoadSpec/CompileSpec to build an App from it.
-type WorkloadSpec = spec.File
-
-// LoadSpec parses a JSON workload document into a runnable App.
+// LoadSpec parses a JSON workload document into a runnable App; see the
+// internal/spec package documentation for the schema.
 func LoadSpec(data []byte) (App, error) { return spec.Parse(data) }
-
-// CompileSpec validates an already-decoded WorkloadSpec into an App.
-func CompileSpec(f WorkloadSpec) (App, error) { return spec.Compile(f) }
 
 // SessionPhase is one app segment of a multi-app usage session.
 type SessionPhase = session.Phase
@@ -381,9 +334,6 @@ func NewLiveSession(cfg SessionConfig) *LiveSession { return session.NewLive(cfg
 // GalaxyS5Pack returns the paper device's battery.
 func GalaxyS5Pack() battery.Pack { return battery.GalaxyS5() }
 
-// BatteryPack describes a battery for session drain accounting.
-type BatteryPack = battery.Pack
-
 // Auditor is the runtime invariant checker. Set one as Config.Check (or
 // SessionConfig.Check) to continuously verify the simulator's conservation
 // laws during a run — legal cluster frequencies, the "one little core always
@@ -393,10 +343,6 @@ type BatteryPack = battery.Pack
 // byte-identical results. A nil *Auditor disables auditing at the cost of
 // one pointer check per hook site.
 type Auditor = check.Auditor
-
-// CheckReport is an auditor's final accounting: counters, reconciled totals,
-// and every violation found.
-type CheckReport = check.Report
 
 // CheckViolation is one invariant violation (timestamp, invariant name,
 // detail).

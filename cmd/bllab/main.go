@@ -1,5 +1,5 @@
 // Command bllab inspects and maintains the experiment result cache that
-// blreport, blsweep, and bltlp populate, and watches the distributed lab.
+// blreport, blsweep and blexplore populate, and watches the distributed lab.
 //
 // Usage:
 //

@@ -7,8 +7,8 @@
 //
 // blserve is also the fleet coordinator: it mounts the distributed-lab job
 // API (/fleet/...) next to the observability routes, so blworker processes
-// can lease simulation jobs from it and blsweep/blreport/bltlp can submit
-// sweeps with -remote. `-phases none` runs a coordinator-only server with
+// can lease simulation jobs from it and blsweep/blreport/blexplore can
+// submit sweeps with -remote. `-phases none` runs a coordinator-only server with
 // no live session.
 //
 // With -app, blserve instead drives a checkpointable single-app run: the
@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"biglittle"
+	"biglittle/internal/cli"
 )
 
 // step is how far simulated time advances per scheduler turn of the sim
@@ -122,7 +123,7 @@ func main() {
 		}
 		s.sim, s.simEnd = sim, cfg.Duration
 	case *phasesArg != "none":
-		phases, err := parsePhases(*phasesArg)
+		phases, err := cli.ParsePhases(*phasesArg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -288,31 +289,6 @@ func (s *server) simLoop(ctx context.Context, speed float64) {
 			}
 		}
 	}
-}
-
-func parsePhases(arg string) ([]biglittle.SessionPhase, error) {
-	var phases []biglittle.SessionPhase
-	for _, part := range strings.Split(arg, ",") {
-		fields := strings.SplitN(strings.TrimSpace(part), ":", 2)
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("bad phase %q (want app:duration)", part)
-		}
-		app, err := biglittle.AppByName(fields[0])
-		if err != nil {
-			return nil, err
-		}
-		d, err := time.ParseDuration(fields[1])
-		if err != nil {
-			return nil, err
-		}
-		if d <= 0 {
-			return nil, fmt.Errorf("phase %q: duration must be positive", part)
-		}
-		phases = append(phases, biglittle.SessionPhase{
-			App: app, Duration: biglittle.Time(d.Nanoseconds()),
-		})
-	}
-	return phases, nil
 }
 
 // noSession replies 404 on session-observability routes when there is no

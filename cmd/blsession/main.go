@@ -11,10 +11,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
-	"time"
 
 	"biglittle"
+	"biglittle/internal/cli"
 )
 
 func main() {
@@ -25,26 +24,10 @@ func main() {
 	)
 	flag.Parse()
 
-	var phases []biglittle.SessionPhase
-	for _, part := range strings.Split(*phasesArg, ",") {
-		fields := strings.SplitN(strings.TrimSpace(part), ":", 2)
-		if len(fields) != 2 {
-			fmt.Fprintf(os.Stderr, "bad phase %q (want app:duration)\n", part)
-			os.Exit(1)
-		}
-		app, err := biglittle.AppByName(fields[0])
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		d, err := time.ParseDuration(fields[1])
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		phases = append(phases, biglittle.SessionPhase{
-			App: app, Duration: biglittle.Time(d.Nanoseconds()),
-		})
+	phases, err := cli.ParsePhases(*phasesArg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "blsession:", err)
+		os.Exit(1)
 	}
 
 	cfg := biglittle.NewSession(phases...)

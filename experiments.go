@@ -2,9 +2,7 @@ package biglittle
 
 import (
 	"biglittle/internal/analysis"
-	"biglittle/internal/apps"
 	"biglittle/internal/platform"
-	"biglittle/internal/power"
 )
 
 // ExperimentOptions scale the paper-reproduction drivers; the zero value
@@ -28,8 +26,6 @@ type (
 	TuningRow = analysis.TuningRow
 	// TuningSummary aggregates TuningRows into Figure 11's bars.
 	TuningSummary = analysis.TuningSummary
-	// Tuning is one of the eight §VI-C parameter configurations.
-	Tuning = analysis.Tuning
 )
 
 // Fig2 reproduces Figure 2: SPEC speedups of the big core at 1.9/1.3/0.8 GHz
@@ -59,9 +55,6 @@ func Characterize(o ExperimentOptions) []Result { return analysis.Characterize(o
 // CoreConfigs reproduces Figures 7/8: every app across the seven §V-C
 // hotplug combinations versus the L4+B4 baseline.
 func CoreConfigs(o ExperimentOptions) []CoreConfigRow { return analysis.CoreConfigs(o) }
-
-// Tunings returns the paper's eight governor/HMP parameter variations.
-func Tunings() []Tuning { return analysis.Tunings() }
 
 // TuningStudy reproduces Figures 11-13: every app under the eight
 // parameter configurations versus the baseline.
@@ -176,12 +169,6 @@ func SeedStats(o ExperimentOptions, n int) []SeedStatsRow { return analysis.Seed
 // RenderSeedStats formats the seed-variation study.
 func RenderSeedStats(rows []SeedStatsRow) string { return analysis.RenderSeedStats(rows) }
 
-// Composite builds a multitasking scenario: the foreground app's metrics
-// with background apps' demand added.
-func Composite(name string, foreground App, background ...App) App {
-	return apps.Composite(name, foreground, background...)
-}
-
 // PredictorRow holds one workload's misprediction rates per predictor class.
 type PredictorRow = analysis.PredictorRow
 
@@ -244,10 +231,3 @@ func CrossPlatform(o ExperimentOptions) []CrossPlatformRow { return analysis.Cro
 
 // RenderCrossPlatform formats the cross-SoC comparison.
 func RenderCrossPlatform(rows []CrossPlatformRow) string { return analysis.RenderCrossPlatform(rows) }
-
-// Snapdragon810 returns the alternative SoC preset for Config.Platform; use
-// with Snapdragon810Power.
-func Snapdragon810() *platform.SoC { return platform.Snapdragon810() }
-
-// Snapdragon810Power returns the matching power model.
-func Snapdragon810Power() PowerParams { return power.Snapdragon810Params() }

@@ -22,9 +22,6 @@ type ExploreOptions = explore.Options
 // and the planned versus exhaustive simulation costs.
 type ExploreReport = explore.Report
 
-// ExplorePoint is one evaluated configuration on (or off) the frontier.
-type ExplorePoint = explore.Point
-
 // ExploreObjective is the scalar the search minimizes when ranking
 // candidates within a rung.
 type ExploreObjective = explore.Objective

@@ -26,15 +26,11 @@ type FleetWorker = fleet.Worker
 // LabFingerprint hashes, with app and platform reduced to registry names.
 type FleetJobSpec = fleet.JobSpec
 
-// FleetStats is the coordinator's queue/lease/worker snapshot
-// (GET /fleet/stats, `bllab fleet`).
-type FleetStats = fleet.Stats
-
 // NewFleetCoordinator builds a coordinator and starts its lease reaper;
 // Close stops it.
 func NewFleetCoordinator(opt FleetOptions) *FleetCoordinator { return fleet.NewCoordinator(opt) }
 
 // FleetSpecFromJob serializes a LabJob into its wire form, or explains why
-// the job cannot travel (observers, Prepare hooks, salts, unregistered apps
-// or platforms).
+// the job cannot travel (observers, salts, fork specs, unregistered apps or
+// platforms).
 func FleetSpecFromJob(job LabJob) (FleetJobSpec, error) { return fleet.SpecFromJob(job) }

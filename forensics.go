@@ -20,10 +20,6 @@ type DigestRecorder = delta.Recorder
 // DigestChain is a sealed digest chain: one cumulative digest per window.
 type DigestChain = delta.Chain
 
-// DigestStep is one full-rate state capture inside the recorder's
-// [FullFrom, FullTo) range.
-type DigestStep = delta.Step
-
 // FieldDelta is one differing field between two structurally diffed values.
 type FieldDelta = delta.FieldDelta
 
@@ -50,11 +46,6 @@ func SignificantDeltas(ds []FieldDelta) []FieldDelta { return delta.Significant(
 // DiffSummary renders up to max deltas one per line ("(no differences)" for
 // an empty list; max <= 0 prints all).
 func DiffSummary(ds []FieldDelta, max int) string { return delta.Summarize(ds, max) }
-
-// DiffProfiles diffs two attribution snapshots with tasks aligned by name.
-func DiffProfiles(a, b ProfileSnapshot, tol DiffTolerance) []FieldDelta {
-	return delta.DiffProfiles(a, b, tol)
-}
 
 // FirstDivergentXraySpan aligns two span streams and returns the index of
 // the first pair that is not the same decision (span identity and

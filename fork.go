@@ -26,10 +26,6 @@ func NewSim(cfg Config) (*Sim, error) { return core.NewSim(cfg) }
 // may differ and take effect at the fork point.
 func Resume(cfg Config, st *Snapshot) (*Sim, error) { return core.Resume(cfg, st) }
 
-// RunForked runs cfg to at, snapshots, round-trips the snapshot through
-// the wire codec, and resumes to completion — byte-identical to Run(cfg).
-func RunForked(cfg Config, at Time) (Result, error) { return core.RunForked(cfg, at) }
-
 // EncodeSnapshot serializes a snapshot into its versioned, checksummed
 // wire form.
 func EncodeSnapshot(st *Snapshot) ([]byte, error) { return snapshot.Encode(st) }

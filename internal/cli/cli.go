@@ -1,7 +1,9 @@
-// Package cli holds the flag plumbing shared by the experiment commands
-// (blreport, blsweep, bltlp): the -seed/-duration pair every command
-// carried its own copy of, the -workers/-cache-dir/-no-cache orchestration
-// flags, app-list resolution, and strict value-list parsing.
+// Package cli holds the flag plumbing shared by the commands: the
+// -seed/-duration pair and the -workers/-cache-dir/-no-cache orchestration
+// flags of the experiment commands (blreport, blsweep, blexplore), app-list
+// resolution, the key=value override vocabulary (blsweep -param, bldiff
+// -a/-b, blexplore -dim), and the app:duration phase lists of blserve and
+// blsession.
 package cli
 
 import (
@@ -21,6 +23,7 @@ import (
 	"biglittle/internal/fleet"
 	"biglittle/internal/lab"
 	"biglittle/internal/platform"
+	"biglittle/internal/session"
 )
 
 // Experiment bundles the flag values shared by the experiment commands.
@@ -106,26 +109,30 @@ func ResolveApps(name string) ([]apps.App, error) {
 	return []apps.App{app}, nil
 }
 
-// Ints parses a comma-separated integer list strictly: an empty list or any
-// unparseable element is an error, because a sweep over zero values would
-// otherwise silently produce an empty report.
-func Ints(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
+// ParsePhases parses a comma-separated app:duration session list
+// ("browser:20s,video_player:10s"). Every phase needs a known app and a
+// positive duration, so an empty list is an error too.
+func ParsePhases(arg string) ([]session.Phase, error) {
+	var phases []session.Phase
+	for _, part := range strings.Split(arg, ",") {
+		name, dur, ok := strings.Cut(strings.TrimSpace(part), ":")
+		if !ok {
+			return nil, fmt.Errorf("bad phase %q (want app:duration)", part)
 		}
-		v, err := strconv.Atoi(f)
+		app, err := apps.ByName(name)
 		if err != nil {
-			return nil, fmt.Errorf("bad value %q: %v", f, err)
+			return nil, err
 		}
-		out = append(out, v)
+		d, err := time.ParseDuration(dur)
+		if err != nil {
+			return nil, fmt.Errorf("phase %q: %v", part, err)
+		}
+		if d <= 0 {
+			return nil, fmt.Errorf("phase %q: duration must be positive", part)
+		}
+		phases = append(phases, session.Phase{App: app, Duration: event.Time(d.Nanoseconds())})
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty value list %q", s)
-	}
-	return out, nil
+	return phases, nil
 }
 
 // PrintLabStats writes the runner's job and cache counters to w — the
@@ -202,7 +209,8 @@ func overrideKeys() string {
 
 // ApplyOverrides applies a comma-separated key=value override list to a run
 // configuration — the vocabulary bldiff's -a/-b flags use to describe the
-// two sides of a comparison ("up=350", "governor=ondemand,sample-ms=60").
+// two sides of a comparison ("up=350", "governor=ondemand,sample-ms=60"),
+// blsweep's -param sweeps, and blexplore's -dim axes.
 // Unknown keys and unparseable values are errors listing the vocabulary, so
 // a typo can never silently diff a config against itself.
 func ApplyOverrides(cfg *core.Config, spec string) error {

@@ -8,19 +8,21 @@ import (
 
 	"biglittle/internal/apps"
 	"biglittle/internal/core"
+	"biglittle/internal/event"
 )
 
-func TestIntsStrict(t *testing.T) {
-	got, err := Ints("10, 20,40")
+func TestParsePhases(t *testing.T) {
+	phases, err := ParsePhases("browser:1s, video_player:2s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 || got[0] != 10 || got[1] != 20 || got[2] != 40 {
-		t.Fatalf("Ints = %v", got)
+	if len(phases) != 2 || phases[0].App.Name != "browser" || phases[0].Duration != event.Second ||
+		phases[1].App.Name != "video_player" || phases[1].Duration != 2*event.Second {
+		t.Fatalf("phases = %+v", phases)
 	}
-	for _, bad := range []string{"", ",", "  ,  ", "10,x,40", "1.5"} {
-		if _, err := Ints(bad); err == nil {
-			t.Errorf("Ints(%q): expected error", bad)
+	for _, bad := range []string{"browser:0s", "browser:-1s", "browser", "nope:1s", ""} {
+		if _, err := ParsePhases(bad); err == nil {
+			t.Errorf("ParsePhases(%q) accepted a bad phase list", bad)
 		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"biglittle/internal/power"
 	"biglittle/internal/profile"
 	"biglittle/internal/sched"
-	"biglittle/internal/snapshot"
 	"biglittle/internal/telemetry"
 	"biglittle/internal/thermal"
 	"biglittle/internal/xray"
@@ -131,17 +130,6 @@ type Config struct {
 	// recorders or custom policies. Its tick subscribers run after the
 	// observers'.
 	OnSystem func(sys *sched.System)
-
-	// SnapshotAt, when positive, makes Run capture a whole-simulation
-	// snapshot at that time and hand it to OnSnapshot before continuing to
-	// Duration (see internal/snapshot and DESIGN.md §9). Snapshot-enabled
-	// runs record the workload's interactions, so they are modestly slower
-	// than plain runs but produce byte-identical Results; they reject the
-	// observer hooks Resume cannot reconstruct (Check, Telemetry, Profiler,
-	// Xray, OnSystem). Zero (the default) disables capture entirely.
-	SnapshotAt event.Time
-	// OnSnapshot receives the state captured at SnapshotAt.
-	OnSnapshot func(st *snapshot.State)
 }
 
 // Observers are the pure observers a run or a session can carry. Each is
@@ -310,30 +298,12 @@ func (c Config) Normalized() Config {
 	return c
 }
 
-// Run executes one simulation and gathers its Result. When SnapshotAt is
-// set, the run pauses at that time to capture a whole-simulation snapshot
-// (handed to OnSnapshot), then continues — the Result is byte-identical
-// either way.
+// Run executes one simulation and gathers its Result. To capture the run
+// part-way, step a NewSim with RunTo and Snapshot instead (DESIGN.md §9).
 func Run(cfg Config) Result {
 	cfg = cfg.Normalized()
-	if cfg.SnapshotAt <= 0 {
-		sim := newSim(cfg, nil)
-		sim.eng.Run(cfg.Duration)
-		return sim.Finish()
-	}
-	sim, err := NewSim(cfg)
-	if err != nil {
-		panic(err) // configurations are validated values; misuse is a bug
-	}
-	sim.RunTo(cfg.SnapshotAt)
-	st, err := sim.Snapshot()
-	if err != nil {
-		panic(err)
-	}
-	if cfg.OnSnapshot != nil {
-		cfg.OnSnapshot(st)
-	}
-	sim.RunTo(cfg.Duration)
+	sim := newSim(cfg, nil)
+	sim.eng.Run(cfg.Duration)
 	return sim.Finish()
 }
 

@@ -62,9 +62,9 @@ func (c forkCase) check(t *testing.T) string {
 
 	cfgB := c.config(t)
 	cfgB.Digest = &forked
-	got, err := RunForked(cfgB, c.ForkAt)
+	got, err := runForked(cfgB, c.ForkAt)
 	if err != nil {
-		return fmt.Sprintf("RunForked failed: %v", err)
+		return fmt.Sprintf("runForked failed: %v", err)
 	}
 	if w, err := delta.FirstDivergentWindow(scratch.Chain(), forked.Chain()); err != nil {
 		return fmt.Sprintf("chain comparison failed: %v", err)

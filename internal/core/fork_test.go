@@ -24,6 +24,36 @@ func shortCfg(app apps.App) Config {
 	return cfg
 }
 
+// runForked runs cfg from scratch to at, captures a snapshot, round-trips
+// it through the wire codec, and resumes it to completion — the full fork
+// path in one call, whose Result must be byte-identical to Run(cfg)'s.
+func runForked(cfg Config, at event.Time) (Result, error) {
+	cfg = cfg.Normalized()
+	sim, err := NewSim(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	sim.RunTo(at)
+	st, err := sim.Snapshot()
+	if err != nil {
+		return Result{}, err
+	}
+	blob, err := snapshot.Encode(st)
+	if err != nil {
+		return Result{}, err
+	}
+	decoded, err := snapshot.Decode(blob)
+	if err != nil {
+		return Result{}, err
+	}
+	forked, err := Resume(cfg, decoded)
+	if err != nil {
+		return Result{}, err
+	}
+	forked.RunTo(cfg.Duration)
+	return forked.Finish(), nil
+}
+
 // TestRecordingIsPassive pins the contract everything else builds on: a
 // snapshot-enabled run (recorder attached, never snapshotted) produces a
 // Result byte-identical to a plain run's.
@@ -45,7 +75,7 @@ func TestRecordingIsPassive(t *testing.T) {
 
 // TestForkByteIdentity is the tentpole contract: fork at T, continue to the
 // end, and the Result equals a from-scratch run exactly — across every app,
-// including the codec round-trip RunForked performs.
+// including the codec round-trip runForked performs.
 func TestForkByteIdentity(t *testing.T) {
 	for _, app := range apps.All() {
 		app := app
@@ -53,9 +83,9 @@ func TestForkByteIdentity(t *testing.T) {
 			t.Parallel()
 			cfg := shortCfg(app)
 			want := Run(cfg)
-			got, err := RunForked(cfg, cfg.Duration/2)
+			got, err := runForked(cfg, cfg.Duration/2)
 			if err != nil {
-				t.Fatalf("RunForked: %v", err)
+				t.Fatalf("runForked: %v", err)
 			}
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("forked run diverged from from-scratch run\nwant: %+v\ngot:  %+v", want, got)
@@ -76,8 +106,8 @@ func TestForkDigestChains(t *testing.T) {
 
 	cfgB := cfg
 	cfgB.Digest = &forked
-	if _, err := RunForked(cfgB, cfg.Duration/2); err != nil {
-		t.Fatalf("RunForked: %v", err)
+	if _, err := runForked(cfgB, cfg.Duration/2); err != nil {
+		t.Fatalf("runForked: %v", err)
 	}
 
 	a, b := scratch.Chain(), forked.Chain()
@@ -95,8 +125,8 @@ func TestForkDigestChains(t *testing.T) {
 
 // TestForkVariants exercises the sweep semantics: the continuation may vary
 // policy knobs, which take effect at the fork point. The forked variant must
-// equal a run that had SnapshotAt set but never forked... it cannot (the
-// config differs before the fork), so instead pin that each variant resumes
+// equal a from-scratch run of the variant config... it cannot (the config
+// differs before the fork), so instead pin that each variant resumes
 // successfully and produces a self-consistent result.
 func TestForkVariants(t *testing.T) {
 	base := shortCfg(apps.FIFA15())
@@ -188,22 +218,25 @@ func TestSnapshotOfRestoredRun(t *testing.T) {
 	}
 }
 
-// TestSnapshotAtConfig drives the capture through Run's SnapshotAt hook and
-// checks the run itself is unperturbed.
+// TestSnapshotAtConfig drives the one capture path — NewSim, RunTo,
+// Snapshot — mid-run and checks the run itself is unperturbed, the capture
+// lands at the requested time, and a resume of it equals Run.
 func TestSnapshotAtConfig(t *testing.T) {
 	cfg := shortCfg(apps.PDFReader())
 	want := Run(cfg)
 
-	var st *snapshot.State
-	cfg2 := cfg
-	cfg2.SnapshotAt = cfg.Duration / 2
-	cfg2.OnSnapshot = func(s *snapshot.State) { st = s }
-	got := Run(cfg2)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatal("SnapshotAt perturbed the run result")
+	sim, err := NewSim(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st == nil {
-		t.Fatal("OnSnapshot never called")
+	sim.RunTo(cfg.Duration / 2)
+	st, err := sim.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.RunTo(cfg.Duration)
+	if got := sim.Finish(); !reflect.DeepEqual(want, got) {
+		t.Fatal("a mid-run capture perturbed the run result")
 	}
 	if st.Time != cfg.Duration/2 {
 		t.Fatalf("snapshot captured at %v, want %v", st.Time, cfg.Duration/2)
@@ -214,7 +247,7 @@ func TestSnapshotAtConfig(t *testing.T) {
 	}
 	forked.RunTo(cfg.Duration)
 	if res := forked.Finish(); !reflect.DeepEqual(want, res) {
-		t.Fatal("resume of SnapshotAt capture diverged")
+		t.Fatal("resume of the mid-run capture diverged")
 	}
 }
 
@@ -276,7 +309,7 @@ func TestSnapshotErrorPaths(t *testing.T) {
 	cfg := shortCfg(apps.AngryBird())
 
 	// Every observer snapshotCompat names must be rejected, on both the
-	// NewSim and RunForked entry points.
+	// NewSim and runForked entry points.
 	for _, tc := range []struct {
 		name string
 		mut  func(*Config)
@@ -290,8 +323,8 @@ func TestSnapshotErrorPaths(t *testing.T) {
 		if _, err := NewSim(bad); err == nil {
 			t.Errorf("%s: NewSim accepted an observer a resume cannot reconstruct", tc.name)
 		}
-		if _, err := RunForked(bad, cfg.Duration/2); err == nil {
-			t.Errorf("%s: RunForked accepted an observer a resume cannot reconstruct", tc.name)
+		if _, err := runForked(bad, cfg.Duration/2); err == nil {
+			t.Errorf("%s: runForked accepted an observer a resume cannot reconstruct", tc.name)
 		}
 	}
 

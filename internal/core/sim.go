@@ -433,36 +433,6 @@ func checkTrackers(ctx *workload.Ctx, st *snapshot.State) error {
 	return nil
 }
 
-// RunForked runs cfg from scratch to at, captures a snapshot, round-trips
-// it through the wire codec, and resumes it to completion — the full fork
-// path in one call. The Result is byte-identical to Run(cfg)'s.
-func RunForked(cfg Config, at event.Time) (Result, error) {
-	cfg = cfg.Normalized()
-	sim, err := NewSim(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	sim.RunTo(at)
-	st, err := sim.Snapshot()
-	if err != nil {
-		return Result{}, err
-	}
-	blob, err := snapshot.Encode(st)
-	if err != nil {
-		return Result{}, err
-	}
-	decoded, err := snapshot.Decode(blob)
-	if err != nil {
-		return Result{}, err
-	}
-	forked, err := Resume(cfg, decoded)
-	if err != nil {
-		return Result{}, err
-	}
-	forked.RunTo(cfg.Duration)
-	return forked.Finish(), nil
-}
-
 // Finish assembles the Result. It must be called exactly once, after the
 // clock has reached the configured Duration.
 func (s *Sim) Finish() Result {

@@ -71,16 +71,13 @@ var platforms = map[string]func() *platform.SoC{
 }
 
 // SpecFromJob serializes a lab.Job into its wire form, or explains why it
-// cannot travel: jobs with live observers or hooks (unfingerprintable),
-// Prepare functions, salts (which mark configs whose identity is not fully
-// captured by the fingerprinted fields, e.g. composite apps), apps that
-// cannot be rebuilt by name, or platforms outside the registry. The
+// cannot travel: jobs with live observers or hooks (unfingerprintable), fork
+// specs, salts (which mark configs whose identity is not fully captured by
+// the fingerprinted fields, e.g. composite apps), apps that cannot be
+// rebuilt by name, or platforms outside the registry. The
 // round-trip is verified: the spec is reconstructed and must re-fingerprint
 // to the original hash before it is allowed out the door.
 func SpecFromJob(job lab.Job) (JobSpec, error) {
-	if job.Prepare != nil {
-		return JobSpec{}, fmt.Errorf("fleet: job %q has a Prepare hook, which does not serialize", job.Config.App.Name)
-	}
 	if job.Fork != nil {
 		return JobSpec{}, fmt.Errorf("fleet: job %q is snapshot-accelerated (fork at %v) and is not remotable: prefix snapshots capture process-local closure state that cannot be rebuilt on a worker; it must simulate locally", job.Config.App.Name, job.Fork.At)
 	}

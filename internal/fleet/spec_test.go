@@ -64,8 +64,7 @@ func TestSpecRejectsNonRemotable(t *testing.T) {
 		mutate func(*lab.Job)
 		want   string
 	}{
-		"prepare hook": {func(j *lab.Job) { j.Prepare = func(*core.Config) {} }, "Prepare"},
-		"salted":       {func(j *lab.Job) { j.Salt = "composite" }, "salted"},
+		"salted": {func(j *lab.Job) { j.Salt = "composite" }, "salted"},
 		"live observer": {func(j *lab.Job) {
 			j.Config.Telemetry = telemetry.NewCollector()
 		}, "observers"},

@@ -63,7 +63,7 @@ type print struct {
 // it does not affect cacheability.)
 func Fingerprint(job Job) (string, bool) {
 	cfg := job.Config.Normalized()
-	if cfg.OnSystem != nil || cfg.Telemetry != nil || cfg.Profiler != nil || cfg.Xray != nil || cfg.Check != nil || cfg.Digest != nil || cfg.OnSnapshot != nil {
+	if cfg.OnSystem != nil || cfg.Telemetry != nil || cfg.Profiler != nil || cfg.Xray != nil || cfg.Check != nil || cfg.Digest != nil {
 		return "", false
 	}
 	p := print{

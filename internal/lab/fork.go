@@ -84,7 +84,7 @@ func (r *Runner) prefixState(spec *ForkSpec) (*snapshot.State, error) {
 	if evicted := r.prefixTouch(key, e); evicted > 0 {
 		n := int64(evicted)
 		r.countAdd(func(s *Stats) { s.PrefixEvictions += n }, "lab_prefix_evictions", n)
-		r.logJob("prefix evicted", spec.Base.App.Name, "evicted", evicted, "budget", r.prefixBudget())
+		r.logJob("prefix evicted", spec.Base.App.Name, "evicted", evicted, "budget", r.budget())
 	}
 	switch {
 	case built && e.simulated:
@@ -134,16 +134,16 @@ func (r *Runner) loadOrBuildPrefix(spec *ForkSpec, key string) (st *snapshot.Sta
 	return captured, true, nil
 }
 
-// prefixBudget resolves the Runner.PrefixBudget convention: zero means the
-// default, negative means unlimited (reported as 0 = "no budget").
-func (r *Runner) prefixBudget() int64 {
+// budget resolves the prefix tier's byte budget: DefaultPrefixBudget unless
+// a test overrides it, 0 meaning unlimited.
+func (r *Runner) budget() int64 {
 	switch {
-	case r.PrefixBudget == 0:
+	case r.prefixBudget == 0:
 		return DefaultPrefixBudget
-	case r.PrefixBudget < 0:
+	case r.prefixBudget < 0:
 		return 0
 	default:
-		return r.PrefixBudget
+		return r.prefixBudget
 	}
 }
 
@@ -173,7 +173,7 @@ func (r *Runner) prefixTouch(key string, e *prefixEntry) (evicted int) {
 			}
 		}
 	}
-	budget := r.prefixBudget()
+	budget := r.budget()
 	if budget <= 0 {
 		return 0
 	}

@@ -182,7 +182,7 @@ func TestForkPrefixBudgetEviction(t *testing.T) {
 	jobB := Job{Config: base, Fork: &ForkSpec{Base: base, At: 2 * forkAt}}
 	want := core.Run(base)
 
-	r := &Runner{Workers: 1, PrefixBudget: 1} // at most one resident prefix
+	r := &Runner{Workers: 1, prefixBudget: 1} // at most one resident prefix
 	for i, job := range []Job{jobA, jobB, jobA} {
 		res, err := r.Run(job)
 		if err != nil {
@@ -203,7 +203,7 @@ func TestForkPrefixBudgetEviction(t *testing.T) {
 	}
 
 	// Unlimited budget: the same sequence keeps both prefixes resident.
-	un := &Runner{Workers: 1, PrefixBudget: -1}
+	un := &Runner{Workers: 1, prefixBudget: -1}
 	for _, job := range []Job{jobA, jobB, jobA} {
 		if _, err := un.Run(job); err != nil {
 			t.Fatal(err)

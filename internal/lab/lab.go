@@ -12,11 +12,11 @@
 //     byte-identical for 1 worker or N, cold cache or warm.
 //   - Isolation: each job runs a fresh, isolated engine. Observers whose
 //     event streams are not goroutine-safe (telemetry.Collector's event
-//     bus, trace.Recorder) must be per-job; the Prepare hook exists so each
-//     job can construct its own.
-//   - Robustness: a panicking job is recovered and retried a bounded number
-//     of times; a hung job can be abandoned on a per-job timeout; a corrupt
-//     cache blob falls back to re-simulation.
+//     bus, trace.Recorder) must be per-job: give each job's Config its own.
+//   - Robustness: a panicking job is recovered and retried once, and a
+//     corrupt cache blob falls back to re-simulation. The simulator is
+//     deterministic, so a job that hangs would hang again on any retry; a
+//     fleet worker that dies mid-job is covered by its lease expiring.
 package lab
 
 import (
@@ -38,7 +38,9 @@ import (
 )
 
 // Job is one declarative experiment: a fully resolved simulation config
-// plus optional orchestration hooks.
+// plus optional orchestration hooks. Per-job observers (a fresh
+// telemetry.Collector, a trace.Recorder via OnSystem, ...) go on Config;
+// jobs whose config carries observers are never cached.
 type Job struct {
 	Config core.Config
 
@@ -46,12 +48,6 @@ type Job struct {
 	// alone under-identifies the run — e.g. composite apps whose background
 	// set is hidden inside App.Build.
 	Salt string
-
-	// Prepare, if set, runs in the worker immediately before simulation and
-	// may attach per-job observers (a fresh telemetry.Collector, a
-	// trace.Recorder via OnSystem, ...) to the config copy it receives.
-	// Jobs whose final config carries observers are never cached.
-	Prepare func(*core.Config)
 
 	// Fork, when non-nil, accelerates the job with a shared snapshot prefix:
 	// instead of simulating Config from scratch, the runner warms (or
@@ -93,7 +89,7 @@ type Stats struct {
 	Misses    int64 // cache lookups that missed (cacheable jobs only)
 	Simulated int64 // simulations actually executed
 	Stored    int64 // results written to cache
-	Retries   int64 // extra attempts after a panic or timeout
+	Retries   int64 // extra attempts after a panic
 	Failures  int64 // jobs that exhausted their attempts
 
 	// Remote counts jobs executed by the remote fleet (Runner.Remote);
@@ -114,7 +110,7 @@ type Stats struct {
 	// PrefixMisses counts prefix simulations actually executed — on a sweep
 	// of N variants sharing one (Base, At), PrefixMisses is 1 and PrefixHits
 	// is N-1. PrefixEvictions counts decoded prefixes dropped from the
-	// in-process tier to stay under Runner.PrefixBudget; an evicted prefix
+	// in-process tier to stay under DefaultPrefixBudget; an evicted prefix
 	// re-requested later is rebuilt (or reloaded from the disk tier) and
 	// counted again.
 	Forks           int64
@@ -124,7 +120,7 @@ type Stats struct {
 }
 
 // Runner executes jobs on a worker pool with caching. The zero value is
-// usable: GOMAXPROCS workers, no cache, no telemetry, no timeout, one retry.
+// usable: GOMAXPROCS workers, no cache, no telemetry.
 type Runner struct {
 	// Workers caps concurrent simulations (<=0: GOMAXPROCS).
 	Workers int
@@ -154,23 +150,6 @@ type Runner struct {
 	// ETA — at Info. Nil stays silent; the logger must be goroutine-safe
 	// (slog's built-in handlers are).
 	Log *slog.Logger
-	// Timeout abandons a single simulation after this much wall-clock time
-	// (0: none). The abandoned goroutine cannot be killed — it drains in the
-	// background and its result is discarded — so treat a timeout as a bug
-	// signal, not a scheduling tool.
-	Timeout time.Duration
-	// Retries is how many extra attempts a panicking or timed-out job gets
-	// (<0: none; 0: the default of 1).
-	Retries int
-	// PrefixBudget bounds the bytes of decoded prefix snapshots the
-	// in-process fork tier keeps alive at once (estimated via
-	// snapshot.State.ApproxBytes). A wide multi-app, multi-rung fork sweep
-	// would otherwise hold every decoded state until the runner dies. Least
-	// recently handed-out prefixes are evicted first (Stats.PrefixEvictions);
-	// the entry just handed out is never evicted, so a single oversized
-	// prefix still serves its sweep. 0 means DefaultPrefixBudget; negative
-	// means unlimited.
-	PrefixBudget int64
 	// Check enables invariant auditing (internal/check) for every job: fresh
 	// simulations run with an auditor attached and fail on any violation, and
 	// cache hits are verified by re-simulating with an auditor and requiring
@@ -182,6 +161,10 @@ type Runner struct {
 	mu    sync.Mutex
 	stats Stats
 
+	// prefixBudget overrides DefaultPrefixBudget for the fork tests: 0
+	// means the default, negative means unlimited.
+	prefixBudget int64
+
 	// prefixes is the in-process tier of the fork-prefix cache: one decoded
 	// read-only snapshot per (base fingerprint, fork time), built at most
 	// once per runner under singleflight. The on-disk tier lives in the
@@ -189,7 +172,7 @@ type Runner struct {
 	// memoizes the fingerprint-derived key per spec pointer, so a sweep
 	// sharing one *ForkSpec marshals the base config once. prefixLRU orders
 	// the tracked keys least-recently-handed-out first and prefixBytes sums
-	// their estimated sizes, for PrefixBudget eviction.
+	// their estimated sizes, for byte-budget eviction.
 	prefixMu    sync.Mutex
 	prefixes    map[string]*prefixEntry
 	prefixKeys  map[*ForkSpec]string
@@ -197,11 +180,17 @@ type Runner struct {
 	prefixBytes int64
 }
 
-// DefaultPrefixBudget is the in-process prefix tier's byte budget when
-// Runner.PrefixBudget is zero: enough for tens of typical decoded
+// DefaultPrefixBudget bounds the bytes of decoded prefix snapshots the
+// in-process fork tier keeps alive at once (estimated via
+// snapshot.State.ApproxBytes): enough for tens of typical decoded
 // snapshots, small enough that a hundred-app fork matrix cannot hold every
-// prefix alive at once.
+// prefix alive at once. Least recently handed-out prefixes are evicted
+// first (Stats.PrefixEvictions); the entry just handed out is never
+// evicted, so a single oversized prefix still serves its sweep.
 const DefaultPrefixBudget int64 = 1 << 30
+
+// retries is how many extra attempts a panicking job gets.
+const retries = 1
 
 // New returns a runner with the given worker count and cache.
 func New(workers int, cache *Cache) *Runner {
@@ -233,17 +222,6 @@ func (r *Runner) workers(n int) int {
 		w = 1
 	}
 	return w
-}
-
-func (r *Runner) retries() int {
-	switch {
-	case r.Retries < 0:
-		return 0
-	case r.Retries == 0:
-		return 1
-	default:
-		return r.Retries
-	}
 }
 
 // count applies fn to the stats and mirrors named counters into the
@@ -384,15 +362,6 @@ func (r *Runner) logJob(msg, app string, args ...any) {
 	r.Log.Debug(msg, append([]any{"app", app}, args...)...)
 }
 
-// RunConfigs is RunAll over bare configs.
-func (r *Runner) RunConfigs(cfgs []core.Config) ([]core.Result, error) {
-	jobs := make([]Job, len(cfgs))
-	for i, cfg := range cfgs {
-		jobs[i] = Job{Config: cfg}
-	}
-	return r.RunAll(jobs)
-}
-
 // Run executes a single job (still counted, cached, and recovered).
 func (r *Runner) Run(job Job) (core.Result, error) {
 	return r.runOne(job)
@@ -454,9 +423,6 @@ func (r *Runner) runOne(job Job) (core.Result, error) {
 	r.count(func(s *Stats) { s.Jobs++ }, "lab_jobs")
 
 	cfg := job.Config
-	if job.Prepare != nil {
-		job.Prepare(&cfg)
-	}
 	if job.Fork != nil && r.Check {
 		// The auditor must observe a from-scratch run, but a variant fork's
 		// result legitimately differs from a from-scratch run of the variant
@@ -545,7 +511,7 @@ func (r *Runner) runOne(job Job) (core.Result, error) {
 	}
 
 	var err error
-	for attempt := 0; attempt <= r.retries(); attempt++ {
+	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			r.count(func(s *Stats) { s.Retries++ }, "lab_retries")
 			r.logJob("retry", cfg.App.Name, "attempt", attempt, "err", err)
@@ -558,7 +524,7 @@ func (r *Runner) runOne(job Job) (core.Result, error) {
 			acfg.Check = aud
 		}
 		var res core.Result
-		res, err = r.attempt(acfg, run)
+		res, err = runRecovered(acfg, run)
 		if err != nil {
 			continue
 		}
@@ -600,7 +566,7 @@ func (r *Runner) runOne(job Job) (core.Result, error) {
 func (r *Runner) auditCached(cfg core.Config, cached core.Result) error {
 	aud := check.New()
 	cfg.Check = aud
-	fresh, err := r.attempt(cfg, runScratch)
+	fresh, err := runRecovered(cfg, runScratch)
 	if err != nil {
 		return err
 	}
@@ -622,37 +588,16 @@ func (r *Runner) auditCached(cfg core.Config, cached core.Result) error {
 	return nil
 }
 
-type outcome struct {
-	res core.Result
-	err error
-}
-
 // runScratch is the default attempt body: a full from-scratch simulation.
 func runScratch(cfg core.Config) (core.Result, error) { return core.Run(cfg), nil }
 
-// attempt runs one simulation — run(cfg) — with panic recovery and the
-// optional wall-clock timeout.
-func (r *Runner) attempt(cfg core.Config, run func(core.Config) (core.Result, error)) (core.Result, error) {
-	ch := make(chan outcome, 1) // buffered: an abandoned attempt must not leak
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				ch <- outcome{err: fmt.Errorf("lab: job %q panicked: %v", cfg.App.Name, p)}
-			}
-		}()
-		res, err := run(cfg)
-		ch <- outcome{res: res, err: err}
+// runRecovered runs one simulation attempt — run(cfg) — recovering a panic
+// into an error.
+func runRecovered(cfg core.Config, run func(core.Config) (core.Result, error)) (res core.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = core.Result{}, fmt.Errorf("lab: job %q panicked: %v", cfg.App.Name, p)
+		}
 	}()
-	if r.Timeout <= 0 {
-		o := <-ch
-		return o.res, o.err
-	}
-	t := time.NewTimer(r.Timeout)
-	defer t.Stop()
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-t.C:
-		return core.Result{}, fmt.Errorf("lab: job %q exceeded timeout %v", cfg.App.Name, r.Timeout)
-	}
+	return run(cfg)
 }

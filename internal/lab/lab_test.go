@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"biglittle/internal/apps"
 	"biglittle/internal/check"
@@ -27,6 +26,15 @@ func testApp(t *testing.T) apps.App {
 		t.Fatal(err)
 	}
 	return app
+}
+
+// runConfigs is RunAll over bare configs.
+func runConfigs(r *Runner, cfgs []core.Config) ([]core.Result, error) {
+	jobs := make([]Job, len(cfgs))
+	for i, cfg := range cfgs {
+		jobs[i] = Job{Config: cfg}
+	}
+	return r.RunAll(jobs)
 }
 
 func testConfig(t *testing.T) core.Config {
@@ -181,7 +189,7 @@ func TestWarmRunSkipsSimulation(t *testing.T) {
 	cfgs = append(cfgs, seeded)
 
 	cold := New(2, cache)
-	coldRes, err := cold.RunConfigs(cfgs)
+	coldRes, err := runConfigs(cold, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +198,7 @@ func TestWarmRunSkipsSimulation(t *testing.T) {
 	}
 
 	warm := New(2, cache)
-	warmRes, err := warm.RunConfigs(cfgs)
+	warmRes, err := runConfigs(warm, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,31 +289,10 @@ func TestPanicRecoveryAndRetry(t *testing.T) {
 	}
 }
 
-func TestTimeout(t *testing.T) {
-	app := apps.App{Name: "hung", Desc: "sleeps on the wall clock", Build: func(*workload.Ctx) {
-		time.Sleep(30 * time.Second)
-	}}
-	cfg := core.DefaultConfig(app)
-	cfg.Duration = 100 * event.Millisecond
-
-	r := &Runner{Workers: 1, Timeout: 20 * time.Millisecond, Retries: -1}
-	start := time.Now()
-	_, err := r.Run(Job{Config: cfg})
-	if err == nil || !strings.Contains(err.Error(), "timeout") {
-		t.Fatalf("err = %v, want timeout error", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("timeout took %v, should abandon promptly", elapsed)
-	}
-	if s := r.Stats(); s.Failures != 1 {
-		t.Fatalf("stats = %+v, want 1 failure", s)
-	}
-}
-
 // TestRaceJobOwnedObservers is the goroutine-safety regression test: under
-// -race, many concurrent jobs each attach their own telemetry collector and
-// trace recorder via Prepare, which must not race because no observer is
-// shared across workers.
+// -race, many concurrent jobs each carry their own telemetry collector and
+// trace recorder on their Config, which must not race because no observer
+// is shared across workers.
 func TestRaceJobOwnedObservers(t *testing.T) {
 	type observed struct {
 		tel *telemetry.Collector
@@ -318,14 +305,12 @@ func TestRaceJobOwnedObservers(t *testing.T) {
 		i := i
 		cfg := testConfig(t)
 		cfg.Seed = int64(i + 1)
-		jobs[i] = Job{Config: cfg, Prepare: func(c *core.Config) {
-			tel := telemetry.NewCollector()
-			c.Telemetry = tel
-			c.OnSystem = func(sys *sched.System) {
-				obs[i].rec = trace.Attach(sys, 0, c.Duration)
-			}
-			obs[i].tel = tel
-		}}
+		obs[i].tel = telemetry.NewCollector()
+		cfg.Telemetry = obs[i].tel
+		cfg.OnSystem = func(sys *sched.System) {
+			obs[i].rec = trace.Attach(sys, 0, cfg.Duration)
+		}
+		jobs[i] = Job{Config: cfg}
 	}
 	r := New(4, nil)
 	r.Tel = telemetry.NewCollector() // the runner's own counters, serialized internally
@@ -358,7 +343,7 @@ func TestAuditMode(t *testing.T) {
 
 	cold := New(1, cache)
 	cold.Check = true
-	coldRes, err := cold.RunConfigs([]core.Config{cfg})
+	coldRes, err := runConfigs(cold, []core.Config{cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +355,7 @@ func TestAuditMode(t *testing.T) {
 	// against the cache blob, and still serves the cached result.
 	warm := New(1, cache)
 	warm.Check = true
-	warmRes, err := warm.RunConfigs([]core.Config{cfg})
+	warmRes, err := runConfigs(warm, []core.Config{cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +369,7 @@ func TestAuditMode(t *testing.T) {
 	// Audited results are identical to unaudited ones (the auditor is a
 	// pure observer), so the cache blob is shared with non-Check runners.
 	plain := New(1, cache)
-	plainRes, err := plain.RunConfigs([]core.Config{cfg})
+	plainRes, err := runConfigs(plain, []core.Config{cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

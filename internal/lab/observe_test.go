@@ -57,13 +57,13 @@ func TestStatsCountersMirrored(t *testing.T) {
 
 	cfg := testConfig(t)
 	// Cold run: miss + simulated + audited + stored. Warm run: hit + audited.
-	if _, err := r.RunConfigs([]core.Config{cfg}); err != nil {
+	if _, err := runConfigs(r, []core.Config{cfg}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.RunConfigs([]core.Config{cfg}); err != nil {
+	if _, err := runConfigs(r, []core.Config{cfg}); err != nil {
 		t.Fatal(err)
 	}
-	// Panicking job: retry (default 1) then failure.
+	// Panicking job: one retry, then failure.
 	pan := core.DefaultConfig(apps.App{Name: "panicky", Desc: "always panics",
 		Build: func(*workload.Ctx) { panic("boom") }})
 	pan.Duration = 100 * event.Millisecond

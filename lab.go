@@ -13,8 +13,9 @@ import "biglittle/internal/lab"
 type LabRunner = lab.Runner
 
 // LabJob is one declarative experiment for a LabRunner: a fully resolved
-// Config plus optional fingerprint salt, a per-job Prepare hook, and an
-// optional fork spec for snapshot acceleration.
+// Config plus optional fingerprint salt and an optional fork spec for
+// snapshot acceleration. Per-job observers go on the job's Config, which
+// makes the job uncacheable.
 type LabJob = lab.Job
 
 // LabForkSpec names the shared warmed prefix of a fork-accelerated LabJob:
@@ -32,24 +33,13 @@ type LabCache = lab.Cache
 // collector is attached to the runner.
 type LabStats = lab.Stats
 
-// LabEntry describes one cached result (what `bllab ls` prints).
-type LabEntry = lab.Entry
-
 // NewLabRunner returns a runner with the given worker count (<=0 for
 // GOMAXPROCS) and cache (nil to disable memoization).
 func NewLabRunner(workers int, cache *LabCache) *LabRunner { return lab.New(workers, cache) }
 
 // OpenLabCache opens (creating if needed) the result cache rooted at dir;
-// "" uses DefaultLabCacheDir.
+// "" uses the default cache root, the OS equivalent of ~/.cache/biglittle.
 func OpenLabCache(dir string) (*LabCache, error) { return lab.Open(dir) }
-
-// DefaultLabCacheDir returns the default cache root, the OS equivalent of
-// ~/.cache/biglittle.
-func DefaultLabCacheDir() (string, error) { return lab.DefaultCacheDir() }
-
-// LabCodeVersion identifies the simulator build that keys cached results;
-// results from other versions are never served.
-func LabCodeVersion() string { return lab.CodeVersion() }
 
 // LabFingerprint returns the content fingerprint a runner would cache the
 // job under, and whether the job is cacheable at all (jobs carrying live
