@@ -220,12 +220,15 @@ cover:
 
 # 30 s of native fuzzing per target — a smoke pass over the parser and
 # codec fuzzers, not a deep campaign (go test runs one -fuzz target at a
-# time).
+# time). FuzzJobSpec's seeds are whole 2 KB wire specs, and minimizing each
+# new input under the default 60 s budget would eat the whole smoke pass, so
+# its minimization is capped at 100 runs.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/spec/
 	go test -run '^$$' -fuzz '^FuzzParseCoreConfig$$' -fuzztime 30s ./internal/platform/
 	go test -run '^$$' -fuzz '^FuzzApplyOverrides$$' -fuzztime 30s ./internal/cli/
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/snapshot/
+	go test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/fleet/
 
 # Regenerate the golden-master corpus after an intentional model change; the
 # resulting testdata/golden diff documents exactly which numbers moved.

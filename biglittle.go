@@ -119,7 +119,9 @@ func CustomApp(name string, metric Metric, build func(ctx *Ctx)) App {
 	return App{Name: name, Desc: "custom workload", Metric: metric, Build: build}
 }
 
-// Config describes one simulation run.
+// Config describes one simulation run: app, seed and duration, plus the
+// platform and policy knobs it shares with SessionConfig (Platform names a
+// SoC preset: "exynos5422", "exynos5422-tiny" or "snapdragon810").
 type Config = core.Config
 
 // Result holds every metric collected from one run.
@@ -305,7 +307,8 @@ func LoadSpec(data []byte) (App, error) { return spec.Parse(data) }
 // SessionPhase is one app segment of a multi-app usage session.
 type SessionPhase = session.Phase
 
-// SessionConfig describes a session run.
+// SessionConfig describes a session run: phases, seed and battery on the
+// same platform and policy knobs as Config.
 type SessionConfig = session.Config
 
 // SessionResult summarizes a session with per-phase metrics.

@@ -21,15 +21,16 @@ import (
 )
 
 func main() {
+	cfg := biglittle.DefaultConfig(biglittle.App{})
 	var (
 		appName  = flag.String("app", "bbench", "application model to run")
-		cores    = flag.String("cores", "L4+B4", "hotplug configuration")
-		seed     = flag.Int64("seed", 1, "workload random seed")
-		duration = flag.Duration("duration", 30*time.Second, "simulated run duration")
+		cores    = flag.String("cores", cfg.Cores.String(), "hotplug configuration")
+		duration = flag.Duration("duration", time.Duration(cfg.Duration), "simulated run duration")
 		csvPath  = flag.String("csv", "", "write the raw event log as CSV")
 		jsonPath = flag.String("json", "", "write events + metric registries as JSON")
 		promPath = flag.String("prom", "", "write the metric registries in Prometheus text format (\"-\" = stdout)")
 	)
+	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "workload random seed")
 	flag.Parse()
 
 	app, err := biglittle.AppByName(*appName)
@@ -43,8 +44,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	cfg := biglittle.DefaultConfig(app)
-	cfg.Seed = *seed
+	cfg.App = app
 	cfg.Cores = cc
 	cfg.Duration = biglittle.Time(duration.Nanoseconds())
 
@@ -53,7 +53,7 @@ func main() {
 
 	res := biglittle.Run(cfg)
 
-	fmt.Printf("%s on %s, %v, seed %d\n\n", app.Name, *cores, *duration, *seed)
+	fmt.Printf("%s on %s, %v, seed %d\n\n", app.Name, *cores, *duration, cfg.Seed)
 	fmt.Print(tel.Summary(cfg.Duration))
 	fmt.Printf("\nscheduler cross-check: Result.HMPMigrations=%d telemetry=%d\n",
 		res.HMPMigrations, tel.HMPMigrations())

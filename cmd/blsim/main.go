@@ -10,40 +10,59 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"biglittle"
+	"biglittle/internal/cli"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	cfg := biglittle.DefaultConfig(biglittle.App{})
+	fs := flag.NewFlagSet("blsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		appName  = flag.String("app", "pdf_reader", "application model to run (see -list)")
-		specFile = flag.String("spec", "", "load the application from a JSON workload spec instead")
-		list     = flag.Bool("list", false, "list application models and exit")
-		cores    = flag.String("cores", "L4+B4", "hotplug configuration, e.g. L2, L4+B1")
-		duration = flag.Duration("duration", 30*time.Second, "simulated duration")
-		seed     = flag.Int64("seed", 1, "workload random seed")
-		gov      = flag.String("governor", "interactive", "governor: interactive|performance|powersave")
-		sample   = flag.Int("sample-ms", 20, "interactive governor sampling interval (ms)")
-		target   = flag.Int("target-load", 70, "interactive governor target load (%)")
-		up       = flag.Int("up", 700, "HMP up-threshold (of 1024)")
-		down     = flag.Int("down", 256, "HMP down-threshold (of 1024)")
-		weight   = flag.Int("weight", 32, "HMP load history half-life (ms)")
-		matrix   = flag.Bool("matrix", false, "print the Table IV active-core matrix")
-		asJSON   = flag.Bool("json", false, "emit the full result as JSON instead of text")
-		doCheck  = flag.Bool("check", false, "audit the run with the invariant checker; exit 2 on any violation")
-		xrayFile = flag.String("xray", "", "record causal decision spans and write the JSON dump to this file (query with blxray)")
+		appName  = fs.String("app", "pdf_reader", "application model to run (see -list)")
+		specFile = fs.String("spec", "", "load the application from a JSON workload spec instead")
+		list     = fs.Bool("list", false, "list application models and exit")
+		cores    = fs.String("cores", cfg.Cores.String(), "hotplug configuration, e.g. L2, L4+B1")
+		duration = fs.Duration("duration", time.Duration(cfg.Duration), "simulated duration")
+		gov      = fs.String("governor", cfg.Governor.String(), "governor: interactive|performance|powersave|userspace|ondemand|conservative|past")
+		matrix   = fs.Bool("matrix", false, "print the Table IV active-core matrix")
+		asJSON   = fs.Bool("json", false, "emit the full result as JSON instead of text")
+		doCheck  = fs.Bool("check", false, "audit the run with the invariant checker; exit 2 on any violation")
+		xrayFile = fs.String("xray", "", "record causal decision spans and write the JSON dump to this file (query with blxray)")
 	)
-	flag.Parse()
+	fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "workload random seed")
+	fs.IntVar(&cfg.Gov.SampleMs, "sample-ms", cfg.Gov.SampleMs, "governor sampling interval (ms)")
+	fs.IntVar(&cfg.Gov.TargetLoad, "target-load", cfg.Gov.TargetLoad, "interactive governor target load (%)")
+	fs.IntVar(&cfg.Sched.UpThreshold, "up", cfg.Sched.UpThreshold, "HMP up-threshold (of 1024)")
+	fs.IntVar(&cfg.Sched.DownThreshold, "down", cfg.Sched.DownThreshold, "HMP down-threshold (of 1024)")
+	fs.IntVar(&cfg.Sched.HalfLifeMs, "weight", cfg.Sched.HalfLifeMs, "HMP load history half-life (ms)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 
 	if *list {
 		for _, a := range biglittle.Apps() {
-			fmt.Printf("%-18s %-8s %s\n", a.Name, a.Metric, a.Desc)
+			fmt.Fprintf(stdout, "%-18s %-8s %s\n", a.Name, a.Metric, a.Desc)
 		}
-		return
+		return 0
 	}
 
 	var app biglittle.App
@@ -51,42 +70,25 @@ func main() {
 	if *specFile != "" {
 		data, rerr := os.ReadFile(*specFile)
 		if rerr != nil {
-			fmt.Fprintln(os.Stderr, rerr)
-			os.Exit(1)
+			return fail(rerr)
 		}
 		app, err = biglittle.LoadSpec(data)
 	} else {
 		app, err = biglittle.AppByName(*appName)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 	cc, err := biglittle.ParseCoreConfig(*cores)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 
-	cfg := biglittle.DefaultConfig(app)
-	cfg.Seed = *seed
+	cfg.App = app
 	cfg.Duration = biglittle.Time(duration.Nanoseconds())
 	cfg.Cores = cc
-	cfg.Gov.SampleMs = *sample
-	cfg.Gov.TargetLoad = *target
-	cfg.Sched.UpThreshold = *up
-	cfg.Sched.DownThreshold = *down
-	cfg.Sched.HalfLifeMs = *weight
-	switch *gov {
-	case "interactive":
-		cfg.Governor = biglittle.Interactive
-	case "performance":
-		cfg.Governor = biglittle.Performance
-	case "powersave":
-		cfg.Governor = biglittle.Powersave
-	default:
-		fmt.Fprintf(os.Stderr, "unknown governor %q\n", *gov)
-		os.Exit(1)
+	if cfg.Governor, err = cli.ParseGovernor(*gov); err != nil {
+		return fail(err)
 	}
 
 	var aud *biglittle.Auditor
@@ -106,58 +108,56 @@ func main() {
 	if xr != nil {
 		data, err := xr.JSON()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
 		if err := os.WriteFile(*xrayFile, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "xray: %d spans (%d dropped) -> %s\n", xr.Len(), xr.Dropped(), *xrayFile)
+		fmt.Fprintf(stderr, "xray: %d spans (%d dropped) -> %s\n", xr.Len(), xr.Dropped(), *xrayFile)
 	}
 
 	if aud != nil {
 		rep := aud.Report()
 		rep.Violations = append(rep.Violations, biglittle.CheckResult(r)...)
-		fmt.Fprint(os.Stderr, rep.String())
+		fmt.Fprint(stderr, rep.String())
 		if !rep.Ok() {
-			os.Exit(2)
+			return 2
 		}
 	}
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(r); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
-	fmt.Printf("app: %s (%s) on %s for %v, seed %d\n", r.App, r.Metric, r.Cores, duration, *seed)
+	fmt.Fprintf(stdout, "app: %s (%s) on %s for %v, seed %d\n", r.App, r.Metric, r.Cores, duration, cfg.Seed)
 	if r.Metric == biglittle.FPS {
-		fmt.Printf("performance: %.1f avg FPS, %.1f min FPS (%d frames)\n", r.AvgFPS, r.MinFPS, r.Frames)
+		fmt.Fprintf(stdout, "performance: %.1f avg FPS, %.1f min FPS (%d frames)\n", r.AvgFPS, r.MinFPS, r.Frames)
 	} else {
-		fmt.Printf("performance: %v mean latency, %v worst (%d interactions)\n",
+		fmt.Fprintf(stdout, "performance: %v mean latency, %v worst (%d interactions)\n",
 			r.MeanLatency, r.WorstLatency, r.Interactions)
 	}
-	fmt.Printf("power: %.0f mW average, %.1f J total\n", r.AvgPowerMW, r.EnergyMJ/1000)
-	fmt.Printf("TLP: %.2f   idle %.1f%%   little-only %.1f%%   big-active %.1f%%\n",
+	fmt.Fprintf(stdout, "power: %.0f mW average, %.1f J total\n", r.AvgPowerMW, r.EnergyMJ/1000)
+	fmt.Fprintf(stdout, "TLP: %.2f   idle %.1f%%   little-only %.1f%%   big-active %.1f%%\n",
 		r.TLP.TLP, r.TLP.IdlePct, r.TLP.LittleOnlyPct, r.TLP.BigPct)
-	fmt.Printf("efficiency states: min %.1f%%  <50%% %.1f%%  <70%% %.1f%%  70-95%% %.1f%%  >95%% %.1f%%  full %.1f%%\n",
+	fmt.Fprintf(stdout, "efficiency states: min %.1f%%  <50%% %.1f%%  <70%% %.1f%%  70-95%% %.1f%%  >95%% %.1f%%  full %.1f%%\n",
 		r.Eff[0], r.Eff[1], r.Eff[2], r.Eff[3], r.Eff[4], r.Eff[5])
-	fmt.Printf("HMP migrations: %d\n", r.HMPMigrations)
+	fmt.Fprintf(stdout, "HMP migrations: %d\n", r.HMPMigrations)
 
 	if *matrix {
-		fmt.Println(biglittle.RenderTable4(r))
+		fmt.Fprintln(stdout, biglittle.RenderTable4(r))
 	}
-	fmt.Println("little cluster residency (%, by MHz):")
+	fmt.Fprintln(stdout, "little cluster residency (%, by MHz):")
 	for i, f := range r.LittleFreqs {
-		fmt.Printf("  %4d: %5.1f\n", f, r.LittleResidency[i])
+		fmt.Fprintf(stdout, "  %4d: %5.1f\n", f, r.LittleResidency[i])
 	}
-	fmt.Println("big cluster residency (%, by MHz):")
+	fmt.Fprintln(stdout, "big cluster residency (%, by MHz):")
 	for i, f := range r.BigFreqs {
-		fmt.Printf("  %4d: %5.1f\n", f, r.BigResidency[i])
+		fmt.Fprintf(stdout, "  %4d: %5.1f\n", f, r.BigResidency[i])
 	}
+	return 0
 }

@@ -19,16 +19,17 @@ import (
 )
 
 func main() {
+	cfg := biglittle.DefaultConfig(biglittle.App{})
 	var (
 		appName  = flag.String("app", "eternity_warrior", "application model to trace")
 		from     = flag.Duration("from", 5*time.Second, "window start (simulated time)")
 		window   = flag.Duration("window", 300*time.Millisecond, "window length")
 		duration = flag.Duration("duration", 0, "total run duration (0 = run exactly until the window ends)")
 		width    = flag.Int("width", 120, "maximum timeline columns (0 = one per tick)")
-		seed     = flag.Int64("seed", 1, "workload random seed")
-		cores    = flag.String("cores", "L4+B4", "hotplug configuration")
+		cores    = flag.String("cores", cfg.Cores.String(), "hotplug configuration")
 		chrome   = flag.String("chrome", "", "write a Chrome trace-event JSON file (open in chrome://tracing)")
 	)
+	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "workload random seed")
 	flag.Parse()
 
 	app, err := biglittle.AppByName(*appName)
@@ -42,8 +43,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	cfg := biglittle.DefaultConfig(app)
-	cfg.Seed = *seed
+	cfg.App = app
 	cfg.Cores = cc
 	cfg.Duration = biglittle.Time((*from + *window).Nanoseconds())
 	if *duration > 0 {

@@ -6,7 +6,6 @@ import (
 
 	"biglittle/internal/apps"
 	"biglittle/internal/lab"
-	"biglittle/internal/platform"
 	"biglittle/internal/power"
 )
 
@@ -33,7 +32,7 @@ func CrossPlatform(o Options) []CrossPlatformRow {
 	for _, app := range all {
 		jobs = append(jobs, job(o.appConfig(app)))
 		cfg := o.appConfig(app)
-		cfg.Platform = platform.Snapdragon810
+		cfg.Platform = "snapdragon810"
 		cfg.Power = power.Snapdragon810Params()
 		jobs = append(jobs, job(cfg))
 	}

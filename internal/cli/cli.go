@@ -184,7 +184,7 @@ var overrides = []struct {
 	{"target-load", intOverride(func(c *core.Config, n int) { c.Gov.TargetLoad = n })},
 	{"gov-down", intOverride(func(c *core.Config, n int) { c.Gov.DownThreshold = n })},
 	{"governor", func(c *core.Config, _, v string) (err error) {
-		c.Governor, err = parseGovernor(v)
+		c.Governor, err = ParseGovernor(v)
 		return
 	}},
 	{"scheduler", func(c *core.Config, _, v string) (err error) {
@@ -241,7 +241,9 @@ func ApplyOverrides(cfg *core.Config, spec string) error {
 	return nil
 }
 
-func parseGovernor(s string) (core.GovernorKind, error) {
+// ParseGovernor resolves a governor name — the "governor" override and
+// blsim's -governor flag — listing every name when s is none of them.
+func ParseGovernor(s string) (core.GovernorKind, error) {
 	for _, k := range []core.GovernorKind{core.Interactive, core.Performance,
 		core.Powersave, core.Userspace, core.Ondemand, core.Conservative, core.PAST} {
 		if k.String() == s {

@@ -99,27 +99,7 @@ type Config struct {
 	Seed     int64
 	Duration event.Time
 
-	// Cores is the hotplug configuration (default L4+B4).
-	Cores platform.CoreConfig
-
-	Sched sched.Config
-	// Scheduler selects the mapping policy; HMP is the paper's baseline.
-	Scheduler SchedulerKind
-	Governor  GovernorKind
-	Gov       governor.InteractiveConfig
-	// PinnedMHz maps cluster ID to frequency for the Userspace governor.
-	PinnedMHz map[int]int
-
-	Power power.Params
-
-	// Platform, when non-nil, overrides the SoC (default: Exynos 5422, or
-	// its tiny-extended variant when Cores.Tiny > 0). Pair a non-default
-	// platform with matching Power parameters.
-	Platform func() *platform.SoC
-
-	// Thermal, when non-nil, enables the per-cluster thermal model and its
-	// throttling governor.
-	Thermal *thermal.Params
+	Knobs
 
 	// Observers are the run's pure observers, all nil by default (see
 	// Observers).
@@ -130,6 +110,36 @@ type Config struct {
 	// recorders or custom policies. Its tick subscribers run after the
 	// observers'.
 	OnSystem func(sys *sched.System)
+}
+
+// Knobs are a run's platform and policy knobs: the hotplug configuration
+// (§V-C), HMP thresholds and governor tunables (§VI-C) the paper sweeps, and
+// the policies, power model, SoC and thermal envelope. Config,
+// session.Config, the lab fingerprint and the fleet wire spec all embed
+// them, so a new knob reaches the cache key and the wire by construction.
+// The JSON names and the field order are part of every fingerprint.
+type Knobs struct {
+	// Cores is the hotplug configuration (default L4+B4).
+	Cores platform.CoreConfig `json:"cores"`
+
+	Sched sched.Config `json:"sched"`
+	// Scheduler selects the mapping policy; HMP is the paper's baseline.
+	Scheduler SchedulerKind              `json:"scheduler"`
+	Governor  GovernorKind               `json:"governor"`
+	Gov       governor.InteractiveConfig `json:"gov"`
+	// PinnedMHz maps cluster ID to frequency for the Userspace governor.
+	PinnedMHz map[int]int `json:"pinned_mhz,omitempty"`
+
+	Power power.Params `json:"power"`
+
+	// Platform names the SoC preset platform.ByName builds. Empty selects
+	// the Exynos 5422, or its tiny-extended variant when Cores.Tiny > 0.
+	// Pair a non-default platform with matching Power parameters.
+	Platform string `json:"platform,omitempty"`
+
+	// Thermal, when non-nil, enables the per-cluster thermal model and its
+	// throttling governor.
+	Thermal *thermal.Params `json:"thermal,omitempty"`
 }
 
 // Observers are the pure observers a run or a session can carry. Each is
@@ -194,10 +204,13 @@ type Checker interface {
 
 // DefaultConfig returns the paper's baseline system configuration for app.
 func DefaultConfig(app apps.App) Config {
-	return Config{
-		App:      app,
-		Seed:     1,
-		Duration: 30 * event.Second,
+	return Config{App: app, Seed: 1, Duration: 30 * event.Second, Knobs: DefaultKnobs()}
+}
+
+// DefaultKnobs returns the paper's baseline platform: L4+B4 on the Exynos
+// 5422 under HMP and the interactive governor, with the default power model.
+func DefaultKnobs() Knobs {
+	return Knobs{
 		Cores:    platform.Baseline(),
 		Sched:    sched.DefaultConfig(),
 		Governor: Interactive,

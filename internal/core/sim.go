@@ -68,15 +68,19 @@ func newSim(cfg Config, rec *workload.Recorder) *Sim {
 func assemble(cfg Config, rec *workload.Recorder) *Sim {
 	eng := event.New()
 	var soc *platform.SoC
+	var err error
 	switch {
-	case cfg.Platform != nil:
-		soc = cfg.Platform()
+	case cfg.Platform != "":
+		soc, err = platform.ByName(cfg.Platform)
 	case cfg.Cores.Tiny > 0:
 		soc = platform.Exynos5422Tiny()
 	default:
 		soc = platform.Exynos5422()
 	}
-	if err := cfg.Cores.Apply(soc); err != nil {
+	if err == nil {
+		err = cfg.Cores.Apply(soc)
+	}
+	if err != nil {
 		panic(err) // configurations are validated values; misuse is a bug
 	}
 	obs := cfg.Observers
@@ -111,11 +115,11 @@ func assemble(cfg Config, rec *workload.Recorder) *Sim {
 	case Userspace:
 		s.gov = governor.NewUserspace(sys, cfg.PinnedMHz)
 	case Ondemand:
-		g := governor.NewOndemand(sys, cfg.Gov.SampleMs, 80)
+		g := governor.NewOndemand(sys, cfg.Gov.SampleMs)
 		g.Tel, g.Xray = obs.Telemetry, obs.Xray
 		s.gov = g
 	case Conservative:
-		g := governor.NewConservative(sys, cfg.Gov.SampleMs, 80, 35)
+		g := governor.NewConservative(sys, cfg.Gov.SampleMs)
 		g.Tel, g.Xray = obs.Telemetry, obs.Xray
 		s.gov = g
 	case PAST:
@@ -265,7 +269,7 @@ func (s *Sim) Snapshot() (*snapshot.State, error) {
 		App:            s.cfg.App.Name,
 		Seed:           s.cfg.Seed,
 		Cores:          s.cfg.Cores,
-		CustomPlatform: s.cfg.Platform != nil,
+		CustomPlatform: s.cfg.Platform != "",
 		SchedKind:      s.cfg.Scheduler.String(),
 		GovKind:        s.cfg.Governor.String(),
 		Time:           s.eng.Now(),
@@ -319,7 +323,7 @@ func compat(cfg Config, st *snapshot.State) error {
 		return fmt.Errorf("core: resume seed %d, snapshot captured %d", cfg.Seed, st.Seed)
 	case cfg.Cores != st.Cores:
 		return fmt.Errorf("core: resume cores %v, snapshot captured %v", cfg.Cores, st.Cores)
-	case (cfg.Platform != nil) != st.CustomPlatform:
+	case (cfg.Platform != "") != st.CustomPlatform:
 		return fmt.Errorf("core: resume and snapshot disagree on custom platform use")
 	case cfg.Duration < st.Time:
 		return fmt.Errorf("core: resume duration %v precedes the capture point %v", cfg.Duration, st.Time)

@@ -29,52 +29,30 @@ import (
 	"biglittle/internal/apps"
 	"biglittle/internal/core"
 	"biglittle/internal/event"
-	"biglittle/internal/governor"
 	"biglittle/internal/lab"
 	"biglittle/internal/platform"
-	"biglittle/internal/power"
-	"biglittle/internal/sched"
-	"biglittle/internal/thermal"
 )
 
 // JobSpec is the wire form of one simulation job: every field
-// lab.Fingerprint hashes, with the app and platform reduced to names the
-// worker resolves from its own registries. Fingerprint is the content hash
-// the submitter computed; both coordinator and worker re-derive it from the
+// lab.Fingerprint hashes — app name, seed, duration and the core.Knobs, whose
+// Platform is a platform.ByName name. Fingerprint is the content hash the
+// submitter computed; both coordinator and worker re-derive it from the
 // reconstructed config and refuse the spec on mismatch, so a version skew
 // between fleet members surfaces as a loud error, not a wrong number.
 type JobSpec struct {
 	Fingerprint string `json:"fingerprint"`
 
-	App       string                     `json:"app"`
-	Seed      int64                      `json:"seed"`
-	Duration  event.Time                 `json:"duration"`
-	Cores     platform.CoreConfig        `json:"cores"`
-	Sched     sched.Config               `json:"sched"`
-	Scheduler core.SchedulerKind         `json:"scheduler"`
-	Governor  core.GovernorKind          `json:"governor"`
-	Gov       governor.InteractiveConfig `json:"gov"`
-	PinnedMHz map[int]int                `json:"pinned_mhz,omitempty"`
-	Power     power.Params               `json:"power"`
-	Platform  string                     `json:"platform,omitempty"`
-	Thermal   *thermal.Params            `json:"thermal,omitempty"`
-}
-
-// platforms maps the SoC names a spec may carry to their constructors —
-// the worker-side inverse of Config.Platform. Every named SoC the simulator
-// ships is here; a config using an unlisted platform is simply not remotable
-// and runs locally.
-var platforms = map[string]func() *platform.SoC{
-	"exynos5422":      platform.Exynos5422,
-	"exynos5422-tiny": platform.Exynos5422Tiny,
-	"snapdragon810":   platform.Snapdragon810,
+	App      string     `json:"app"`
+	Seed     int64      `json:"seed"`
+	Duration event.Time `json:"duration"`
+	core.Knobs
 }
 
 // SpecFromJob serializes a lab.Job into its wire form, or explains why it
 // cannot travel: jobs with live observers or hooks (unfingerprintable), fork
 // specs, salts (which mark configs whose identity is not fully captured by
 // the fingerprinted fields, e.g. composite apps), apps that cannot be
-// rebuilt by name, or platforms outside the registry. The
+// rebuilt by name, or SoC names platform.ByName does not know. The
 // round-trip is verified: the spec is reconstructed and must re-fingerprint
 // to the original hash before it is allowed out the door.
 func SpecFromJob(job lab.Job) (JobSpec, error) {
@@ -86,29 +64,10 @@ func SpecFromJob(job lab.Job) (JobSpec, error) {
 	}
 	fp, ok := lab.Fingerprint(job)
 	if !ok {
-		return JobSpec{}, fmt.Errorf("fleet: job %q carries live observers or an unnamed platform and cannot be fingerprinted", job.Config.App.Name)
+		return JobSpec{}, fmt.Errorf("fleet: job %q carries live observers or hooks and cannot be fingerprinted", job.Config.App.Name)
 	}
 	cfg := job.Config.Normalized()
-	s := JobSpec{
-		App:       cfg.App.Name,
-		Seed:      cfg.Seed,
-		Duration:  cfg.Duration,
-		Cores:     cfg.Cores,
-		Sched:     cfg.Sched,
-		Scheduler: cfg.Scheduler,
-		Governor:  cfg.Governor,
-		Gov:       cfg.Gov,
-		PinnedMHz: cfg.PinnedMHz,
-		Power:     cfg.Power,
-		Thermal:   cfg.Thermal,
-	}
-	if cfg.Platform != nil {
-		soc := cfg.Platform()
-		if soc == nil || soc.Name == "" {
-			return JobSpec{}, fmt.Errorf("fleet: job %q uses an unnamed platform", cfg.App.Name)
-		}
-		s.Platform = soc.Name
-	}
+	s := JobSpec{App: cfg.App.Name, Seed: cfg.Seed, Duration: cfg.Duration, Knobs: cfg.Knobs}
 	re, err := s.Job()
 	if err != nil {
 		return JobSpec{}, err
@@ -122,35 +81,20 @@ func SpecFromJob(job lab.Job) (JobSpec, error) {
 }
 
 // Job reconstructs the runnable lab.Job a spec describes, resolving the app
-// model and platform constructor by name. It does not verify the
-// fingerprint — Verify does — because the coordinator also reconstructs
-// specs it is only routing.
+// model and checking the SoC by name. It does not verify the fingerprint —
+// Verify does — because the coordinator also reconstructs specs it is only
+// routing.
 func (s JobSpec) Job() (lab.Job, error) {
 	app, err := apps.ByName(s.App)
 	if err != nil {
 		return lab.Job{}, fmt.Errorf("fleet: spec names an app this build cannot construct: %w", err)
 	}
-	cfg := core.Config{
-		App:       app,
-		Seed:      s.Seed,
-		Duration:  s.Duration,
-		Cores:     s.Cores,
-		Sched:     s.Sched,
-		Scheduler: s.Scheduler,
-		Governor:  s.Governor,
-		Gov:       s.Gov,
-		PinnedMHz: s.PinnedMHz,
-		Power:     s.Power,
-		Thermal:   s.Thermal,
-	}
 	if s.Platform != "" {
-		ctor, ok := platforms[s.Platform]
-		if !ok {
-			return lab.Job{}, fmt.Errorf("fleet: spec names platform %q, which this build does not know", s.Platform)
+		if _, err := platform.ByName(s.Platform); err != nil {
+			return lab.Job{}, fmt.Errorf("fleet: spec names a platform this build cannot construct: %w", err)
 		}
-		cfg.Platform = ctor
 	}
-	return lab.Job{Config: cfg}, nil
+	return lab.Job{Config: core.Config{App: app, Seed: s.Seed, Duration: s.Duration, Knobs: s.Knobs}}, nil
 }
 
 // Verify reconstructs the spec's job and checks that it re-fingerprints to

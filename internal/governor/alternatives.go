@@ -118,14 +118,11 @@ func (g *loadSampler) onSample(now event.Time) {
 }
 
 // NewOndemand builds the classic Linux ondemand governor: jump straight to
-// the maximum frequency when utilization exceeds upThresholdPct (default
-// 80), otherwise set the lowest frequency that keeps utilization under the
-// threshold. Fast reaction, jumpy power.
-func NewOndemand(sys *sched.System, sampleMs, upThresholdPct int) *loadSampler {
-	if upThresholdPct <= 0 || upThresholdPct > 100 {
-		upThresholdPct = 80
-	}
-	up := float64(upThresholdPct) / 100
+// the maximum frequency when utilization exceeds 80%, otherwise set the
+// lowest frequency that keeps utilization under that threshold. Fast
+// reaction, jumpy power.
+func NewOndemand(sys *sched.System, sampleMs int) *loadSampler {
+	const up = 0.80
 	return newLoadSampler(sys, "ondemand", sampleMs, func(cl *platform.Cluster, cur int, util float64) int {
 		if util > up {
 			return cl.MaxMHz()
@@ -136,16 +133,10 @@ func NewOndemand(sys *sched.System, sampleMs, upThresholdPct int) *loadSampler {
 }
 
 // NewConservative builds the Linux conservative governor: frequency moves
-// one 100 MHz table step at a time — up above upPct utilization (default
-// 80), down below downPct (default 35). Smooth power, slow reaction.
-func NewConservative(sys *sched.System, sampleMs, upPct, downPct int) *loadSampler {
-	if upPct <= 0 || upPct > 100 {
-		upPct = 80
-	}
-	if downPct <= 0 || downPct >= upPct {
-		downPct = 35
-	}
-	up, down := float64(upPct)/100, float64(downPct)/100
+// one 100 MHz table step at a time — up above 80% utilization, down below
+// 35%. Smooth power, slow reaction.
+func NewConservative(sys *sched.System, sampleMs int) *loadSampler {
+	const up, down = 0.80, 0.35
 	return newLoadSampler(sys, "conservative", sampleMs, func(cl *platform.Cluster, cur int, util float64) int {
 		switch {
 		case util > up:

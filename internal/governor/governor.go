@@ -67,9 +67,6 @@ type Interactive struct {
 	// Per-cluster hold state for the delay tunables.
 	hispeedSince []event.Time
 	lastRaise    []event.Time
-	// FreqLog, if set, receives (time, clusterID, newMHz) on every sample
-	// (including unchanged frequencies) for residency accounting.
-	FreqLog func(now event.Time, clusterID, mhz int)
 	// Tel, when non-nil, receives a KindGovernor event for every frequency
 	// change decision, carrying the triggering utilization (Value, percent)
 	// and the reason (hispeed jump, scale-up, scale-down).
@@ -224,9 +221,6 @@ func (g *Interactive) onSample(now event.Time) {
 						markGovernorChoice(g.xrayCands, target))
 				}
 			}
-		}
-		if g.FreqLog != nil {
-			g.FreqLog(now, ci, newMHz)
 		}
 	}
 	g.sampleEv = g.sys.Eng.After(g.sample, g.sampleFn)

@@ -124,15 +124,25 @@ func TestClusterTakesMaxOfCores(t *testing.T) {
 	}
 }
 
-func TestFreqLogFires(t *testing.T) {
+// sampleTimes steps g's sampling n times and returns when each pending
+// sample was due.
+func sampleTimes(eng *event.Engine, g *Interactive, n int) []event.Time {
+	g.Start()
+	var at []event.Time
+	for len(at) < n {
+		at = append(at, g.sampleEv.At())
+		eng.Run(g.sampleEv.At())
+	}
+	return at
+}
+
+func TestDefaultSampleInterval(t *testing.T) {
 	eng, s := newSys()
 	g := NewInteractive(s, DefaultInteractive())
-	samples := 0
-	g.FreqLog = func(now event.Time, cluster, mhz int) { samples++ }
-	g.Start()
-	eng.Run(100 * event.Millisecond)
-	if samples != 2*5 { // 2 clusters x 5 samples in 100ms at 20ms
-		t.Fatalf("FreqLog fired %d times, want 10", samples)
+	for i, at := range sampleTimes(eng, g, 5) {
+		if want := event.Time(i+1) * 20 * event.Millisecond; at != want {
+			t.Fatalf("sample %d due at %v, want %v", i+1, at, want)
+		}
 	}
 }
 
@@ -141,20 +151,9 @@ func TestSampleIntervalRespected(t *testing.T) {
 	cfg := DefaultInteractive()
 	cfg.SampleMs = 60
 	g := NewInteractive(s, cfg)
-	var times []event.Time
-	g.FreqLog = func(now event.Time, cluster, mhz int) {
-		if cluster == 0 {
-			times = append(times, now)
-		}
-	}
-	g.Start()
-	eng.Run(400 * event.Millisecond)
-	if len(times) < 2 {
-		t.Fatal("too few samples")
-	}
-	for i := 1; i < len(times); i++ {
-		if times[i]-times[i-1] != 60*event.Millisecond {
-			t.Fatalf("sample gap %v, want 60ms", times[i]-times[i-1])
+	for i, at := range sampleTimes(eng, g, 6) {
+		if want := event.Time(i+1) * 60 * event.Millisecond; at != want {
+			t.Fatalf("sample %d due at %v, want %v", i+1, at, want)
 		}
 	}
 }
@@ -223,7 +222,7 @@ func TestOndemandJumpsToMax(t *testing.T) {
 	if err := (platform.CoreConfig{Little: 4}).Apply(s.SoC); err != nil {
 		t.Fatal(err)
 	}
-	NewOndemand(s, 20, 80).Start()
+	NewOndemand(s, 20).Start()
 	task := s.NewTask("hog", 1)
 	s.Push(task, 1e12)
 	eng.Run(50 * event.Millisecond) // two samples
@@ -238,7 +237,7 @@ func TestConservativeStepsGradually(t *testing.T) {
 	if err := (platform.CoreConfig{Little: 4}).Apply(s.SoC); err != nil {
 		t.Fatal(err)
 	}
-	NewConservative(s, 20, 80, 35).Start()
+	NewConservative(s, 20).Start()
 	task := s.NewTask("hog", 1)
 	s.Push(task, 1e12)
 	eng.Run(45 * event.Millisecond) // two samples: at most two 100MHz steps

@@ -144,7 +144,12 @@ func (c *Cache) Put(fp, app, salt string, res core.Result) error {
 	if err != nil {
 		return fmt.Errorf("lab: marshal result: %w", err)
 	}
-	p := c.path(fp)
+	return writeAtomic(c.path(fp), data)
+}
+
+// writeAtomic writes data to p by temp file and rename, so readers see the
+// old blob or the new one, never a torn write.
+func writeAtomic(p string, data []byte) error {
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return err
 	}
@@ -152,12 +157,11 @@ func (c *Cache) Put(fp, app, salt string, res core.Result) error {
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
 		return err
 	}
@@ -202,30 +206,13 @@ func (c *Cache) loadPrefix(key string) ([]byte, *snapshot.State, bool) {
 	return data, st, true
 }
 
-// PutPrefix stores an encoded prefix snapshot under key, with the same
-// temp-file-plus-rename discipline as Put.
+// PutPrefix stores an encoded prefix snapshot under key, written atomically
+// like Put.
 func (c *Cache) PutPrefix(key string, blob []byte) error {
 	if c == nil {
 		return nil
 	}
-	p := c.prefixPath(key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(p), "put-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), p)
+	return writeAtomic(c.prefixPath(key), blob)
 }
 
 // PrefixStats reports the disk prefix tier's footprint under the current

@@ -8,34 +8,21 @@ import (
 	"biglittle/internal/apps"
 	"biglittle/internal/core"
 	"biglittle/internal/event"
-	"biglittle/internal/governor"
-	"biglittle/internal/platform"
-	"biglittle/internal/power"
-	"biglittle/internal/sched"
-	"biglittle/internal/thermal"
 )
 
 // print is the canonical, serializable view of a resolved job config. It is
 // marshaled with encoding/json — which sorts map keys — and hashed, so the
-// fingerprint is stable across processes and field-by-field explicit: adding
-// a Config field without extending print is a (reviewable) cache-correctness
-// decision, not a silent behavior change.
+// fingerprint is stable across processes. Embedding core.Knobs puts every
+// knob in the hash by construction. Field order is part of the hash, which
+// is why Seed and Duration stay here, ahead of the knobs.
 type print struct {
-	App       string                     `json:"app"`
-	Desc      string                     `json:"desc"`
-	Metric    apps.Metric                `json:"metric"`
-	Salt      string                     `json:"salt,omitempty"`
-	Seed      int64                      `json:"seed"`
-	Duration  event.Time                 `json:"duration"`
-	Cores     platform.CoreConfig        `json:"cores"`
-	Sched     sched.Config               `json:"sched"`
-	Scheduler core.SchedulerKind         `json:"scheduler"`
-	Governor  core.GovernorKind          `json:"governor"`
-	Gov       governor.InteractiveConfig `json:"gov"`
-	PinnedMHz map[int]int                `json:"pinned_mhz,omitempty"`
-	Power     power.Params               `json:"power"`
-	Platform  string                     `json:"platform,omitempty"`
-	Thermal   *thermal.Params            `json:"thermal,omitempty"`
+	App      string      `json:"app"`
+	Desc     string      `json:"desc"`
+	Metric   apps.Metric `json:"metric"`
+	Salt     string      `json:"salt,omitempty"`
+	Seed     int64       `json:"seed"`
+	Duration event.Time  `json:"duration"`
+	core.Knobs
 
 	// Fork identity: a fork-accelerated job's result depends on the prefix
 	// it resumed from (variant knobs apply only from the fork point), so the
@@ -55,8 +42,7 @@ type print struct {
 //   - Telemetry, Profiler, and Xray side effects (events, attribution,
 //     decision spans) would be silently skipped if the result came from disk;
 //   - a caller-supplied Check auditor must observe a live run to report
-//     anything;
-//   - a Platform constructor returning an unnamed SoC has no stable identity.
+//     anything.
 //
 // Such jobs still run through the worker pool; they just always simulate.
 // (The runner's own Check mode attaches its auditor after fingerprinting, so
@@ -67,27 +53,13 @@ func Fingerprint(job Job) (string, bool) {
 		return "", false
 	}
 	p := print{
-		App:       cfg.App.Name,
-		Desc:      cfg.App.Desc,
-		Metric:    cfg.App.Metric,
-		Salt:      job.Salt,
-		Seed:      cfg.Seed,
-		Duration:  cfg.Duration,
-		Cores:     cfg.Cores,
-		Sched:     cfg.Sched,
-		Scheduler: cfg.Scheduler,
-		Governor:  cfg.Governor,
-		Gov:       cfg.Gov,
-		PinnedMHz: cfg.PinnedMHz,
-		Power:     cfg.Power,
-		Thermal:   cfg.Thermal,
-	}
-	if cfg.Platform != nil {
-		soc := cfg.Platform()
-		if soc == nil || soc.Name == "" {
-			return "", false
-		}
-		p.Platform = soc.Name
+		App:      cfg.App.Name,
+		Desc:     cfg.App.Desc,
+		Metric:   cfg.App.Metric,
+		Salt:     job.Salt,
+		Seed:     cfg.Seed,
+		Duration: cfg.Duration,
+		Knobs:    cfg.Knobs,
 	}
 	if job.Fork != nil {
 		baseFp, ok := Fingerprint(Job{Config: job.Fork.Base})

@@ -12,7 +12,6 @@ import (
 	"biglittle/internal/core"
 	"biglittle/internal/delta"
 	"biglittle/internal/event"
-	"biglittle/internal/platform"
 	"biglittle/internal/sched"
 	"biglittle/internal/telemetry"
 	"biglittle/internal/trace"
@@ -94,18 +93,8 @@ func TestFingerprintUncacheable(t *testing.T) {
 		t.Fatal("config with a digest recorder must not be cacheable")
 	}
 
-	unnamed := base
-	unnamed.Platform = func() *platform.SoC {
-		soc := platform.Exynos5422()
-		soc.Name = ""
-		return soc
-	}
-	if _, ok := Fingerprint(Job{Config: unnamed}); ok {
-		t.Fatal("unnamed custom platform must not be cacheable")
-	}
-
 	named := base
-	named.Platform = platform.Snapdragon810
+	named.Platform = "snapdragon810"
 	if _, ok := Fingerprint(Job{Config: named}); !ok {
 		t.Fatal("named platform preset should be cacheable")
 	}
@@ -286,6 +275,18 @@ func TestPanicRecoveryAndRetry(t *testing.T) {
 	s := r.Stats()
 	if s.Retries != 1 || s.Failures != 1 {
 		t.Fatalf("stats = %+v, want 1 retry and 1 failure", s)
+	}
+}
+
+// TestUnknownPlatformFailsJob pins that a SoC name outside platform.ByName's
+// registry fails its job like any other invalid config: assembly panics and
+// the runner reports the panic as the job's error.
+func TestUnknownPlatformFailsJob(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Platform = "no-such-soc"
+	_, err := New(1, nil).Run(Job{Config: cfg})
+	if err == nil || !strings.Contains(err.Error(), `unknown SoC "no-such-soc"`) {
+		t.Fatalf("err = %v, want the unknown-SoC panic as the job error", err)
 	}
 }
 

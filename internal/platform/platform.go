@@ -111,33 +111,35 @@ func (c *Cluster) ClampDownMHz(mhz int) int {
 
 // SoC is the modeled system-on-chip.
 type SoC struct {
-	// Name identifies the preset ("exynos5422", "snapdragon810", ...).
-	// Custom SoCs may leave it empty; experiment-result caching treats an
-	// unnamed platform as unidentifiable and skips caching such runs.
+	// Name identifies the preset ("exynos5422", "snapdragon810", ...); ByName
+	// builds a preset from it.
 	Name     string
 	Cores    []Core
 	Clusters []Cluster
+}
+
+// socs is the SoC registry: every preset the simulator ships, under its Name.
+var socs = map[string]func() *SoC{
+	"exynos5422":      Exynos5422,
+	"exynos5422-tiny": Exynos5422Tiny,
+	"snapdragon810":   Snapdragon810,
+}
+
+// ByName builds the SoC preset named name: the one SoC registry behind a
+// run's Platform knob, its fingerprint and the fleet wire spec.
+func ByName(name string) (*SoC, error) {
+	build, ok := socs[name]
+	if !ok {
+		return nil, fmt.Errorf("platform: unknown SoC %q", name)
+	}
+	return build(), nil
 }
 
 // Exynos5422 builds the paper's target SoC: cores 0-3 are little
 // (500-1300 MHz in 100 MHz steps), cores 4-7 are big (800-1900 MHz in
 // 100 MHz steps). All cores start online at the minimum frequency, as after
 // an idle period on the real device.
-func Exynos5422() *SoC {
-	little := Cluster{ID: 0, Type: Little, FreqsMHz: freqTable(500, 1300), CoreIDs: []int{0, 1, 2, 3}}
-	big := Cluster{ID: 1, Type: Big, FreqsMHz: freqTable(800, 1900), CoreIDs: []int{4, 5, 6, 7}}
-	little.CurMHz = little.MinMHz()
-	big.CurMHz = big.MinMHz()
-	s := &SoC{Name: "exynos5422", Clusters: []Cluster{little, big}}
-	for i := 0; i < 8; i++ {
-		t, cl := Little, 0
-		if i >= 4 {
-			t, cl = Big, 1
-		}
-		s.Cores = append(s.Cores, Core{ID: i, Type: t, Cluster: cl, Online: true})
-	}
-	return s
-}
+func Exynos5422() *SoC { return fourPlusFour("exynos5422", 500, 1300, 800, 1900) }
 
 // Exynos5422Tiny is the paper's §VI-B thought experiment made concrete: the
 // standard SoC plus a third cluster of two tiny in-order cores (cores 8-9)
@@ -163,12 +165,16 @@ func Exynos5422Tiny() *SoC {
 // Cortex-A53-class little cores (up to 1.56 GHz, rounded to 1.5 GHz). The
 // same HMP/governor stack runs unchanged — the library is not tied to one
 // chip.
-func Snapdragon810() *SoC {
-	little := Cluster{ID: 0, Type: Little, FreqsMHz: freqTable(400, 1500), CoreIDs: []int{0, 1, 2, 3}}
-	big := Cluster{ID: 1, Type: Big, FreqsMHz: freqTable(600, 2000), CoreIDs: []int{4, 5, 6, 7}}
+func Snapdragon810() *SoC { return fourPlusFour("snapdragon810", 400, 1500, 600, 2000) }
+
+// fourPlusFour builds a SoC of four little cores (0-3) and four big cores
+// (4-7), all online at their cluster's minimum of a 100 MHz-step table.
+func fourPlusFour(name string, littleMin, littleMax, bigMin, bigMax int) *SoC {
+	little := Cluster{ID: 0, Type: Little, FreqsMHz: freqTable(littleMin, littleMax), CoreIDs: []int{0, 1, 2, 3}}
+	big := Cluster{ID: 1, Type: Big, FreqsMHz: freqTable(bigMin, bigMax), CoreIDs: []int{4, 5, 6, 7}}
 	little.CurMHz = little.MinMHz()
 	big.CurMHz = big.MinMHz()
-	s := &SoC{Name: "snapdragon810", Clusters: []Cluster{little, big}}
+	s := &SoC{Name: name, Clusters: []Cluster{little, big}}
 	for i := 0; i < 8; i++ {
 		t, cl := Little, 0
 		if i >= 4 {

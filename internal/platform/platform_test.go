@@ -291,3 +291,20 @@ func TestSnapdragon810Preset(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestByName(t *testing.T) {
+	for name := range socs {
+		s, err := ByName(name)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		if s.Name != name {
+			t.Errorf("ByName(%q) built SoC %q", name, s.Name)
+		}
+	}
+	for _, name := range []string{"", "nope", "Exynos5422"} {
+		if _, err := ByName(name); err == nil {
+			t.Errorf("ByName(%q) accepted an unregistered name", name)
+		}
+	}
+}

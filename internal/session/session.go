@@ -16,12 +16,8 @@ import (
 	"biglittle/internal/battery"
 	"biglittle/internal/core"
 	"biglittle/internal/event"
-	"biglittle/internal/governor"
 	"biglittle/internal/metrics"
-	"biglittle/internal/platform"
-	"biglittle/internal/power"
 	"biglittle/internal/sched"
-	"biglittle/internal/thermal"
 	"biglittle/internal/workload"
 )
 
@@ -31,20 +27,14 @@ type Phase struct {
 	Duration event.Time
 }
 
-// Config describes a session run. Zero-valued platform fields get
-// core.Config's defaults, and a zero Pack is the Galaxy S5 battery.
+// Config describes a session run: phases, seed and battery on the platform
+// its core.Knobs describe, assembled exactly as a single run's. Zero-valued
+// knobs get core.Config's defaults, and a zero Pack is the Galaxy S5 battery.
 type Config struct {
 	Phases []Phase
 	Seed   int64
-	Cores  platform.CoreConfig
-	Sched  sched.Config
-	Gov    governor.InteractiveConfig
-	Power  power.Params
-	Pack   battery.Pack
-
-	// Thermal, when non-nil, attaches the exponential thermal model and
-	// its throttling governor cap; MaxTempC/ThrottledPct land on Result.
-	Thermal *thermal.Params
+	core.Knobs
+	Pack battery.Pack
 
 	// Observers watch the whole session, across every phase. Threads live
 	// per phase, so the profiler's table carries every phase's threads side
@@ -56,15 +46,7 @@ type Config struct {
 // DefaultConfig returns a session on the paper's baseline platform with the
 // Galaxy S5 battery.
 func DefaultConfig(phases ...Phase) Config {
-	return Config{
-		Phases: phases,
-		Seed:   1,
-		Cores:  platform.Baseline(),
-		Sched:  sched.DefaultConfig(),
-		Gov:    governor.DefaultInteractive(),
-		Power:  power.Default(),
-		Pack:   battery.GalaxyS5(),
-	}
+	return Config{Phases: phases, Seed: 1, Knobs: core.DefaultKnobs(), Pack: battery.GalaxyS5()}
 }
 
 // PhaseResult holds one phase's metrics.
@@ -140,11 +122,7 @@ func NewLive(cfg Config) *Live {
 	l.sim = core.Assemble(core.Config{
 		Seed:      cfg.Seed,
 		Duration:  l.Duration(),
-		Cores:     cfg.Cores,
-		Sched:     cfg.Sched,
-		Gov:       cfg.Gov,
-		Power:     cfg.Power,
-		Thermal:   cfg.Thermal,
+		Knobs:     cfg.Knobs,
 		Observers: cfg.Observers,
 	})
 	l.Sys, l.Sampler = l.sim.Sys(), l.sim.Sampler()

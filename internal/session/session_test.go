@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"biglittle/internal/apps"
+	"biglittle/internal/core"
 	"biglittle/internal/event"
+	"biglittle/internal/power"
 )
 
 func mustApp(t *testing.T, name string) apps.App {
@@ -101,5 +103,34 @@ func TestPhaseIsolation(t *testing.T) {
 	if r.Phases[1].AvgPowerMW > r.Phases[0].AvgPowerMW/1.5 {
 		t.Errorf("quiet phase %.0f mW vs heavy phase %.0f mW: bbench leaked",
 			r.Phases[1].AvgPowerMW, r.Phases[0].AvgPowerMW)
+	}
+}
+
+// TestLiveTakesKnobs pins that NewLive hands the session's core.Knobs to
+// core.Assemble whole, including the ones no session flag sets: on the
+// Snapdragon under the performance governor, both clusters sit at their
+// maximum frequency in every phase, across the switch.
+func TestLiveTakesKnobs(t *testing.T) {
+	cfg := DefaultConfig(
+		Phase{App: mustApp(t, "browser"), Duration: 500 * event.Millisecond},
+		Phase{App: mustApp(t, "bbench"), Duration: 500 * event.Millisecond},
+	)
+	cfg.Governor = core.Performance
+	cfg.Platform = "snapdragon810"
+	cfg.Power = power.Snapdragon810Params()
+	live := NewLive(cfg)
+	if name := live.Sys.SoC.Name; name != "snapdragon810" {
+		t.Fatalf("session assembled SoC %q, want snapdragon810", name)
+	}
+	for _, at := range []event.Time{250 * event.Millisecond, 750 * event.Millisecond, live.Duration()} {
+		live.Advance(at)
+		for _, cl := range live.Sys.SoC.Clusters {
+			if cl.CurMHz != cl.MaxMHz() {
+				t.Fatalf("at %v: cluster %d at %d MHz, want its max %d", at, cl.ID, cl.CurMHz, cl.MaxMHz())
+			}
+		}
+	}
+	if !live.Done() {
+		t.Fatal("session did not finish")
 	}
 }
