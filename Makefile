@@ -28,7 +28,7 @@ bench-smoke:
 # GOMAXPROCS because some benchmarks' allocs/op grow with the worker count;
 # the baseline was measured at -cpu 2.
 GATED_CPU = 2
-GATED_BENCH = BenchmarkSingleRun|BenchmarkFig2Speedup|BenchmarkFig3SpecPower|BenchmarkDigestOff|BenchmarkDigestOn|BenchmarkForkSweep|BenchmarkExplore
+GATED_BENCH = BenchmarkSingleRun|BenchmarkFig2Speedup|BenchmarkFig3SpecPower|BenchmarkDerivedWarm|BenchmarkDigestOff|BenchmarkDigestOn|BenchmarkForkSweep|BenchmarkExplore
 
 bench-baseline:
 	go test -run '^$$' -bench '$(GATED_BENCH)' -benchmem -cpu $(GATED_CPU) -count 6 . | tee /tmp/blbench-baseline.txt
@@ -181,8 +181,9 @@ quick-report:
 	go run ./cmd/blreport -quick
 
 # Smoke-test the experiment orchestrator: run the quick report cold into a
-# fresh cache, re-run warm, and assert (a) the warm run hit the cache and
-# simulated nothing, (b) report stdout is byte-identical cold vs warm.
+# fresh cache, re-run warm, and assert (a) the warm run hit the cache,
+# simulated nothing and recomputed no derived (uarch, branch-predictor)
+# result, (b) report stdout is byte-identical cold vs warm.
 report-par:
 	go build -o /tmp/blreport ./cmd/blreport
 	dir=$$(mktemp -d); \
@@ -192,6 +193,7 @@ report-par:
 		rm -rf $$dir; \
 		grep -Eq 'lab: [0-9]+ jobs: [1-9][0-9]* cache hits' /tmp/report-warm.log || { echo "report-par: warm run had no cache hits" >&2; exit 1; }; \
 		grep -Eq ' 0 simulated' /tmp/report-warm.log || { echo "report-par: warm run still simulated" >&2; exit 1; }; \
+		grep -Eq ' 0 computed' /tmp/report-warm.log || { echo "report-par: warm run recomputed derived results" >&2; exit 1; }; \
 		cmp /tmp/report-cold.txt /tmp/report-warm.txt || { echo "report-par: cold and warm output differ" >&2; exit 1; }; \
 		echo "report-par: OK"
 
@@ -222,13 +224,16 @@ cover:
 # codec fuzzers, not a deep campaign (go test runs one -fuzz target at a
 # time). FuzzJobSpec's seeds are whole 2 KB wire specs, and minimizing each
 # new input under the default 60 s budget would eat the whole smoke pass, so
-# its minimization is capped at 100 runs.
+# its minimization is capped at 100 runs; FuzzCacheBlob writes two files per
+# input and finds new inputs often, so its minimization is capped the same
+# way.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/spec/
 	go test -run '^$$' -fuzz '^FuzzParseCoreConfig$$' -fuzztime 30s ./internal/platform/
 	go test -run '^$$' -fuzz '^FuzzApplyOverrides$$' -fuzztime 30s ./internal/cli/
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/snapshot/
 	go test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/fleet/
+	go test -run '^$$' -fuzz '^FuzzCacheBlob$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/lab/
 
 # Regenerate the golden-master corpus after an intentional model change; the
 # resulting testdata/golden diff documents exactly which numbers moved.

@@ -50,6 +50,35 @@ func BenchmarkFig3SpecPower(b *testing.B) {
 	b.ReportMetric(ratio, "big/little-power@1.3GHz")
 }
 
+// BenchmarkDerivedWarm times the drivers built on derived results —
+// Figures 2-3, the L2 sweep and the predictor study — re-run over a warm lab
+// cache, as a warm blreport runs them: every uarch and branch-predictor
+// result is read back, and the benchmark fails if one is computed again.
+func BenchmarkDerivedWarm(b *testing.B) {
+	cache, err := biglittle.OpenLabCache(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	o := benchOpts
+	o.Runner = biglittle.NewLabRunner(1, cache)
+	derived := func() {
+		biglittle.Fig2(o)
+		biglittle.Fig3(o)
+		biglittle.CacheSweep(o)
+		biglittle.PredictorStudy(o)
+	}
+	derived()
+	computed := o.Runner.Stats().MemoMisses
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		derived()
+	}
+	b.StopTimer()
+	if s := o.Runner.Stats(); s.MemoMisses != computed {
+		b.Fatalf("warm pass computed %d derived results, want 0", s.MemoMisses-computed)
+	}
+}
+
 func BenchmarkFig4LatencyApps(b *testing.B) {
 	var avgRed float64
 	for i := 0; i < b.N; i++ {

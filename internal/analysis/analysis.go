@@ -29,8 +29,9 @@ type Options struct {
 	// Instructions per SPEC trace (0 = the profile default).
 	Instructions int
 	// Runner orchestrates the driver's simulations: worker-pool fan-out and
-	// (when it carries a cache) content-addressed result memoization. Nil
-	// uses the shared default runner — GOMAXPROCS workers, no cache.
+	// (when it carries a cache) content-addressed memoization of results
+	// and derived results. Nil uses the shared default runner — GOMAXPROCS
+	// workers, no cache.
 	Runner *lab.Runner
 }
 
@@ -77,6 +78,27 @@ func (o Options) forEach(n int, fn func(i int)) { o.lab().ForEach(n, fn) }
 
 func job(cfg core.Config) lab.Job { return lab.Job{Config: cfg} }
 
+// uarchKey is every input of one microarchitecture run, the identity of its
+// memoized result.
+type uarchKey struct {
+	Model        uarch.Model
+	Profile      synth.Profile
+	MHz          int
+	Instructions int
+}
+
+// uarchRun is uarch.Run at o.Instructions, memoized as a derived result in
+// the runner's cache. The key holds the effective instruction count, so a
+// sparse call and its explicit twin share one entry.
+func (o Options) uarchRun(m uarch.Model, p synth.Profile, mhz int) uarch.Result {
+	n := o.Instructions
+	if n <= 0 {
+		n = p.Instructions
+	}
+	return lab.Memo(o.lab(), "uarch", uarchKey{Model: m, Profile: p, MHz: mhz, Instructions: n},
+		func() uarch.Result { return uarch.Run(m, p, mhz, n) })
+}
+
 // ---------------------------------------------------------------------------
 // Figure 2: SPEC speedup of big core at 1.9/1.3/0.8 GHz vs little at 1.3 GHz.
 
@@ -96,12 +118,12 @@ func Fig2(o Options) []Fig2Row {
 	rows := make([]Fig2Row, len(profiles))
 	o.forEach(len(profiles), func(i int) {
 		p := profiles[i]
-		base := uarch.Run(little, p, 1300, o.Instructions)
+		base := o.uarchRun(little, p, 1300)
 		rows[i] = Fig2Row{
 			Workload:  p.Name,
-			Speedup19: uarch.Speedup(uarch.Run(big, p, 1900, o.Instructions), base),
-			Speedup13: uarch.Speedup(uarch.Run(big, p, 1300, o.Instructions), base),
-			Speedup08: uarch.Speedup(uarch.Run(big, p, 800, o.Instructions), base),
+			Speedup19: uarch.Speedup(o.uarchRun(big, p, 1900), base),
+			Speedup13: uarch.Speedup(o.uarchRun(big, p, 1300), base),
+			Speedup08: uarch.Speedup(o.uarchRun(big, p, 800), base),
 		}
 	})
 	return rows
@@ -127,7 +149,7 @@ func Fig3(o Options) []Fig3Row {
 	little, big := uarch.CortexA7(), uarch.CortexA15()
 	pw := power.Default()
 	sys := func(m uarch.Model, t platform.CoreType, p synth.Profile, mhz int) float64 {
-		r := uarch.Run(m, p, mhz, o.Instructions)
+		r := o.uarchRun(m, p, mhz)
 		activity := 0.6 + 0.4*r.IPC/float64(m.IssueWidth)
 		tp := pw.Little
 		if t == platform.Big {

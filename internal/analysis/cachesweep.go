@@ -33,12 +33,12 @@ func CacheSweep(o Options) []CacheSweepRow {
 	rows := make([]CacheSweepRow, len(profiles))
 	o.forEach(len(profiles), func(i int) {
 		p := profiles[i]
-		ref := uarch.Run(big, p, 1300, o.Instructions)
+		ref := o.uarchRun(big, p, 1300)
 		row := CacheSweepRow{Workload: p.Name, SpeedupAt: map[int]float64{}}
 		for _, kb := range cacheSweepSizes {
 			little := uarch.CortexA7()
 			little.L2.SizeB = kb << 10
-			r := uarch.Run(little, p, 1300, o.Instructions)
+			r := o.uarchRun(little, p, 1300)
 			row.SpeedupAt[kb] = uarch.Speedup(ref, r)
 		}
 		rows[i] = row

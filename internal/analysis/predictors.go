@@ -5,6 +5,7 @@ import (
 	"text/tabwriter"
 
 	"biglittle/internal/bpred"
+	"biglittle/internal/lab"
 	"biglittle/internal/synth"
 )
 
@@ -20,9 +21,17 @@ type PredictorRow struct {
 	Ratio float64
 }
 
+// predictorKey is every input of one predictor-study row, the identity of
+// its memoized result.
+type predictorKey struct {
+	Profile      synth.Profile
+	Instructions int
+}
+
 // PredictorStudy measures real bimodal and tournament predictors over
 // structured branch traces derived from each SPEC-like profile, validating
-// the PredictorFactor the Cortex-A15 CPI model assumes.
+// the PredictorFactor the Cortex-A15 CPI model assumes. Each row is
+// memoized as a derived result, so a cache hit skips the trace as well.
 func PredictorStudy(o Options) []PredictorRow {
 	o = o.withDefaults()
 	n := o.Instructions
@@ -33,17 +42,19 @@ func PredictorStudy(o Options) []PredictorRow {
 	rows := make([]PredictorRow, len(profiles))
 	o.forEach(len(profiles), func(i int) {
 		p := profiles[i]
-		tr := bpred.Trace(p, n)
-		row := PredictorRow{
-			Workload:   p.Name,
-			Static:     bpred.Measure(bpred.StaticTaken{}, tr),
-			Bimodal:    bpred.Measure(bpred.CortexA7Predictor(), tr),
-			Tournament: bpred.Measure(bpred.CortexA15Predictor(), tr),
-		}
-		if row.Bimodal > 0 {
-			row.Ratio = row.Tournament / row.Bimodal
-		}
-		rows[i] = row
+		rows[i] = lab.Memo(o.lab(), "bpred", predictorKey{Profile: p, Instructions: n}, func() PredictorRow {
+			tr := bpred.Trace(p, n)
+			row := PredictorRow{
+				Workload:   p.Name,
+				Static:     bpred.Measure(bpred.StaticTaken{}, tr),
+				Bimodal:    bpred.Measure(bpred.CortexA7Predictor(), tr),
+				Tournament: bpred.Measure(bpred.CortexA15Predictor(), tr),
+			}
+			if row.Bimodal > 0 {
+				row.Ratio = row.Tournament / row.Bimodal
+			}
+			return row
+		})
 	})
 	return rows
 }

@@ -137,7 +137,8 @@ func ParsePhases(arg string) ([]session.Phase, error) {
 
 // PrintLabStats writes the runner's job and cache counters to w — the
 // commands pass stderr, so report stdout stays byte-identical whatever the
-// cache state. A fully warm run shows "0 simulated".
+// cache state. A fully warm run shows "0 simulated", and "0 computed" on
+// its memo line when it read derived results.
 func PrintLabStats(w io.Writer, r *lab.Runner, elapsed time.Duration) {
 	s := r.Stats()
 	cache := "off"
@@ -149,6 +150,9 @@ func PrintLabStats(w io.Writer, r *lab.Runner, elapsed time.Duration) {
 	if s.Forks > 0 || s.PrefixMisses > 0 {
 		fmt.Fprintf(w, "lab: fork: %d continuations: %d prefixes simulated, %d reused, %d evicted\n",
 			s.Forks, s.PrefixMisses, s.PrefixHits, s.PrefixEvictions)
+	}
+	if s.MemoHits+s.MemoMisses > 0 {
+		fmt.Fprintf(w, "lab: memo: %d derived results reused, %d computed\n", s.MemoHits, s.MemoMisses)
 	}
 	if r.Check {
 		fmt.Fprintf(w, "lab: audit: %d runs verified, %d failed\n", s.Audited, s.AuditFailures)

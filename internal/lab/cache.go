@@ -57,8 +57,8 @@ func DefaultCacheDir() (string, error) {
 	return filepath.Join(base, "biglittle"), nil
 }
 
-// Cache is a content-addressed store of simulation results: one JSON blob
-// per (fingerprint, code version), laid out as
+// Cache is a content-addressed store of simulation results and derived
+// results (Memo): one JSON blob per (fingerprint, code version), laid out as
 //
 //	<dir>/v<schema>-<code version>/<fp[:2]>/<fp>.json
 //
@@ -319,7 +319,8 @@ func (c *Cache) PruneStale() (int, error) {
 }
 
 // Invalidate removes current-version entries — all of them, or only those
-// belonging to the named app — and returns how many were deleted.
+// belonging to the named app (a derived result's kind counts as its app) —
+// and returns how many were deleted.
 func (c *Cache) Invalidate(app string) (int, error) {
 	if app == "" {
 		root := filepath.Join(c.dir, c.version)

@@ -1,7 +1,8 @@
 // Package lab is the experiment orchestrator: it turns every simulation
 // into a declarative Job, fans jobs out over a bounded worker pool, and
 // memoizes completed results in a content-addressed on-disk cache so warm
-// re-runs skip simulation entirely.
+// re-runs skip simulation entirely. The same cache memoizes derived results
+// (Memo), the values drivers compute outside core.Run.
 //
 // Three properties make it safe to put under every paper-reproduction
 // driver:
@@ -117,6 +118,12 @@ type Stats struct {
 	PrefixHits      int64
 	PrefixMisses    int64
 	PrefixEvictions int64
+
+	// MemoHits counts derived results (Memo) read back from the cache;
+	// MemoMisses counts those computed because the cache held no valid
+	// entry. Neither moves without a cache, and neither counts as a job.
+	MemoHits   int64
+	MemoMisses int64
 }
 
 // Runner executes jobs on a worker pool with caching. The zero value is
@@ -137,7 +144,8 @@ type Runner struct {
 	// "lab_simulations", "lab_stored", "lab_retries", "lab_failures",
 	// "lab_remote", "lab_remote_errors", "lab_audited",
 	// "lab_audit_failures", "lab_forks", "lab_prefix_hits",
-	// "lab_prefix_misses". The runner updates them under its
+	// "lab_prefix_misses", "lab_prefix_evictions", "lab_memo_hits",
+	// "lab_memo_misses". The runner updates them under its
 	// own mutex so Stats and the mirrored counters stay in lockstep; the
 	// registry itself is goroutine-safe, so exporting this collector (e.g.
 	// WritePrometheus) while a sweep runs is fine. Do not share it with

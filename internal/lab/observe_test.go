@@ -34,12 +34,15 @@ var statCounters = map[string]string{
 	"PrefixHits":      "lab_prefix_hits",
 	"PrefixMisses":    "lab_prefix_misses",
 	"PrefixEvictions": "lab_prefix_evictions",
+	"MemoHits":        "lab_memo_hits",
+	"MemoMisses":      "lab_memo_misses",
 }
 
 // TestStatsCountersMirrored pins two things: every field of Stats has a
 // registered telemetry counter (adding a Stats field without wiring its
 // counter fails here), and after exercising the hit, miss, store, retry,
-// failure, and audit paths every counter equals its Stats field exactly.
+// failure, audit and memo paths every counter equals its Stats field
+// exactly.
 func TestStatsCountersMirrored(t *testing.T) {
 	st := reflect.TypeOf(Stats{})
 	for i := 0; i < st.NumField(); i++ {
@@ -70,10 +73,15 @@ func TestStatsCountersMirrored(t *testing.T) {
 	if _, err := r.Run(Job{Config: pan}); err == nil {
 		t.Fatal("panicking job should fail")
 	}
+	// Derived result: computed once, then read back.
+	for i := 0; i < 2; i++ {
+		Memo(r, "square", 7, func() int { return 49 })
+	}
 
 	s := r.Stats()
 	if s.Hits == 0 || s.Misses == 0 || s.Simulated == 0 || s.Stored == 0 ||
-		s.Retries == 0 || s.Failures == 0 || s.Audited == 0 {
+		s.Retries == 0 || s.Failures == 0 || s.Audited == 0 ||
+		s.MemoHits == 0 || s.MemoMisses == 0 {
 		t.Fatalf("test did not exercise every path: %+v", s)
 	}
 	sv := reflect.ValueOf(s)

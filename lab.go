@@ -27,10 +27,10 @@ type LabForkSpec = lab.ForkSpec
 type LabCache = lab.Cache
 
 // LabStats counts what a LabRunner did: jobs, cache hits and misses,
-// simulations, results stored to the cache, retries, failures, and audit
-// outcomes. Every field mirrors into a telemetry counter of the same
-// meaning (lab_jobs, lab_cache_hits, ... lab_audit_failures) when a
-// collector is attached to the runner.
+// simulations, results stored to the cache, retries, failures, audit
+// outcomes, and derived results reused or computed. Every field mirrors
+// into a telemetry counter of the same meaning (lab_jobs, lab_cache_hits,
+// ... lab_memo_misses) when a collector is attached to the runner.
 type LabStats = lab.Stats
 
 // NewLabRunner returns a runner with the given worker count (<=0 for
