@@ -28,7 +28,7 @@ bench-smoke:
 # GOMAXPROCS because some benchmarks' allocs/op grow with the worker count;
 # the baseline was measured at -cpu 2.
 GATED_CPU = 2
-GATED_BENCH = BenchmarkSingleRun|BenchmarkFig2Speedup|BenchmarkFig3SpecPower|BenchmarkDerivedWarm|BenchmarkDigestOff|BenchmarkDigestOn|BenchmarkForkSweep|BenchmarkExplore
+GATED_BENCH = BenchmarkSingleRun|BenchmarkFig2Speedup|BenchmarkFig3SpecPower|BenchmarkDerivedWarm|BenchmarkDigestOff|BenchmarkDigestOn|BenchmarkForkSweep|BenchmarkExplore|BenchmarkLongSession
 
 bench-baseline:
 	go test -run '^$$' -bench '$(GATED_BENCH)' -benchmem -cpu $(GATED_CPU) -count 6 . | tee /tmp/blbench-baseline.txt

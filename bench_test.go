@@ -438,6 +438,45 @@ func BenchmarkExtSession(b *testing.B) {
 	b.ReportMetric(drain*1000, "milli-%-battery-per-9s")
 }
 
+// BenchmarkLongSession times a 600 s session with no observers: 30 phases
+// of browser, eternity_warrior and video_player in turn, 20 s each. Every
+// phase adds threads that then sleep for the rest of the session, so per-tick
+// work that walks every thread ever created, rather than the live ones, makes
+// later phases slower than early ones. That growth moves no allocation, so
+// the benchmark reports the wall time of the last three phases over the first
+// three and fails above 6x.
+func BenchmarkLongSession(b *testing.B) {
+	var phases []biglittle.SessionPhase
+	for i := 0; i < 30; i++ {
+		app, err := biglittle.AppByName([]string{"browser", "eternity_warrior", "video_player"}[i%3])
+		if err != nil {
+			b.Fatal(err)
+		}
+		phases = append(phases, biglittle.SessionPhase{App: app, Duration: 20 * biglittle.Second})
+	}
+	walls := make([]time.Duration, len(phases))
+	var growth float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		live := biglittle.NewLiveSession(biglittle.NewSession(phases...))
+		var end biglittle.Time
+		for p, ph := range phases {
+			end += ph.Duration
+			start := time.Now()
+			live.Advance(end)
+			walls[p] = time.Since(start)
+		}
+		n := len(walls)
+		first := walls[0] + walls[1] + walls[2]
+		last := walls[n-3] + walls[n-2] + walls[n-1]
+		growth = float64(last) / float64(first)
+		if growth > 6 {
+			b.Fatalf("the last three phases took %.1fx the first three (%v vs %v), want <= 6x", growth, last, first)
+		}
+	}
+	b.ReportMetric(growth, "last3/first3")
+}
+
 // BenchmarkExtEDP: the energy-delay synthesis across four configurations.
 func BenchmarkExtEDP(b *testing.B) {
 	var l4Wins float64

@@ -17,7 +17,8 @@
 package altsched
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"biglittle/internal/event"
 	"biglittle/internal/platform"
@@ -32,6 +33,9 @@ const minActiveLoad = 120
 // Efficiency implements efficiency-based scheduling.
 type Efficiency struct {
 	sys *sched.System
+	// candidates is refilled every tick; keeping its backing array on the
+	// policy keeps the tick allocation-free.
+	candidates []*sched.Task
 }
 
 // NewEfficiency attaches the policy to sys (replacing HMP migration).
@@ -52,8 +56,8 @@ func (e *Efficiency) wakeType(t *sched.Task) platform.CoreType {
 }
 
 func (e *Efficiency) rebalance(now event.Time) {
-	bigSlots := len(e.sys.SoC.OnlineCores(platform.Big))
-	var candidates []*sched.Task
+	bigSlots := e.sys.SoC.OnlineCount(platform.Big)
+	candidates := e.candidates[:0]
 	for _, t := range e.sys.Tasks() {
 		if t.CurState() == sched.Sleeping || t.Load() < minActiveLoad {
 			// Low-load or sleeping threads stay where they are; demote any
@@ -65,13 +69,14 @@ func (e *Efficiency) rebalance(now event.Time) {
 		}
 		candidates = append(candidates, t)
 	}
+	e.candidates = candidates
 	// Top-N by big-core speedup, load as tie-breaker (both Kumar variants
 	// rank by measured big-core benefit).
-	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].Speedup != candidates[j].Speedup {
-			return candidates[i].Speedup > candidates[j].Speedup
+	slices.SortFunc(candidates, func(a, b *sched.Task) int {
+		if c := cmp.Compare(b.Speedup, a.Speedup); c != 0 {
+			return c
 		}
-		return candidates[i].Load() > candidates[j].Load()
+		return byLoadDesc(a, b)
 	})
 	for i, t := range candidates {
 		if i < bigSlots {
@@ -85,6 +90,8 @@ func (e *Efficiency) rebalance(now event.Time) {
 // Parallelism implements parallelism-aware scheduling.
 type Parallelism struct {
 	sys *sched.System
+	// active is refilled every tick, like Efficiency.candidates.
+	active []*sched.Task
 }
 
 // NewParallelism attaches the policy to sys (replacing HMP migration).
@@ -102,14 +109,15 @@ func (p *Parallelism) wakeType(t *sched.Task) platform.CoreType {
 }
 
 func (p *Parallelism) rebalance(now event.Time) {
-	var active []*sched.Task
+	active := p.active[:0]
 	for _, t := range p.sys.Tasks() {
 		if t.CurState() != sched.Sleeping && t.Load() >= minActiveLoad {
 			active = append(active, t)
 		}
 	}
-	littleSlots := len(p.sys.SoC.OnlineCores(platform.Little))
-	bigSlots := len(p.sys.SoC.OnlineCores(platform.Big))
+	p.active = active
+	littleSlots := p.sys.SoC.OnlineCount(platform.Little)
+	bigSlots := p.sys.SoC.OnlineCount(platform.Big)
 
 	if len(active) <= bigSlots {
 		// Serial phase (low parallelism): the few loaded threads form the
@@ -125,7 +133,7 @@ func (p *Parallelism) rebalance(now event.Time) {
 		}
 	} else {
 		// Oversubscribed: spill the highest-load threads onto big cores.
-		sort.Slice(active, func(i, j int) bool { return active[i].Load() > active[j].Load() })
+		slices.SortFunc(active, byLoadDesc)
 		for i, t := range active {
 			if i < bigSlots {
 				p.sys.MoveToType(t, platform.Big)
@@ -142,3 +150,7 @@ func (p *Parallelism) rebalance(now event.Time) {
 		}
 	}
 }
+
+// byLoadDesc orders tasks by descending tracked load, equal loads comparing
+// equal.
+func byLoadDesc(a, b *sched.Task) int { return cmp.Compare(b.Load(), a.Load()) }

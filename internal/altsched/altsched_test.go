@@ -128,6 +128,7 @@ func TestPoliciesWithoutBigCores(t *testing.T) {
 	for _, attach := range []func(*sched.System){
 		func(s *sched.System) { NewEfficiency(s) },
 		func(s *sched.System) { NewParallelism(s) },
+		func(s *sched.System) { NewEAS(s, power.Default()) },
 	} {
 		eng, sys := rig()
 		if err := (platform.CoreConfig{Little: 4}).Apply(sys.SoC); err != nil {

@@ -44,12 +44,15 @@ func NewEAS(sys *sched.System, pw power.Params) *EAS {
 func (e *EAS) overutilized(now event.Time) bool {
 	interval := now - e.lastCheck
 	if interval > 0 {
-		for _, id := range e.sys.SoC.OnlineCores(platform.Little) {
-			busy := e.sys.BusyNs(id)
-			if sched.CoreBusyFraction(e.lastBusy[id], busy, interval) > 0.9 {
+		for _, c := range e.sys.SoC.Cores {
+			if c.Type != platform.Little || !c.Online {
+				continue
+			}
+			busy := e.sys.BusyNs(c.ID)
+			if sched.CoreBusyFraction(e.lastBusy[c.ID], busy, interval) > 0.9 {
 				e.overUtilUntil = now + 50*event.Millisecond
 			}
-			e.lastBusy[id] = busy
+			e.lastBusy[c.ID] = busy
 		}
 		// Keep the non-little counters fresh too.
 		for id := range e.sys.SoC.Cores {
@@ -65,7 +68,7 @@ func (e *EAS) overutilized(now event.Time) bool {
 // frequency. Big-core speedup reduces the big cluster's cost proportionally.
 func (e *EAS) energyPerGc(t *sched.Task, typ platform.CoreType) float64 {
 	cl := e.sys.SoC.ClusterByType(typ)
-	if cl == nil || len(e.sys.SoC.OnlineCores(typ)) == 0 {
+	if cl == nil || e.sys.SoC.OnlineCount(typ) == 0 {
 		return 1e18
 	}
 	mw := e.pw.CorePowerMW(typ, cl.CurMHz, 1.0) - e.pw.CorePowerMW(typ, cl.CurMHz, 0.0)
@@ -83,7 +86,7 @@ func (e *EAS) energyPerGc(t *sched.Task, typ platform.CoreType) float64 {
 func (e *EAS) place(t *sched.Task) platform.CoreType {
 	if t.Load() > e.capacityThreshold {
 		// Doesn't fit a little core even at max frequency: capacity first.
-		if len(e.sys.SoC.OnlineCores(platform.Big)) > 0 {
+		if e.sys.SoC.OnlineCount(platform.Big) > 0 {
 			return platform.Big
 		}
 		return platform.Little
@@ -111,7 +114,7 @@ func (e *EAS) rebalance(now event.Time) {
 			}
 			continue
 		}
-		if over && t.Load() >= 400 && len(e.sys.SoC.OnlineCores(platform.Big)) > 0 {
+		if over && t.Load() >= 400 && e.sys.SoC.OnlineCount(platform.Big) > 0 {
 			// Escape hatch: capacity first until the little cluster calms.
 			e.sys.MoveToType(t, platform.Big)
 			continue

@@ -76,15 +76,17 @@ func newPhase(ctx *workload.Ctx, normal, heavy float64, normalDur, heavyDur even
 	p := &phase{cur: normal, normal: normal, heavy: heavy}
 	// The scene schedule is user/content behaviour: draw it up front in
 	// wall-clock time so runs compared across configurations see identical
-	// phases (see frameChain's pause schedule for the same reasoning).
+	// phases (see newFrameChain's pause schedule for the same reasoning).
+	toHeavy := func(event.Time) { p.cur = p.heavy }
+	toNormal := func(event.Time) { p.cur = p.normal }
 	t := ctx.Eng.Now()
 	for t < ctx.Duration {
 		t += ctx.Exp(normalDur)
 		start := t
 		t += ctx.Exp(heavyDur)
 		end := t
-		ctx.At(start, func(event.Time) { p.cur = p.heavy })
-		ctx.At(end, func(event.Time) { p.cur = p.normal })
+		ctx.At(start, toHeavy)
+		ctx.At(end, toNormal)
 	}
 	return p
 }
@@ -117,79 +119,130 @@ func backgroundHum(ctx *workload.Ctx, prefix string, meanGap event.Time, p2, p3 
 	ctx.After(ctx.Exp(meanGap), arrive)
 }
 
-// frameChain runs a game/video frame pipeline: every period, stage work
-// flows logic -> (render ∥ helpers); a completed pipeline counts one frame.
-// When the pipeline overruns the period the next frame is skipped (frame
-// drop), which is how FPS degrades on slow cores. pauseP inserts think-time
-// gaps (menus, level loads) with mean pauseMean.
+// frameStage is one thread's share of a frame: work draws its cycles.
 type frameStage struct {
 	th   *workload.Thread
 	work func() float64
 }
 
-func frameChain(ctx *workload.Ctx, period event.Time, logic frameStage, parallel []frameStage,
+// frameChain is one game/video frame pipeline; see newFrameChain.
+type frameChain struct {
+	ctx      *workload.Ctx
+	period   event.Time
+	logic    frameStage
+	parallel []frameStage
+	pauses   []pause
+	// Triple buffering: up to two frames may be in flight, each in one of
+	// frames; free holds those not in flight.
+	frames [2]frame
+	free   []*frame
+	tickFn func(now event.Time)
+}
+
+// pause is one user pause, [start, end).
+type pause struct{ start, end event.Time }
+
+// frame is one frame in flight. A chain's two frames and their callbacks are
+// made at Build; a frame goes back to the chain's free list when its last
+// stage completes, so the frame loop allocates nothing.
+type frame struct {
+	fc        *frameChain
+	remaining int // parallel stages still working
+	logicDone func(now event.Time)
+	stageDone func(now event.Time)
+}
+
+// newFrameChain runs a game/video frame pipeline: every period, stage work
+// flows logic -> (render ∥ helpers); a completed pipeline counts one frame.
+// When the pipeline overruns the period the next frame is skipped (frame
+// drop), which is how FPS degrades on slow cores. pauseGap inserts
+// think-time gaps (menus, level loads) with mean pauseMean.
+func newFrameChain(ctx *workload.Ctx, period event.Time, logic frameStage, parallel []frameStage,
 	pauseGap, pauseMean event.Time) {
 
+	fc := &frameChain{ctx: ctx, period: period, logic: logic, parallel: parallel}
 	// Pauses are user behaviour (menus, level loads): their schedule is
 	// drawn up front in wall-clock time so that runs compared across core
 	// configurations see the identical pause pattern.
-	type window struct{ start, end event.Time }
-	var pauses []window
 	if pauseGap > 0 {
 		for t := ctx.Eng.Now(); t < ctx.Duration; {
 			t += ctx.Exp(pauseGap)
 			end := t + ctx.Exp(pauseMean)
-			pauses = append(pauses, window{t, end})
+			fc.pauses = append(fc.pauses, pause{t, end})
 			t = end
 		}
 	}
-	paused := func(now event.Time) event.Time {
-		for _, w := range pauses {
-			if now >= w.start && now < w.end {
-				return w.end
-			}
-		}
-		return 0
+	fc.free = make([]*frame, 0, len(fc.frames))
+	for i := range fc.frames {
+		f := &fc.frames[i]
+		f.fc = fc
+		f.logicDone, f.stageDone = f.onLogic, f.onStage
+		fc.free = append(fc.free, f)
 	}
+	fc.tickFn = fc.tick
+	ctx.After(0, fc.tickFn)
+}
 
-	inFlight := 0 // triple buffering: up to two frames may be in flight
-	var tick func(now event.Time)
-	tick = func(now event.Time) {
-		if now >= ctx.Duration {
-			return
+// pausedUntil returns the end of the pause covering now, or 0.
+func (fc *frameChain) pausedUntil(now event.Time) event.Time {
+	for _, w := range fc.pauses {
+		if now >= w.start && now < w.end {
+			return w.end
 		}
-		if end := paused(now); end > 0 {
-			ctx.At(end, tick)
-			return
-		}
-		ctx.At(now+period, tick)
-		if inFlight >= 2 {
-			return // frame dropped
-		}
-		inFlight++
-		logic.th.Push(logic.work(), func(event.Time) {
-			remaining := len(parallel)
-			if remaining == 0 {
-				inFlight--
-				if ctx.FPS != nil {
-					ctx.FPS.FrameDone(ctx.Eng.Now())
-				}
-				return
-			}
-			for _, st := range parallel {
-				st.th.Push(st.work(), func(fin event.Time) {
-					remaining--
-					if remaining == 0 {
-						inFlight--
-						if ctx.FPS != nil {
-							ctx.FPS.FrameDone(fin)
-						}
-					}
-				})
-			}
-		})
 	}
-	ctx.After(0, tick)
+	return 0
+}
+
+func (fc *frameChain) tick(now event.Time) {
+	ctx := fc.ctx
+	if now >= ctx.Duration {
+		return
+	}
+	if end := fc.pausedUntil(now); end > 0 {
+		ctx.At(end, fc.tickFn)
+		return
+	}
+	ctx.At(now+fc.period, fc.tickFn)
+	if len(fc.free) == 0 {
+		return // frame dropped
+	}
+	f := fc.free[len(fc.free)-1]
+	fc.free = fc.free[:len(fc.free)-1]
+	fc.logic.th.Push(fc.logic.work(), f.logicDone)
+}
+
+func (f *frame) onLogic(event.Time) {
+	fc := f.fc
+	f.remaining = len(fc.parallel)
+	if f.remaining == 0 {
+		fc.finish(f, fc.ctx.Eng.Now())
+		return
+	}
+	for _, st := range fc.parallel {
+		st.th.Push(st.work(), f.stageDone)
+	}
+}
+
+func (f *frame) onStage(fin event.Time) {
+	f.remaining--
+	if f.remaining == 0 {
+		f.fc.finish(f, fin)
+	}
+}
+
+// finish records f's frame as done at the given time and frees f for a
+// later frame.
+func (fc *frameChain) finish(f *frame, at event.Time) {
+	fc.free = append(fc.free, f)
+	if fc.ctx.FPS != nil {
+		fc.ctx.FPS.FrameDone(at)
+	}
+}
+
+// fixedStages returns an InteractionConfig.Stages yielding table, which is
+// built once at Build: the pipeline draws each interaction's work afresh.
+func fixedStages(table []workload.Stage) func() []workload.Stage {
+	return func() []workload.Stage { return table }
 }
 
 func jit(ctx *workload.Ctx, mean, cv float64) func() float64 {
@@ -252,15 +305,13 @@ func PDFReader() App {
 			workload.InteractionLoop(ctx, workload.InteractionConfig{
 				Think: 420 * ms, ThinkCV: 0.5,
 				Boost: []*workload.Thread{ui, parser, render}, BoostLoad: 1000,
-				Stages: func() []workload.Stage {
-					return []workload.Stage{
-						{Threads: []*workload.Thread{ui}, Work: 1.5 * mc, CV: 0.4},
-						{Threads: []*workload.Thread{parser}, Work: 6 * mc, CV: 0.5, PostDelay: 6 * ms},
-						{Threads: []*workload.Thread{render, raster}, Work: 11 * mc, CV: 0.5,
-							HeavyP: 0.15, HeavyMult: 7, PostDelay: 8 * ms},
-						{Threads: []*workload.Thread{compose}, Work: 2 * mc, CV: 0.3, PostDelay: 4 * ms},
-					}
-				},
+				Stages: fixedStages([]workload.Stage{
+					{Threads: []*workload.Thread{ui}, Work: 1.5 * mc, CV: 0.4},
+					{Threads: []*workload.Thread{parser}, Work: 6 * mc, CV: 0.5, PostDelay: 6 * ms},
+					{Threads: []*workload.Thread{render, raster}, Work: 11 * mc, CV: 0.5,
+						HeavyP: 0.15, HeavyMult: 7, PostDelay: 8 * ms},
+					{Threads: []*workload.Thread{compose}, Work: 2 * mc, CV: 0.3, PostDelay: 4 * ms},
+				}),
 			})
 			backgroundHum(ctx, "pdf", 6*ms, 0.55, 0.1)
 		},
@@ -282,14 +333,12 @@ func VideoEditor() App {
 			workload.InteractionLoop(ctx, workload.InteractionConfig{
 				Think: 500 * ms, ThinkCV: 0.6,
 				Boost: []*workload.Thread{ui, fx, dec1}, BoostLoad: 1000,
-				Stages: func() []workload.Stage {
-					return []workload.Stage{
-						{Threads: []*workload.Thread{ui}, Work: 1 * mc, CV: 0.4},
-						{Threads: []*workload.Thread{dec1, dec2}, Work: 9 * mc, CV: 0.4, PostDelay: 18 * ms},
-						{Threads: []*workload.Thread{fx}, Work: 16 * mc, CV: 0.5, HeavyP: 0.18, HeavyMult: 8, PostDelay: 10 * ms},
-						{Threads: []*workload.Thread{preview}, Work: 5 * mc, CV: 0.4, PostDelay: 6 * ms},
-					}
-				},
+				Stages: fixedStages([]workload.Stage{
+					{Threads: []*workload.Thread{ui}, Work: 1 * mc, CV: 0.4},
+					{Threads: []*workload.Thread{dec1, dec2}, Work: 9 * mc, CV: 0.4, PostDelay: 18 * ms},
+					{Threads: []*workload.Thread{fx}, Work: 16 * mc, CV: 0.5, HeavyP: 0.18, HeavyMult: 8, PostDelay: 10 * ms},
+					{Threads: []*workload.Thread{preview}, Work: 5 * mc, CV: 0.4, PostDelay: 6 * ms},
+				}),
 			})
 			backgroundHum(ctx, "vedit", 7*ms, 0.6, 0.15)
 		},
@@ -309,13 +358,11 @@ func PhotoEditor() App {
 			workload.InteractionLoop(ctx, workload.InteractionConfig{
 				Think: 500 * ms, ThinkCV: 0.6,
 				Boost: []*workload.Thread{filter}, BoostLoad: 760,
-				Stages: func() []workload.Stage {
-					return []workload.Stage{
-						{Threads: []*workload.Thread{ui}, Work: 1 * mc, CV: 0.4},
-						{Threads: []*workload.Thread{filter}, Work: 22 * mc, CV: 0.5, HeavyP: 0.10, HeavyMult: 7, PostDelay: 16 * ms},
-						{Threads: []*workload.Thread{preview}, Work: 2.5 * mc, CV: 0.3, PostDelay: 10 * ms},
-					}
-				},
+				Stages: fixedStages([]workload.Stage{
+					{Threads: []*workload.Thread{ui}, Work: 1 * mc, CV: 0.4},
+					{Threads: []*workload.Thread{filter}, Work: 22 * mc, CV: 0.5, HeavyP: 0.10, HeavyMult: 7, PostDelay: 16 * ms},
+					{Threads: []*workload.Thread{preview}, Work: 2.5 * mc, CV: 0.3, PostDelay: 10 * ms},
+				}),
 			})
 			backgroundHum(ctx, "pedit", 4500*event.Microsecond, 0.15, 0)
 		},
@@ -341,14 +388,12 @@ func BBench() App {
 			workload.InteractionLoop(ctx, workload.InteractionConfig{
 				Think: 25 * ms, ThinkCV: 0.5,
 				Boost: []*workload.Thread{js, layout, img1, img2}, BoostLoad: 820,
-				Stages: func() []workload.Stage {
-					return []workload.Stage{
-						{Threads: []*workload.Thread{net1, net2}, Work: 2.5 * mc, CV: 0.5, PostDelay: 18 * ms},
-						{Threads: []*workload.Thread{js}, Work: 52 * mc, CV: 0.5, HeavyP: 0.3, HeavyMult: 2.5},
-						{Threads: []*workload.Thread{layout, img1, img2, comp}, Work: 13 * mc, CV: 0.5, HeavyP: 0.15, HeavyMult: 2.5, PostDelay: 5 * ms},
-						{Threads: []*workload.Thread{paint}, Work: 6 * mc, CV: 0.4, PostDelay: 5 * ms},
-					}
-				},
+				Stages: fixedStages([]workload.Stage{
+					{Threads: []*workload.Thread{net1, net2}, Work: 2.5 * mc, CV: 0.5, PostDelay: 18 * ms},
+					{Threads: []*workload.Thread{js}, Work: 52 * mc, CV: 0.5, HeavyP: 0.3, HeavyMult: 2.5},
+					{Threads: []*workload.Thread{layout, img1, img2, comp}, Work: 13 * mc, CV: 0.5, HeavyP: 0.15, HeavyMult: 2.5, PostDelay: 5 * ms},
+					{Threads: []*workload.Thread{paint}, Work: 6 * mc, CV: 0.4, PostDelay: 5 * ms},
+				}),
 			})
 			backgroundHum(ctx, "bb", 5*ms, 0.9, 0.9)
 		},
@@ -369,12 +414,10 @@ func VirusScanner() App {
 
 			workload.InteractionLoop(ctx, workload.InteractionConfig{
 				Think: 18 * ms, ThinkCV: 0.8,
-				Stages: func() []workload.Stage {
-					return []workload.Stage{
-						{Threads: []*workload.Thread{io}, Work: 1 * mc, CV: 0.5, PostDelay: 4 * ms},
-						{Threads: []*workload.Thread{scan, hash}, Work: 8 * mc, CV: 0.6, HeavyP: 0.13, HeavyMult: 12, PostDelay: 7 * ms},
-					}
-				},
+				Stages: fixedStages([]workload.Stage{
+					{Threads: []*workload.Thread{io}, Work: 1 * mc, CV: 0.5, PostDelay: 4 * ms},
+					{Threads: []*workload.Thread{scan, hash}, Work: 8 * mc, CV: 0.6, HeavyP: 0.13, HeavyMult: 12, PostDelay: 7 * ms},
+				}),
 			})
 			workload.Periodic(ctx, ui, workload.PeriodicConfig{Period: 400 * ms, Work: 1 * mc, CV: 0.3})
 			backgroundHum(ctx, "scan", 7*ms, 0.4, 0.1)
@@ -398,24 +441,20 @@ func Browser() App {
 			workload.InteractionLoop(ctx, workload.InteractionConfig{
 				Think: 1800 * ms, ThinkCV: 0.5,
 				Boost: []*workload.Thread{js, layout}, BoostLoad: 790,
-				Stages: func() []workload.Stage {
-					return []workload.Stage{
-						{Threads: []*workload.Thread{input}, Work: 0.8 * mc, CV: 0.4},
-						{Threads: []*workload.Thread{net}, Work: 3 * mc, CV: 0.6, PostDelay: 35 * ms},
-						{Threads: []*workload.Thread{js, layout}, Work: 9 * mc, CV: 0.6, HeavyP: 0.15, HeavyMult: 7, PostDelay: 6 * ms},
-						{Threads: []*workload.Thread{img, paint}, Work: 5 * mc, CV: 0.5, PostDelay: 5 * ms},
-					}
-				},
+				Stages: fixedStages([]workload.Stage{
+					{Threads: []*workload.Thread{input}, Work: 0.8 * mc, CV: 0.4},
+					{Threads: []*workload.Thread{net}, Work: 3 * mc, CV: 0.6, PostDelay: 35 * ms},
+					{Threads: []*workload.Thread{js, layout}, Work: 9 * mc, CV: 0.6, HeavyP: 0.15, HeavyMult: 7, PostDelay: 6 * ms},
+					{Threads: []*workload.Thread{img, paint}, Work: 5 * mc, CV: 0.5, PostDelay: 5 * ms},
+				}),
 			})
 			workload.InteractionLoop(ctx, workload.InteractionConfig{
 				Think: 420 * ms, ThinkCV: 0.7, Silent: true,
 				Boost: []*workload.Thread{js}, BoostLoad: 760,
-				Stages: func() []workload.Stage {
-					return []workload.Stage{
-						{Threads: []*workload.Thread{input}, Work: 0.4 * mc, CV: 0.4},
-						{Threads: []*workload.Thread{js}, Work: 2.2 * mc, CV: 0.5},
-					}
-				},
+				Stages: fixedStages([]workload.Stage{
+					{Threads: []*workload.Thread{input}, Work: 0.4 * mc, CV: 0.4},
+					{Threads: []*workload.Thread{js}, Work: 2.2 * mc, CV: 0.5},
+				}),
 			})
 			backgroundHum(ctx, "br", 19*ms, 0.75, 0.2)
 		},
@@ -433,24 +472,28 @@ func Encoder() App {
 			reader := workload.NewThread(ctx, "enc.reader", 1.4)
 
 			// Chunk pipeline: CPU chunk then an IO gap; latency is recorded
-			// per chunk so the scenario latency is the sum.
-			var chunk func(now event.Time)
+			// per chunk so the scenario latency is the sum. One chunk is in
+			// flight at a time, so its callbacks are bound once.
+			var start event.Time // when the chunk in flight began
+			var chunk, read, done func(now event.Time)
 			chunk = func(now event.Time) {
 				if now >= ctx.Duration {
 					return
 				}
-				start := now
+				start = now
 				// Read wait, then the CPU chunk; the latency of a chunk
 				// includes both, as on the real device.
-				ctx.At(now+ctx.Exp(15*ms), func(at event.Time) {
-					reader.Push(1.2*mc, nil)
-					enc.Push(ctx.Jitter(45*mc, 0.3), func(fin event.Time) {
-						if ctx.Lat != nil {
-							ctx.Lat.Record(fin - start)
-						}
-						chunk(fin)
-					})
-				})
+				ctx.At(now+ctx.Exp(15*ms), read)
+			}
+			read = func(event.Time) {
+				reader.Push(1.2*mc, nil)
+				enc.Push(ctx.Jitter(45*mc, 0.3), done)
+			}
+			done = func(fin event.Time) {
+				if ctx.Lat != nil {
+					ctx.Lat.Record(fin - start)
+				}
+				chunk(fin)
 			}
 			ctx.After(5*ms, chunk)
 			backgroundHum(ctx, "enc", 12*ms, 0.15, 0)
@@ -470,7 +513,7 @@ func AngryBird() App {
 			render := workload.NewThread(ctx, "ab.render", 1.7)
 			audio := workload.NewThread(ctx, "ab.audio", 1.3)
 
-			frameChain(ctx, 16667000,
+			newFrameChain(ctx, 16667000,
 				frameStage{logic, jit(ctx, 3.8*mc, 0.35)},
 				[]frameStage{
 					{render, jit(ctx, 3.2*mc, 0.3)},
@@ -497,7 +540,7 @@ func EternityWarrior() App {
 			audio := workload.NewThread(ctx, "ew.audio", 1.3)
 
 			scene := newPhase(ctx, 7*mc, 28*mc, 4000*ms, 2000*ms)
-			frameChain(ctx, 16667000,
+			newFrameChain(ctx, 16667000,
 				frameStage{logic, jit(ctx, 2.8*mc, 0.3)},
 				[]frameStage{
 					{render, func() float64 { return ctx.Jitter(scene.cur, 0.25) }},
@@ -522,7 +565,7 @@ func FIFA15() App {
 			audio := workload.NewThread(ctx, "ff.audio", 1.3)
 
 			scene := newPhase(ctx, 8*mc, 52*mc, 5200*ms, 1100*ms)
-			frameChain(ctx, 33333000,
+			newFrameChain(ctx, 33333000,
 				frameStage{logic, jit(ctx, 3.5*mc, 0.3)},
 				[]frameStage{
 					{render, func() float64 { return ctx.Jitter(scene.cur, 0.3) }},
@@ -548,7 +591,7 @@ func VideoPlayer() App {
 			render := workload.NewThread(ctx, "vp.render", 1.5)
 			audio := workload.NewThread(ctx, "vp.audio", 1.3)
 
-			frameChain(ctx, 33333000,
+			newFrameChain(ctx, 33333000,
 				frameStage{demux, jit(ctx, 0.9*mc, 0.4)},
 				[]frameStage{
 					{sync, jit(ctx, 0.35*mc, 0.3)},
@@ -573,7 +616,7 @@ func Youtube() App {
 			audio := workload.NewThread(ctx, "yt.audio", 1.3)
 			net := workload.NewThread(ctx, "yt.net", 1.4)
 
-			frameChain(ctx, 33333000,
+			newFrameChain(ctx, 33333000,
 				frameStage{demux, jit(ctx, 0.9*mc, 0.4)},
 				[]frameStage{
 					{sync, jit(ctx, 0.35*mc, 0.3)},
@@ -676,7 +719,7 @@ func FrameLoop(ctx *workload.Ctx, cfg FrameConfig) {
 	for i, st := range cfg.Parallel {
 		par[i] = frameStage{st.Thread, jit(ctx, st.WorkMc*mc, st.CV)}
 	}
-	frameChain(ctx, cfg.Period,
+	newFrameChain(ctx, cfg.Period,
 		frameStage{cfg.Logic.Thread, jit(ctx, cfg.Logic.WorkMc*mc, cfg.Logic.CV)},
 		par, cfg.PauseGap, cfg.PauseMean)
 }

@@ -28,13 +28,43 @@ type Tracker struct {
 // NewTracker returns a tracker with the given half-life in milliseconds.
 // Non-positive values fall back to the default.
 func NewTracker(halfLifeMs int) *Tracker {
+	halfLifeMs, decay := decayFor(halfLifeMs)
+	return &Tracker{halfLife: halfLifeMs, decay: decay}
+}
+
+// decayFor resolves a half-life (non-positive means the default) to itself
+// and its per-step decay factor y, y^halfLife = 0.5.
+func decayFor(halfLifeMs int) (int, float64) {
 	if halfLifeMs <= 0 {
 		halfLifeMs = DefaultHalfLifeMs
 	}
-	return &Tracker{
-		halfLife: halfLifeMs,
-		decay:    math.Pow(0.5, 1.0/float64(halfLifeMs)),
+	return halfLifeMs, math.Pow(0.5, 1.0/float64(halfLifeMs))
+}
+
+// maxFloorSteps bounds IdleFloor's search. The floor at the default 32 ms
+// half-life is 23 subnormal steps and at 64 ms it is 46; longer half-lives
+// stop at this many steps, a lower but still exact floor.
+const maxFloorSteps = 50
+
+// IdleFloor returns the idle fixed point of a tracker with the given
+// half-life: every load at or below it is left unchanged by an Update with
+// no run time, because load*y rounds back to load. An idle load decays into
+// the subnormal range and sticks there (about 23·2⁻¹⁰⁷⁴ at 32 ms), so a
+// caller may skip the zero-input Update of a load at or below the floor and
+// stay bit-exact. The search walks up one subnormal at a time and checks
+// every step it returns, so it costs at most maxFloorSteps slow multiplies:
+// compute it once per half-life, not per tracker.
+func IdleFloor(halfLifeMs int) float64 {
+	_, y := decayFor(halfLifeMs)
+	floor := 0.0
+	for k := 1; k <= maxFloorSteps; k++ {
+		v := float64(k) * math.SmallestNonzeroFloat64
+		if v*y != v {
+			break
+		}
+		floor = v
 	}
+	return floor
 }
 
 // HalfLifeMs returns the configured half-life.

@@ -167,3 +167,49 @@ func TestPropertyMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// An idle load decays into the subnormal range and sticks where load*y
+// rounds back to load. The scheduler skips a settled sleeper's update, which
+// is bit-exact only if every load at or below IdleFloor is a fixed point of
+// the zero-input Update; the next subnormal must not be, or the floor is
+// lower than it could be.
+func TestIdleFloorIsFixedPoint(t *testing.T) {
+	for _, hl := range []int{8, 16, 32, 64} {
+		floor := IdleFloor(hl)
+		if floor <= 0 {
+			t.Fatalf("half-life %d: floor %g, want a positive subnormal", hl, floor)
+		}
+		tr := NewTracker(hl)
+		for v := 0.0; v <= floor; v = math.Nextafter(v, 1) {
+			for _, fs := range []float64{0, 0.5, 1} {
+				tr.Set(v)
+				tr.Update(0, fs)
+				if got := tr.LoadF(); got != v {
+					t.Fatalf("half-life %d: idle update moved %g to %g (floor %g)", hl, v, got, floor)
+				}
+			}
+		}
+		next := math.Nextafter(floor, 1)
+		tr.Set(next)
+		tr.Update(0, 1)
+		if tr.LoadF() == next {
+			t.Errorf("half-life %d: %g above the floor %g is a fixed point too", hl, next, floor)
+		}
+	}
+	if got, want := IdleFloor(32), 23*math.SmallestNonzeroFloat64; got != want {
+		t.Errorf("IdleFloor(32) = %g, want 23·2⁻¹⁰⁷⁴ = %g", got, want)
+	}
+	if IdleFloor(0) != IdleFloor(DefaultHalfLifeMs) {
+		t.Error("IdleFloor(0) does not fall back to the default half-life")
+	}
+	// A full load left idle settles exactly at the floor (within ~35 s at
+	// 32 ms), which is why the skip covers every long sleeper.
+	tr := NewTracker(32)
+	tr.Set(Scale)
+	for i := 0; i < 40_000; i++ {
+		tr.Update(0, 1)
+	}
+	if got := tr.LoadF(); got != IdleFloor(32) {
+		t.Errorf("a full load idle for 40 s settled at %g, want the floor %g", got, IdleFloor(32))
+	}
+}

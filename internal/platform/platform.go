@@ -238,19 +238,8 @@ func (s *SoC) SetOnline(coreID int, online bool) error {
 	return nil
 }
 
-// OnlineCores returns the IDs of online cores of type t, ascending.
-func (s *SoC) OnlineCores(t CoreType) []int {
-	var ids []int
-	for _, c := range s.Cores {
-		if c.Type == t && c.Online {
-			ids = append(ids, c.ID)
-		}
-	}
-	return ids
-}
-
-// OnlineCount returns the number of online cores of type t without
-// allocating the ID slice OnlineCores builds.
+// OnlineCount returns the number of online cores of type t. Scheduler
+// policies call it every tick, so it walks Cores in place.
 func (s *SoC) OnlineCount(t CoreType) int {
 	n := 0
 	for i := range s.Cores {

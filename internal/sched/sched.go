@@ -194,6 +194,10 @@ type System struct {
 	tickFn  event.Handler // onTick bound once; re-arming it must not allocate
 	tickEv  event.Handle  // the pending tick (retained for snapshot capture)
 	started bool
+	// idleFloor is pelt.IdleFloor at Cfg.HalfLifeMs: a sleeping task that
+	// ran nothing this tick and whose load is at or below it has settled, so
+	// updateLoads skips it.
+	idleFloor float64
 
 	// Tel, when non-nil, receives a telemetry event for every migration
 	// (with its reason), wake placement, round-robin preemption, boost,
@@ -239,7 +243,11 @@ func New(eng *event.Engine, soc *platform.SoC, cfg Config) *System {
 	if cfg.TickMs <= 0 {
 		cfg.TickMs = 1
 	}
-	s := &System{Eng: eng, SoC: soc, Cfg: cfg, tick: event.Time(cfg.TickMs) * event.Millisecond}
+	s := &System{
+		Eng: eng, SoC: soc, Cfg: cfg,
+		tick:      event.Time(cfg.TickMs) * event.Millisecond,
+		idleFloor: pelt.IdleFloor(cfg.HalfLifeMs),
+	}
 	s.tickFn = s.onTick
 	for i := range soc.Cores {
 		c := &cpu{id: i, typ: soc.Cores[i].Type}
@@ -637,13 +645,19 @@ func (s *System) OnTick(fn func(now event.Time)) {
 // asleep for the whole tick contributes nothing but still decays — in the
 // kernel's load tracking, slept periods are decayed into the history when
 // the task next wakes, so a bursty task's load converges to its duty cycle
-// rather than its burst intensity.
+// rather than its burst intensity. A long sleeper's load decays into the
+// subnormal range and settles at the idle floor, where the update no longer
+// changes it; such a task is skipped, which is bit-exact and spares every
+// later tick a slow subnormal multiply per settled task.
 func (s *System) updateLoads(now event.Time) {
 	tickStart := now - s.tick
 	for _, t := range s.tasks {
 		var activeNs event.Time
 		switch t.state {
 		case Sleeping:
+			if t.ranNs == 0 && t.tracker.LoadF() <= s.idleFloor {
+				continue
+			}
 			activeNs = t.ranNs
 		default:
 			from := tickStart

@@ -573,3 +573,46 @@ func TestPropertyHotplugNeverKillsLastLittle(t *testing.T) {
 		})
 	}
 }
+
+// updateLoads skips a sleeper whose load has settled at pelt's idle floor.
+// The skip must be bit-exact: a system that never skips (floor below any
+// load) must hold the same float load for every task, long sleepers and
+// tasks woken after a long sleep included.
+func TestSettledSleeperSkipIsBitExact(t *testing.T) {
+	run := func(skip bool) []uint64 {
+		eng, s := newSys()
+		if !skip {
+			s.idleFloor = -1
+		}
+		rng := rand.New(rand.NewSource(3))
+		tasks := make([]*Task, 6)
+		for i := range tasks {
+			tasks[i] = s.NewTask("t", 1+float64(i)/4)
+		}
+		// Every task runs early; half of them wake again after sleeping
+		// long enough to settle at the floor.
+		for _, tk := range tasks {
+			s.Push(tk, 20e6*(1+rng.Float64()))
+		}
+		eng.Run(45 * event.Second)
+		for _, tk := range tasks[:3] {
+			s.Push(tk, 5e6)
+		}
+		eng.Run(46 * event.Second)
+		var bits []uint64
+		for _, tk := range tasks {
+			bits = append(bits, math.Float64bits(tk.tracker.LoadF()))
+		}
+		return bits
+	}
+	skipped, full := run(true), run(false)
+	for i := range full {
+		if skipped[i] != full[i] {
+			t.Errorf("task %d: load %g with the skip, %g without",
+				i, math.Float64frombits(skipped[i]), math.Float64frombits(full[i]))
+		}
+	}
+	if math.Float64frombits(skipped[5]) == 0 {
+		t.Error("the long sleepers decayed to zero; the test no longer reaches the floor")
+	}
+}

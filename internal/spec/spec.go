@@ -228,32 +228,31 @@ func build(ctx *workload.Ctx, f File) {
 	}
 
 	for _, in := range f.Interactions {
-		in := in
 		var boost []*workload.Thread
 		for _, b := range in.Boost {
 			boost = append(boost, threads[b])
 		}
+		// The stage table is built once; the pipeline draws each
+		// interaction's work afresh.
+		stages := make([]workload.Stage, len(in.Stages))
+		for i, st := range in.Stages {
+			var ths []*workload.Thread
+			for _, name := range st.Threads {
+				ths = append(ths, threads[name])
+			}
+			stages[i] = workload.Stage{
+				Threads:   ths,
+				Work:      st.WorkMc * workload.Mc,
+				CV:        st.CV,
+				HeavyP:    st.HeavyP,
+				HeavyMult: st.HeavyMult,
+				PostDelay: ms(st.PostDelayMs),
+			}
+		}
 		workload.InteractionLoop(ctx, workload.InteractionConfig{
 			Think: ms(in.ThinkMs), ThinkCV: in.ThinkCV,
 			Boost: boost, BoostLoad: in.BoostLoad, Silent: in.Silent,
-			Stages: func() []workload.Stage {
-				stages := make([]workload.Stage, len(in.Stages))
-				for i, st := range in.Stages {
-					var ths []*workload.Thread
-					for _, name := range st.Threads {
-						ths = append(ths, threads[name])
-					}
-					stages[i] = workload.Stage{
-						Threads:   ths,
-						Work:      st.WorkMc * workload.Mc,
-						CV:        st.CV,
-						HeavyP:    st.HeavyP,
-						HeavyMult: st.HeavyMult,
-						PostDelay: ms(st.PostDelayMs),
-					}
-				}
-				return stages
-			},
+			Stages: func() []workload.Stage { return stages },
 		})
 	}
 	for _, p := range f.Periodics {

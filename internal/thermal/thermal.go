@@ -216,13 +216,19 @@ func (m *Model) onSample(now event.Time) {
 		// Emergency hotplug for the big cluster: shed one core per sample
 		// above the critical temperature, restore one once fully cooled.
 		if m.Par.CriticalC > 0 && cl.Type == platform.Big {
-			online := soc.OnlineCores(platform.Big)
+			online, last := 0, -1 // online big cores, and the highest-numbered one
+			for _, id := range cl.CoreIDs {
+				if soc.Cores[id].Online {
+					online++
+					last = max(last, id)
+				}
+			}
 			switch {
-			case m.TempC[ci] > m.Par.CriticalC && len(online) > 0:
-				if err := m.sys.SetCoreOnline(online[len(online)-1], false); err == nil {
+			case m.TempC[ci] > m.Par.CriticalC && online > 0:
+				if err := m.sys.SetCoreOnline(last, false); err == nil {
 					m.HotplugEvents++
 				}
-			case m.TempC[ci] < m.Par.ClearC && len(online) < len(cl.CoreIDs):
+			case m.TempC[ci] < m.Par.ClearC && online < len(cl.CoreIDs):
 				for _, id := range cl.CoreIDs {
 					if !soc.Cores[id].Online {
 						if err := m.sys.SetCoreOnline(id, true); err == nil {

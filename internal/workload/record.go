@@ -108,6 +108,28 @@ type Recorder struct {
 	live    map[int]event.Handle         // record mode: pending wid → handle
 	fns     map[int]func(now event.Time) // replay mode: registered wid → fn
 	threads []*Thread                    // creation order; RecSeg targets
+	free    []*firing                    // record mode: fired firings, reused
+}
+
+// firing is one record-mode workload event on the engine: the workload's
+// callback and its log id. Its engine handler is bound once, and the firing
+// returns to the Recorder's free list when it fires, so recording allocates
+// nothing per event once the pool covers the events in flight.
+type firing struct {
+	r    *Recorder
+	wid  int
+	fn   func(now event.Time)
+	fire event.Handler // onFire, bound once
+}
+
+// onFire logs the firing, drops it from the live set and runs the callback.
+func (f *firing) onFire(now event.Time) {
+	r, wid, fn := f.r, f.wid, f.fn
+	f.fn = nil // release the callback for GC
+	r.free = append(r.free, f)
+	delete(r.live, wid)
+	r.tail = append(r.tail, Record{Kind: RecFire, Wid: wid, At: now})
+	fn(now)
 }
 
 // NewRecorder returns a Recorder in record mode, for a fresh snapshot-enabled
@@ -179,9 +201,9 @@ func (r *Recorder) registerThread(th *Thread) int {
 }
 
 // schedule is the record/replay interposition point for Ctx.At. In record
-// mode it schedules fn wrapped so the firing is logged; in replay mode it
-// only registers fn under the next id — the replay driver (or the pending
-// re-binding) invokes it later.
+// mode it schedules fn through a firing, which logs the firing; in replay
+// mode it only registers fn under the next id — the replay driver (or the
+// pending re-binding) invokes it later.
 func (r *Recorder) schedule(eng *event.Engine, at event.Time, fn func(now event.Time)) {
 	wid := r.nextWid
 	r.nextWid++
@@ -189,16 +211,22 @@ func (r *Recorder) schedule(eng *event.Engine, at event.Time, fn func(now event.
 		r.fns[wid] = fn
 		return
 	}
-	r.live[wid] = eng.At(at, r.wrap(wid, fn))
+	r.live[wid] = eng.At(at, r.bind(wid, fn))
 }
 
-// wrap returns fn wrapped to log its firing and drop it from the live set.
-func (r *Recorder) wrap(wid int, fn func(now event.Time)) event.Handler {
-	return func(now event.Time) {
-		delete(r.live, wid)
-		r.tail = append(r.tail, Record{Kind: RecFire, Wid: wid, At: now})
-		fn(now)
+// bind returns the engine handler that logs fn's firing under wid, drops it
+// from the live set and runs fn, taking a pooled firing when one is free.
+func (r *Recorder) bind(wid int, fn func(now event.Time)) event.Handler {
+	var f *firing
+	if n := len(r.free); n > 0 {
+		f = r.free[n-1]
+		r.free = r.free[:n-1]
+	} else {
+		f = &firing{r: r}
+		f.fire = f.onFire
 	}
+	f.wid, f.fn = wid, fn
+	return f.fire
 }
 
 // noteSeg logs a per-segment callback invocation (record mode only; replay
@@ -283,7 +311,7 @@ func (r *Recorder) Resched(eng *event.Engine, pending []PendingEvent) {
 			diverge("pending event %d was never registered during replay", p.Wid)
 		}
 		delete(r.fns, p.Wid)
-		r.live[p.Wid] = eng.ScheduleAt(p.At, p.Seq, r.wrap(p.Wid, fn))
+		r.live[p.Wid] = eng.ScheduleAt(p.At, p.Seq, r.bind(p.Wid, fn))
 	}
 	for wid := range r.fns {
 		diverge("event %d registered during replay but neither fired nor pending", wid)

@@ -244,46 +244,81 @@ type Stage struct {
 }
 
 // RunStages executes stages sequentially starting now; done fires when the
-// last stage completes.
+// last stage completes. It only reads stages, drawing each thread's work
+// afresh, so a caller may pass the same table on every call.
 func RunStages(ctx *Ctx, stages []Stage, done func(now event.Time)) {
-	var runFrom func(i int, now event.Time)
-	runFrom = func(i int, now event.Time) {
-		if i >= len(stages) {
-			if done != nil {
-				done(now)
-			}
-			return
-		}
-		st := stages[i]
-		next := func(fin event.Time) {
-			if st.PostDelay > 0 {
-				ctx.At(fin+st.PostDelay, func(at event.Time) { runFrom(i+1, at) })
-				return
-			}
-			runFrom(i+1, fin)
-		}
-		if len(st.Threads) == 0 {
-			next(now)
-			return
-		}
-		remaining := len(st.Threads)
-		for _, th := range st.Threads {
-			w := st.Work
-			if st.HeavyP > 0 {
-				w = ctx.HeavyTail(st.Work, st.CV, st.HeavyP, st.HeavyMult)
-			} else {
-				w = ctx.Jitter(st.Work, st.CV)
-			}
-			th.Push(w, func(fin event.Time) {
-				remaining--
-				if remaining == 0 {
-					next(fin)
-				}
-			})
-		}
-	}
-	runFrom(0, ctx.Eng.Now())
+	newPipeline(ctx).start(stages, done)
 }
+
+// pipeline runs one stage table at a time: the running stage's index and its
+// count of unfinished threads live here, and the callbacks that advance it
+// are bound once, so running a stage allocates nothing.
+type pipeline struct {
+	ctx       *Ctx
+	stages    []Stage
+	done      func(now event.Time)
+	stage     int // index of the running stage
+	remaining int // threads of the running stage still working
+
+	threadDone func(now event.Time) // onThreadDone, bound once
+	resume     func(now event.Time) // onResume, bound once
+}
+
+func newPipeline(ctx *Ctx) *pipeline {
+	p := &pipeline{ctx: ctx}
+	p.threadDone, p.resume = p.onThreadDone, p.onResume
+	return p
+}
+
+// start runs stages from the first; the previous run must have finished.
+func (p *pipeline) start(stages []Stage, done func(now event.Time)) {
+	p.stages, p.done = stages, done
+	p.runFrom(0, p.ctx.Eng.Now())
+}
+
+func (p *pipeline) runFrom(i int, now event.Time) {
+	p.stage = i
+	if i >= len(p.stages) {
+		if p.done != nil {
+			p.done(now)
+		}
+		return
+	}
+	st := &p.stages[i]
+	if len(st.Threads) == 0 {
+		p.next(now)
+		return
+	}
+	p.remaining = len(st.Threads)
+	for _, th := range st.Threads {
+		w := st.Work
+		if st.HeavyP > 0 {
+			w = p.ctx.HeavyTail(st.Work, st.CV, st.HeavyP, st.HeavyMult)
+		} else {
+			w = p.ctx.Jitter(st.Work, st.CV)
+		}
+		th.Push(w, p.threadDone)
+	}
+}
+
+func (p *pipeline) onThreadDone(fin event.Time) {
+	p.remaining--
+	if p.remaining == 0 {
+		p.next(fin)
+	}
+}
+
+// next ends the running stage at fin: the following stage starts after the
+// stage's PostDelay, or at once.
+func (p *pipeline) next(fin event.Time) {
+	if d := p.stages[p.stage].PostDelay; d > 0 {
+		p.ctx.At(fin+d, p.resume)
+		return
+	}
+	p.runFrom(p.stage+1, fin)
+}
+
+func (p *pipeline) onResume(at event.Time) { p.runFrom(p.stage+1, at) }
 
 // InteractionConfig drives InteractionLoop.
 type InteractionConfig struct {
@@ -291,8 +326,9 @@ type InteractionConfig struct {
 	// uniform jitter.
 	Think   event.Time
 	ThinkCV float64
-	// Stages produces the interaction's pipeline (called per interaction so
-	// work draws fresh randomness).
+	// Stages returns the interaction's stage table. It is called once per
+	// interaction, and each thread's work is drawn afresh from the table
+	// every time, so it may return the same table on every call.
 	Stages func() []Stage
 	// Boost lists threads whose load is boosted to BoostLoad at each
 	// interaction start — Android's input boost, which makes the responding
@@ -312,41 +348,56 @@ type InteractionConfig struct {
 // each interaction runs the stage pipeline produced by cfg.Stages and its
 // start-to-finish latency is recorded in ctx.Lat.
 func InteractionLoop(ctx *Ctx, cfg InteractionConfig) {
-	boostLoad := cfg.BoostLoad
-	if boostLoad == 0 {
-		boostLoad = 800
+	l := &interactionLoop{ctx: ctx, cfg: cfg, pipe: newPipeline(ctx)}
+	if l.cfg.BoostLoad == 0 {
+		l.cfg.BoostLoad = 800
 	}
-	var next func(now event.Time)
-	next = func(now event.Time) {
-		if now >= ctx.Duration {
-			return
-		}
-		window := cfg.BoostWindow
-		if window == 0 {
-			window = 120 * event.Millisecond
-		}
-		for off := event.Time(0); off <= window; off += 25 * event.Millisecond {
-			ctx.At(now+off, func(event.Time) {
-				if ctx.Rec.replaying() {
-					// Boosts mutate live scheduler state; during replay the
-					// scheduler is restored from the snapshot instead.
-					return
-				}
-				for _, th := range cfg.Boost {
-					th.Task.Boost(boostLoad)
-				}
-			})
-		}
-		start := now
-		RunStages(ctx, cfg.Stages(), func(fin event.Time) {
-			if ctx.Lat != nil && !cfg.Silent {
-				ctx.Lat.Record(fin - start)
-			}
-			think := event.Time(ctx.Jitter(float64(cfg.Think), cfg.ThinkCV))
-			ctx.At(fin+think, next)
-		})
+	if l.cfg.BoostWindow == 0 {
+		l.cfg.BoostWindow = 120 * event.Millisecond
 	}
-	ctx.After(event.Time(ctx.Jitter(float64(cfg.Think/2), 0.5)), next)
+	l.nextFn, l.boostFn, l.doneFn = l.next, l.boost, l.done
+	ctx.After(event.Time(ctx.Jitter(float64(cfg.Think/2), 0.5)), l.nextFn)
+}
+
+// interactionLoop is one InteractionLoop. Its interactions run one at a
+// time, so they share one pipeline and one set of callbacks, bound once.
+type interactionLoop struct {
+	ctx   *Ctx
+	cfg   InteractionConfig
+	pipe  *pipeline
+	start event.Time // when the running interaction began
+
+	nextFn, boostFn, doneFn func(now event.Time)
+}
+
+func (l *interactionLoop) next(now event.Time) {
+	if now >= l.ctx.Duration {
+		return
+	}
+	for off := event.Time(0); off <= l.cfg.BoostWindow; off += 25 * event.Millisecond {
+		l.ctx.At(now+off, l.boostFn)
+	}
+	l.start = now
+	l.pipe.start(l.cfg.Stages(), l.doneFn)
+}
+
+func (l *interactionLoop) boost(event.Time) {
+	if l.ctx.Rec.replaying() {
+		// Boosts mutate live scheduler state; during replay the scheduler
+		// is restored from the snapshot instead.
+		return
+	}
+	for _, th := range l.cfg.Boost {
+		th.Task.Boost(l.cfg.BoostLoad)
+	}
+}
+
+func (l *interactionLoop) done(fin event.Time) {
+	if l.ctx.Lat != nil && !l.cfg.Silent {
+		l.ctx.Lat.Record(fin - l.start)
+	}
+	think := event.Time(l.ctx.Jitter(float64(l.cfg.Think), l.cfg.ThinkCV))
+	l.ctx.At(fin+think, l.nextFn)
 }
 
 // TouchKicks models the Android input booster: while the user is touching
@@ -372,7 +423,7 @@ func TouchKicks(ctx *Ctx, meanGap event.Time) {
 				if cl.Type == platform.Big {
 					floor = 1500 // the booster's big-cluster frequency floor
 				}
-				if cl.CurMHz < floor && len(soc.OnlineCores(cl.Type)) > 0 {
+				if cl.CurMHz < floor && soc.OnlineCount(cl.Type) > 0 {
 					ctx.Sys.SetClusterFreq(ci, floor)
 				}
 			}
