@@ -28,7 +28,7 @@ bench-smoke:
 # GOMAXPROCS because some benchmarks' allocs/op grow with the worker count;
 # the baseline was measured at -cpu 2.
 GATED_CPU = 2
-GATED_BENCH = BenchmarkSingleRun|BenchmarkFig2Speedup|BenchmarkFig3SpecPower|BenchmarkDerivedWarm|BenchmarkDigestOff|BenchmarkDigestOn|BenchmarkForkSweep|BenchmarkExplore|BenchmarkLongSession
+GATED_BENCH = BenchmarkSingleRun|BenchmarkFig2Speedup|BenchmarkFig3SpecPower|BenchmarkDerivedWarm|BenchmarkDigestOff|BenchmarkDigestOn|BenchmarkObserversOn|BenchmarkForkSweep|BenchmarkExplore|BenchmarkLongSession
 
 bench-baseline:
 	go test -run '^$$' -bench '$(GATED_BENCH)' -benchmem -cpu $(GATED_CPU) -count 6 . | tee /tmp/blbench-baseline.txt
@@ -234,6 +234,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/snapshot/
 	go test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/fleet/
 	go test -run '^$$' -fuzz '^FuzzCacheBlob$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/lab/
+	go test -run '^$$' -fuzz '^FuzzParseDump$$' -fuzztime 30s ./internal/xray/
 
 # Regenerate the golden-master corpus after an intentional model change; the
 # resulting testdata/golden diff documents exactly which numbers moved.

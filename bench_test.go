@@ -367,6 +367,23 @@ func BenchmarkDigestOn(b *testing.B) {
 	}
 }
 
+// BenchmarkObserversOn times BenchmarkSingleRun's run with all five
+// observers attached at their default bounds: the on-cost of observing a
+// run, which live sessions pay. Most of what it allocates is the xray ring
+// filling, a span's input and candidate buffers at a time; recording into
+// a full ring allocates nothing.
+func BenchmarkObserversOn(b *testing.B) {
+	app, _ := biglittle.AppByName("fifa15")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg := biglittle.DefaultConfig(app)
+		cfg.Duration = benchOpts.Duration
+		cfg.Telemetry, cfg.Profiler, cfg.Xray = biglittle.NewTelemetry(), biglittle.NewProfiler(), biglittle.NewXray()
+		cfg.Check, cfg.Digest = biglittle.NewAuditor(), biglittle.NewDigestRecorder()
+		biglittle.Run(cfg)
+	}
+}
+
 // --- Extension studies -----------------------------------------------------
 
 // BenchmarkExtTinyCores: the §VI-B tiny-core proposal — average power saving

@@ -1,8 +1,6 @@
 package governor
 
 import (
-	"fmt"
-
 	"biglittle/internal/event"
 	"biglittle/internal/platform"
 	"biglittle/internal/sched"
@@ -107,7 +105,7 @@ func (g *loadSampler) onSample(now event.Time) {
 				}
 				if g.Xray != nil {
 					g.Xray.FreqStep(now, ci, cur, got,
-						fmt.Sprintf("cluster%d %d -> %d MHz", ci, cur, got), g.name,
+						g.Xray.Choice("cluster%d %d -> %d MHz", [3]int{ci, cur, got}, [2]string{}), g.name,
 						[]xray.Input{{Name: "max_util_pct", Value: 100 * maxUtil}},
 						markGovernorChoice(g.xrayCands, best))
 				}

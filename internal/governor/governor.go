@@ -10,8 +10,6 @@
 package governor
 
 import (
-	"fmt"
-
 	"biglittle/internal/event"
 	"biglittle/internal/platform"
 	"biglittle/internal/sched"
@@ -211,7 +209,7 @@ func (g *Interactive) onSample(now event.Time) {
 				}
 				if g.Xray != nil {
 					g.Xray.FreqStep(now, ci, cur, newMHz,
-						fmt.Sprintf("cluster%d %d -> %d MHz", ci, cur, newMHz), reason,
+						g.Xray.Choice("cluster%d %d -> %d MHz", [3]int{ci, cur, newMHz}, [2]string{}), reason,
 						[]xray.Input{
 							{Name: "max_util_pct", Value: 100 * maxUtil},
 							{Name: "target_load", Value: float64(g.Cfg.TargetLoad)},
@@ -226,13 +224,12 @@ func (g *Interactive) onSample(now event.Time) {
 	g.sampleEv = g.sys.Eng.After(g.sample, g.sampleFn)
 }
 
-// markGovernorChoice copies the scratch candidate buffer into a fresh slice
-// for a span, marking the first core whose per-core target equals the
-// cluster's winning target as chosen and rejecting the rest: the cluster
-// shares one clock, so every lower per-core demand is overridden by the max.
-func markGovernorChoice(scratch []xray.Candidate, target int) []xray.Candidate {
-	out := make([]xray.Candidate, len(scratch))
-	copy(out, scratch)
+// markGovernorChoice marks, in place in the scratch candidate buffer, the
+// first core whose per-core target equals the cluster's winning target as
+// chosen and rejects the rest: the cluster shares one clock, so every lower
+// per-core demand is overridden by the max. It returns the buffer, which the
+// tracer copies when it records the span.
+func markGovernorChoice(out []xray.Candidate, target int) []xray.Candidate {
 	// Prefer the core whose target exactly equals the programmed frequency;
 	// when the hold/clamp logic overrode the raw max, fall back to the
 	// highest per-core demand as the driving core.

@@ -3,6 +3,7 @@ package profile
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 )
@@ -42,60 +43,84 @@ func promEscape(v string) string {
 	return strings.ReplaceAll(v, `"`, `\"`)
 }
 
+// appendTask appends the start of a per-task series: the metric and its
+// quoted task label, leaving the label set open.
+func appendTask(b []byte, metric, task string) []byte {
+	return strconv.AppendQuote(append(append(b, metric...), "{task="...), promEscape(task))
+}
+
+// appendFloat appends v the way %g prints it, and a newline.
+func appendFloat(b []byte, v float64) []byte {
+	return append(strconv.AppendFloat(b, v, 'g', -1, 64), '\n')
+}
+
+// appendGauge appends one per-task line: the series with the task label
+// and labels, then v.
+func appendGauge(b []byte, metric, task, labels string, v float64) []byte {
+	return appendFloat(append(append(appendTask(b, metric, task), labels...), "} "...), v)
+}
+
 // WritePrometheus renders the snapshot's per-task attribution as Prometheus
 // text-format gauges, labelled by task (and core type / MHz where it
 // applies). blserve appends this to the telemetry registry's exposition on
-// /metrics.
+// /metrics. The text is appended into one buffer, sized from the task table
+// up front.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
-	var b strings.Builder
-
-	b.WriteString("# HELP biglittle_task_run_seconds Per-task run time split by core type.\n")
-	b.WriteString("# TYPE biglittle_task_run_seconds gauge\n")
+	size := 1024
 	for _, t := range s.Tasks {
-		name := promEscape(t.Name)
-		fmt.Fprintf(&b, "biglittle_task_run_seconds{task=%q,type=\"big\"} %g\n", name, t.BigRunNs.Seconds())
-		fmt.Fprintf(&b, "biglittle_task_run_seconds{task=%q,type=\"little\"} %g\n", name, t.LittleRunNs.Seconds())
+		size += (8 + len(t.Residency)) * (128 + 2*len(t.Name))
+	}
+	b := make([]byte, 0, size)
+
+	b = append(b, "# HELP biglittle_task_run_seconds Per-task run time split by core type.\n"...)
+	b = append(b, "# TYPE biglittle_task_run_seconds gauge\n"...)
+	for _, t := range s.Tasks {
+		b = appendGauge(b, "biglittle_task_run_seconds", t.Name, `,type="big"`, t.BigRunNs.Seconds())
+		b = appendGauge(b, "biglittle_task_run_seconds", t.Name, `,type="little"`, t.LittleRunNs.Seconds())
 		if t.TinyRunNs > 0 {
-			fmt.Fprintf(&b, "biglittle_task_run_seconds{task=%q,type=\"tiny\"} %g\n", name, t.TinyRunNs.Seconds())
+			b = appendGauge(b, "biglittle_task_run_seconds", t.Name, `,type="tiny"`, t.TinyRunNs.Seconds())
 		}
 	}
 
-	b.WriteString("# HELP biglittle_task_wait_seconds Per-task runnable-wait (schedstat run_delay).\n")
-	b.WriteString("# TYPE biglittle_task_wait_seconds gauge\n")
+	b = append(b, "# HELP biglittle_task_wait_seconds Per-task runnable-wait (schedstat run_delay).\n"...)
+	b = append(b, "# TYPE biglittle_task_wait_seconds gauge\n"...)
 	for _, t := range s.Tasks {
-		fmt.Fprintf(&b, "biglittle_task_wait_seconds{task=%q} %g\n", promEscape(t.Name), t.WaitNs.Seconds())
+		b = appendGauge(b, "biglittle_task_wait_seconds", t.Name, "", t.WaitNs.Seconds())
 	}
 
-	b.WriteString("# HELP biglittle_task_energy_millijoules Per-task attributed system energy.\n")
-	b.WriteString("# TYPE biglittle_task_energy_millijoules gauge\n")
+	b = append(b, "# HELP biglittle_task_energy_millijoules Per-task attributed system energy.\n"...)
+	b = append(b, "# TYPE biglittle_task_energy_millijoules gauge\n"...)
 	for _, t := range s.Tasks {
-		fmt.Fprintf(&b, "biglittle_task_energy_millijoules{task=%q} %g\n", promEscape(t.Name), t.EnergyMJ)
+		b = appendGauge(b, "biglittle_task_energy_millijoules", t.Name, "", t.EnergyMJ)
 	}
 
-	b.WriteString("# HELP biglittle_task_migrations_total Per-task migrations by direction.\n")
-	b.WriteString("# TYPE biglittle_task_migrations_total gauge\n")
+	b = append(b, "# HELP biglittle_task_migrations_total Per-task migrations by direction.\n"...)
+	b = append(b, "# TYPE biglittle_task_migrations_total gauge\n"...)
 	for _, t := range s.Tasks {
-		name := promEscape(t.Name)
-		fmt.Fprintf(&b, "biglittle_task_migrations_total{task=%q,direction=\"up\"} %d\n", name, t.UpMigrations)
-		fmt.Fprintf(&b, "biglittle_task_migrations_total{task=%q,direction=\"down\"} %d\n", name, t.DownMigrations)
+		b = append(appendTask(b, "biglittle_task_migrations_total", t.Name), `,direction="up"} `...)
+		b = append(strconv.AppendInt(b, int64(t.UpMigrations), 10), '\n')
+		b = append(appendTask(b, "biglittle_task_migrations_total", t.Name), `,direction="down"} `...)
+		b = append(strconv.AppendInt(b, int64(t.DownMigrations), 10), '\n')
 	}
 
-	b.WriteString("# HELP biglittle_task_residency_seconds Per-task run time at each (core type, MHz).\n")
-	b.WriteString("# TYPE biglittle_task_residency_seconds gauge\n")
+	b = append(b, "# HELP biglittle_task_residency_seconds Per-task run time at each (core type, MHz).\n"...)
+	b = append(b, "# TYPE biglittle_task_residency_seconds gauge\n"...)
 	for _, t := range s.Tasks {
-		name := promEscape(t.Name)
 		for _, r := range t.Residency {
-			fmt.Fprintf(&b, "biglittle_task_residency_seconds{task=%q,type=%q,mhz=\"%d\"} %g\n",
-				name, r.Type, r.MHz, r.Ns.Seconds())
+			b = append(appendTask(b, "biglittle_task_residency_seconds", t.Name), ",type="...)
+			b = append(strconv.AppendQuote(b, r.Type), `,mhz="`...)
+			b = append(strconv.AppendInt(b, int64(r.MHz), 10), `"} `...)
+			b = appendFloat(b, r.Ns.Seconds())
 		}
 	}
 
-	b.WriteString("# HELP biglittle_profile_unattributed_millijoules Idle and base-rail energy no task ran under.\n")
-	b.WriteString("# TYPE biglittle_profile_unattributed_millijoules gauge\n")
-	fmt.Fprintf(&b, "biglittle_profile_unattributed_millijoules %g\n", s.UnattributedMJ)
-	fmt.Fprintf(&b, "# TYPE biglittle_profile_attributed_millijoules gauge\nbiglittle_profile_attributed_millijoules %g\n", s.AttributedMJ)
+	b = append(b, "# HELP biglittle_profile_unattributed_millijoules Idle and base-rail energy no task ran under.\n"...)
+	b = append(b, "# TYPE biglittle_profile_unattributed_millijoules gauge\n"...)
+	b = appendFloat(append(b, "biglittle_profile_unattributed_millijoules "...), s.UnattributedMJ)
+	b = append(b, "# TYPE biglittle_profile_attributed_millijoules gauge\n"...)
+	b = appendFloat(append(b, "biglittle_profile_attributed_millijoules "...), s.AttributedMJ)
 
-	_, err := io.WriteString(w, b.String())
+	_, err := w.Write(b)
 	return err
 }
 

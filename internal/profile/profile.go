@@ -34,7 +34,9 @@
 package profile
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"biglittle/internal/event"
 	"biglittle/internal/platform"
@@ -332,7 +334,10 @@ type Snapshot struct {
 }
 
 // Snapshot returns a copy of the current attribution tables; elapsed is the
-// simulated time covered (used to derive per-task sleep time).
+// simulated time covered (used to derive per-task sleep time). The caller
+// owns the copy: the profiler never writes to it again. It is built in two
+// allocations however many tasks there are: the task table, and one array
+// that every task's Residency is carved from.
 func (p *Profiler) Snapshot(elapsed event.Time) Snapshot {
 	s := Snapshot{ElapsedNs: elapsed}
 	if p == nil {
@@ -342,6 +347,15 @@ func (p *Profiler) Snapshot(elapsed event.Time) Snapshot {
 	s.UnattributedMJ = p.unattributedMJ
 	s.TotalEnergyMJ = p.attributedMJ + p.unattributedMJ
 	s.Intervals = p.intervals
+	var nTasks, nSlots int
+	for _, t := range p.tasks {
+		if t != nil {
+			nTasks++
+			nSlots += len(t.residency)
+		}
+	}
+	s.Tasks = make([]TaskSnapshot, 0, nTasks)
+	slots := make([]ResidencySlot, 0, nSlots)
 	for _, t := range p.tasks {
 		if t == nil {
 			continue
@@ -370,22 +384,22 @@ func (p *Profiler) Snapshot(elapsed event.Time) Snapshot {
 		if sleep := elapsed - ts.RunNs - ts.WaitNs; sleep > 0 {
 			ts.SleepNs = sleep
 		}
-		for k, ns := range t.residency {
-			ts.Residency = append(ts.Residency, ResidencySlot{Type: k.typ.String(), MHz: k.mhz, Ns: ns})
-		}
-		sort.Slice(ts.Residency, func(i, j int) bool {
-			if ts.Residency[i].Type != ts.Residency[j].Type {
-				return ts.Residency[i].Type < ts.Residency[j].Type
+		if len(t.residency) > 0 {
+			start := len(slots)
+			for k, ns := range t.residency {
+				slots = append(slots, ResidencySlot{Type: k.typ.String(), MHz: k.mhz, Ns: ns})
 			}
-			return ts.Residency[i].MHz < ts.Residency[j].MHz
-		})
+			// The full slice expression caps each task's cells, so that an
+			// append to one task's Residency cannot overwrite the next's.
+			ts.Residency = slots[start:len(slots):len(slots)]
+			slices.SortFunc(ts.Residency, func(a, b ResidencySlot) int {
+				return cmp.Or(strings.Compare(a.Type, b.Type), cmp.Compare(a.MHz, b.MHz))
+			})
+		}
 		s.Tasks = append(s.Tasks, ts)
 	}
-	sort.Slice(s.Tasks, func(i, j int) bool {
-		if s.Tasks[i].EnergyMJ != s.Tasks[j].EnergyMJ {
-			return s.Tasks[i].EnergyMJ > s.Tasks[j].EnergyMJ
-		}
-		return s.Tasks[i].ID < s.Tasks[j].ID
+	slices.SortFunc(s.Tasks, func(a, b TaskSnapshot) int {
+		return cmp.Or(cmp.Compare(b.EnergyMJ, a.EnergyMJ), cmp.Compare(a.ID, b.ID))
 	})
 	return s
 }

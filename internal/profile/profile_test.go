@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -153,6 +154,38 @@ func TestSnapshotOrderAndRendering(t *testing.T) {
 		if !strings.Contains(b.String(), want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, b.String())
 		}
+	}
+}
+
+// TestSnapshotOwnsItsStorage checks that a snapshot belongs to its caller:
+// the next snapshot, taken after more runs, leaves it unchanged, and an
+// append to one task's Residency cannot write into another's, though all
+// are carved from one array.
+func TestSnapshotOwnsItsStorage(t *testing.T) {
+	p := New()
+	for id, name := range []string{"a", "b", "c"} {
+		p.OnRun(id, name, id, platform.Little, 800, ms, ms)
+		p.OnRun(id, name, 4, platform.Big, 1800, ms, 2*ms)
+	}
+	p.OnPowerInterval(10*ms, 40, []CorePower{{Core: 0, MW: 10}, {Core: 1, MW: 20}, {Core: 4, MW: 500}})
+	first := p.Snapshot(10 * ms)
+	want, err := json.Marshal(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, name := range []string{"a", "b", "c", "d"} {
+		p.OnRun(id, name, id, platform.Little, 1300, 3*ms, 12*ms)
+	}
+	p.OnPowerInterval(10*ms, 40, []CorePower{{Core: 0, MW: 30}, {Core: 3, MW: 30}})
+	p.Snapshot(20 * ms)
+	if got, _ := json.Marshal(first); string(got) != string(want) {
+		t.Fatalf("a snapshot changed when the next was taken:\nwas %s\nnow %s", want, got)
+	}
+	for _, ts := range first.Tasks {
+		_ = append(ts.Residency, ResidencySlot{Type: "tiny", MHz: 1})
+	}
+	if got, _ := json.Marshal(first); string(got) != string(want) {
+		t.Fatalf("appending to one task's Residency overwrote another's:\nwas %s\nnow %s", want, got)
 	}
 }
 

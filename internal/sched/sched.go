@@ -217,6 +217,9 @@ type System struct {
 	// linked into chains. Nil disables causal tracing at the cost of one
 	// pointer check per decision (see internal/sched/xray.go).
 	Xray *xray.Tracer
+	// xrayCands is the candidate table xrayCandidates fills for each span,
+	// allocated on the first traced decision and reused after that.
+	xrayCands []xray.Candidate
 
 	// tickSubs are the OnTick subscribers, in subscription order.
 	tickSubs []func(now event.Time)

@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"fmt"
-
 	"biglittle/internal/event"
 	"biglittle/internal/platform"
 	"biglittle/internal/xray"
@@ -31,10 +29,11 @@ const (
 // chosen won as the task's idle previous CPU (cache affinity), in which case
 // same-tier peers lose to affinity rather than queue depth. adjust maps a
 // core ID to a queue-length correction so callers can report pre-decision
-// depths after the queues already changed.
+// depths after the queues already changed. The table is the system's
+// scratch buffer, valid until the next call; the tracer copies it.
 func (s *System) xrayCandidates(chosen *cpu, affinity bool, src int, adjust func(id int) int) []xray.Candidate {
 	chosenTier := chosen.typ.Tier()
-	cands := make([]xray.Candidate, 0, len(s.cpus))
+	cands := s.xrayCands[:0]
 	for _, c := range s.cpus {
 		qlen := len(c.queue) + adjust(c.id)
 		cand := xray.Candidate{Core: c.id, Type: c.typ.String(), QueueLen: qlen}
@@ -58,6 +57,7 @@ func (s *System) xrayCandidates(chosen *cpu, affinity bool, src int, adjust func
 		}
 		cands = append(cands, cand)
 	}
+	s.xrayCands = cands
 	return cands
 }
 
@@ -70,7 +70,7 @@ func noAdjust(int) int { return 0 }
 func (s *System) xrayWake(t *Task, c *cpu, prevCPU int, now event.Time, reason string) {
 	if t.pinned >= 0 {
 		s.Xray.Wake(now, t.ID, t.Name, c.id, s.SoC.Cores[c.id].Cluster,
-			fmt.Sprintf("woke pinned on cpu%d", c.id), reason,
+			s.Xray.Choice("woke pinned on cpu%d", [3]int{c.id}, [2]string{}), reason,
 			[]xray.Input{
 				{Name: "load", Value: float64(t.Load())},
 				{Name: "pinned", Value: float64(t.pinned)},
@@ -101,7 +101,7 @@ func (s *System) xrayWake(t *Task, c *cpu, prevCPU int, now event.Time, reason s
 	}
 	affinity := prevCPU == c.id && len(c.queue) == 0
 	s.Xray.Wake(now, t.ID, t.Name, c.id, s.SoC.Cores[c.id].Cluster,
-		fmt.Sprintf("woke on cpu%d (%s)", c.id, c.typ), reason,
+		s.Xray.Choice("woke on cpu%d (%s)", [3]int{c.id}, [2]string{c.typ.String()}), reason,
 		[]xray.Input{
 			{Name: "load", Value: float64(t.Load())},
 			{Name: "up_threshold", Value: float64(s.Cfg.UpThreshold)},
@@ -130,7 +130,7 @@ func (s *System) xrayMigrate(t *Task, src, dst *cpu, now event.Time, reason stri
 	// No affinity flag here: at migration time the task's previous CPU is the
 	// source it is leaving, so cache affinity never picks the destination.
 	s.Xray.Migration(now, t.ID, t.Name, src.id, dst.id, s.SoC.Cores[dst.id].Cluster,
-		fmt.Sprintf("cpu%d (%s) -> cpu%d (%s)", src.id, src.typ, dst.id, dst.typ), reason,
+		s.Xray.Choice("cpu%d (%s) -> cpu%d (%s)", [3]int{src.id, dst.id}, [2]string{src.typ.String(), dst.typ.String()}), reason,
 		[]xray.Input{
 			{Name: "load", Value: float64(t.Load())},
 			{Name: "up_threshold", Value: float64(s.Cfg.UpThreshold)},
@@ -151,6 +151,6 @@ func (s *System) xrayHotplug(id int, online bool, queued int, now event.Time, re
 		state = "online"
 	}
 	s.Xray.Hotplug(now, id, s.SoC.Cores[id].Cluster,
-		fmt.Sprintf("cpu%d %s", id, state), reason,
+		s.Xray.Choice("cpu%d %s", [3]int{id}, [2]string{state}), reason,
 		[]xray.Input{{Name: "evicted", Value: float64(queued)}})
 }

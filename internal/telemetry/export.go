@@ -137,7 +137,7 @@ func (c *Collector) JSON() ([]byte, error) {
 			d.Gauges[name] = g.Value()
 		}
 		c.regMu.RUnlock()
-		d.Dropped = c.dropped
+		d.Dropped = c.Dropped()
 	}
 	return json.MarshalIndent(d, "", "  ")
 }

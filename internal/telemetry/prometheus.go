@@ -1,29 +1,30 @@
 package telemetry
 
 import (
-	"fmt"
+	"cmp"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
-// promName sanitizes an arbitrary registry name into a Prometheus metric
-// name component: [a-zA-Z0-9_], everything else collapsed to '_'.
-func promName(name string) string {
-	var b strings.Builder
+// appendPromName appends name sanitized into a Prometheus metric name
+// component: [a-zA-Z0-9_], everything else collapsed to '_'.
+func appendPromName(b []byte, name string) []byte {
+	start := len(b)
 	for i, r := range name {
 		ok := r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
 			(r >= '0' && r <= '9' && i > 0)
 		if ok {
-			b.WriteRune(r)
+			b = append(b, byte(r))
 		} else {
-			b.WriteByte('_')
+			b = append(b, '_')
 		}
 	}
-	if b.Len() == 0 {
-		return "_"
+	if len(b) == start {
+		b = append(b, '_')
 	}
-	return b.String()
+	return b
 }
 
 // promLabel escapes a Prometheus label value.
@@ -31,6 +32,32 @@ func promLabel(v string) string {
 	v = strings.ReplaceAll(v, `\`, `\\`)
 	v = strings.ReplaceAll(v, "\n", `\n`)
 	return strings.ReplaceAll(v, `"`, `\"`)
+}
+
+// appendMetric appends "biglittle_" + the sanitized name + suffix.
+func appendMetric(b []byte, name, suffix string) []byte {
+	b = appendPromName(append(b, "biglittle_"...), name)
+	return append(b, suffix...)
+}
+
+// promSize bounds the length of the exposition, so that WritePrometheus
+// renders it into a buffer allocated once. A sanitized name is no longer
+// than its registry name plus one byte. The caller holds regMu.
+func (c *Collector) promSize() int {
+	n := 1024 + int(numKinds)*64 + len(c.freq)*128
+	for rk := range c.reasons {
+		n += 96 + 2*len(rk.Reason)
+	}
+	for name := range c.counters {
+		n += 2*len(name) + 80
+	}
+	for name := range c.gauges {
+		n += 2*len(name) + 80
+	}
+	for name := range c.hists {
+		n += 7*len(name) + 330
+	}
+	return n
 }
 
 // WritePrometheus renders the collector's aggregates and metrics registry in
@@ -50,69 +77,85 @@ func promLabel(v string) string {
 // counters, gauges, histograms) is safe to export while parallel lab
 // workers update counters and gauges; the event aggregates assume the
 // single-threaded engine has quiesced or is serialized by the caller.
+//
+// A scrape allocates the same few objects however many series it covers:
+// the text is appended into one buffer, and the keys of each section are
+// sorted in one slice.
 func (c *Collector) WritePrometheus(w io.Writer) error {
 	if c == nil {
 		return nil
 	}
-	var b strings.Builder
+	c.regMu.RLock()
+	b := make([]byte, 0, c.promSize())
 
-	b.WriteString("# HELP biglittle_events_total Telemetry events emitted, by kind.\n")
-	b.WriteString("# TYPE biglittle_events_total counter\n")
-	for _, k := range Kinds() {
-		fmt.Fprintf(&b, "biglittle_events_total{kind=%q} %d\n", k.String(), c.counts[k])
+	b = append(b, "# HELP biglittle_events_total Telemetry events emitted, by kind.\n"...)
+	b = append(b, "# TYPE biglittle_events_total counter\n"...)
+	for k := Kind(0); k < numKinds; k++ {
+		b = append(b, "biglittle_events_total{kind="...)
+		b = strconv.AppendQuote(b, k.String())
+		b = append(b, "} "...)
+		b = strconv.AppendInt(b, c.counts[k], 10)
+		b = append(b, '\n')
 	}
 
 	if len(c.reasons) > 0 {
-		b.WriteString("# HELP biglittle_event_reasons_total Telemetry events by kind and reason.\n")
-		b.WriteString("# TYPE biglittle_event_reasons_total counter\n")
+		b = append(b, "# HELP biglittle_event_reasons_total Telemetry events by kind and reason.\n"...)
+		b = append(b, "# TYPE biglittle_event_reasons_total counter\n"...)
 		keys := make([]reasonKey, 0, len(c.reasons))
 		for rk := range c.reasons {
 			keys = append(keys, rk)
 		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].Kind != keys[j].Kind {
-				return keys[i].Kind < keys[j].Kind
-			}
-			return keys[i].Reason < keys[j].Reason
+		slices.SortFunc(keys, func(a, b reasonKey) int {
+			return cmp.Or(cmp.Compare(a.Kind, b.Kind), strings.Compare(a.Reason, b.Reason))
 		})
 		for _, rk := range keys {
-			fmt.Fprintf(&b, "biglittle_event_reasons_total{kind=%q,reason=%q} %d\n",
-				rk.Kind.String(), promLabel(rk.Reason), c.reasons[rk])
+			b = append(b, "biglittle_event_reasons_total{kind="...)
+			b = strconv.AppendQuote(b, rk.Kind.String())
+			b = append(b, ",reason="...)
+			b = strconv.AppendQuote(b, promLabel(rk.Reason))
+			b = append(b, "} "...)
+			b = strconv.AppendInt(b, c.reasons[rk], 10)
+			b = append(b, '\n')
 		}
 	}
 
 	if len(c.freq) > 0 {
-		b.WriteString("# HELP biglittle_freq_transitions_total Cluster frequency transitions, by target MHz.\n")
-		b.WriteString("# TYPE biglittle_freq_transitions_total counter\n")
+		b = append(b, "# HELP biglittle_freq_transitions_total Cluster frequency transitions, by target MHz.\n"...)
+		b = append(b, "# TYPE biglittle_freq_transitions_total counter\n"...)
 		keys := make([]freqKey, 0, len(c.freq))
 		for fk := range c.freq {
 			keys = append(keys, fk)
 		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].Cluster != keys[j].Cluster {
-				return keys[i].Cluster < keys[j].Cluster
-			}
-			return keys[i].MHz < keys[j].MHz
+		slices.SortFunc(keys, func(a, b freqKey) int {
+			return cmp.Or(cmp.Compare(a.Cluster, b.Cluster), cmp.Compare(a.MHz, b.MHz))
 		})
 		for _, fk := range keys {
-			fmt.Fprintf(&b, "biglittle_freq_transitions_total{cluster=\"%d\",mhz=\"%d\"} %d\n",
-				fk.Cluster, fk.MHz, c.freq[fk])
+			b = append(b, `biglittle_freq_transitions_total{cluster="`...)
+			b = strconv.AppendInt(b, int64(fk.Cluster), 10)
+			b = append(b, `",mhz="`...)
+			b = strconv.AppendInt(b, int64(fk.MHz), 10)
+			b = append(b, `"} `...)
+			b = strconv.AppendInt(b, c.freq[fk], 10)
+			b = append(b, '\n')
 		}
 	}
 
-	b.WriteString("# HELP biglittle_events_dropped_total Events evicted from the bounded buffer (aggregates stay exact).\n")
-	b.WriteString("# TYPE biglittle_events_dropped_total counter\n")
-	fmt.Fprintf(&b, "biglittle_events_dropped_total %d\n", c.dropped)
+	b = append(b, "# HELP biglittle_events_dropped_total Events evicted from the bounded buffer (aggregates stay exact).\n"...)
+	b = append(b, "# TYPE biglittle_events_dropped_total counter\n"...)
+	b = append(b, "biglittle_events_dropped_total "...)
+	b = strconv.AppendInt(b, int64(c.Dropped()), 10)
+	b = append(b, '\n')
 
-	c.regMu.RLock()
-	names := make([]string, 0, len(c.counters))
+	names := make([]string, 0, max(len(c.counters), len(c.gauges), len(c.hists)))
 	for name := range c.counters {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, name := range names {
-		mn := "biglittle_" + promName(name) + "_total"
-		fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", mn, mn, c.counters[name].Value())
+		b = appendMetric(append(b, "# TYPE "...), name, "_total counter\n")
+		b = appendMetric(b, name, "_total ")
+		b = strconv.AppendInt(b, c.counters[name].Value(), 10)
+		b = append(b, '\n')
 	}
 
 	names = names[:0]
@@ -121,28 +164,35 @@ func (c *Collector) WritePrometheus(w io.Writer) error {
 			names = append(names, name)
 		}
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, name := range names {
-		mn := "biglittle_" + promName(name)
-		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %g\n", mn, mn, c.gauges[name].Value())
+		b = appendMetric(append(b, "# TYPE "...), name, " gauge\n")
+		b = appendMetric(b, name, " ")
+		b = strconv.AppendFloat(b, c.gauges[name].Value(), 'g', -1, 64)
+		b = append(b, '\n')
 	}
 
 	names = names[:0]
 	for name := range c.hists {
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, name := range names {
 		h := c.hists[name]
-		mn := "biglittle_" + promName(name)
-		fmt.Fprintf(&b, "# TYPE %s summary\n", mn)
-		for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
-			fmt.Fprintf(&b, "%s{quantile=\"%g\"} %g\n", mn, q, h.Quantile(q))
+		b = appendMetric(append(b, "# TYPE "...), name, " summary\n")
+		for _, q := range [...]float64{0.5, 0.9, 0.95, 0.99} {
+			b = strconv.AppendFloat(appendMetric(b, name, `{quantile="`), q, 'g', -1, 64)
+			b = strconv.AppendFloat(append(b, `"} `...), h.Quantile(q), 'g', -1, 64)
+			b = append(b, '\n')
 		}
-		fmt.Fprintf(&b, "%s_sum %g\n%s_count %d\n", mn, h.sum, mn, h.Count())
+		b = appendMetric(b, name, "_sum ")
+		b = strconv.AppendFloat(b, h.sum, 'g', -1, 64)
+		b = appendMetric(append(b, '\n'), name, "_count ")
+		b = strconv.AppendInt(b, int64(h.Count()), 10)
+		b = append(b, '\n')
 	}
 	c.regMu.RUnlock()
 
-	_, err := io.WriteString(w, b.String())
+	_, err := w.Write(b)
 	return err
 }

@@ -67,8 +67,8 @@ func TestPromName(t *testing.T) {
 		"9lives":          "_lives",
 		"a.b-c":           "a_b_c",
 	} {
-		if got := promName(in); got != want {
-			t.Errorf("promName(%q) = %q, want %q", in, got, want)
+		if got := string(appendPromName(nil, in)); got != want {
+			t.Errorf("appendPromName(%q) = %q, want %q", in, got, want)
 		}
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 
 	"biglittle/internal/event"
+	"biglittle/internal/ring"
 )
 
 // Kind classifies a telemetry event.
@@ -145,7 +146,7 @@ type Event struct {
 	Value float64 `json:"value,omitempty"`
 }
 
-// DefaultMaxEvents bounds the in-memory event buffer (~12 MB of events).
+// DefaultMaxEvents bounds the in-memory event buffer (~10 MB of events).
 // Counters, reason tallies, and the frequency-transition histogram stay
 // exact even after the buffer starts dropping its oldest entries.
 const DefaultMaxEvents = 100_000
@@ -171,9 +172,7 @@ type Collector struct {
 	// streaming subscriber for exporters that do not want buffering.
 	OnEvent func(Event)
 
-	events  []Event
-	head    int // ring start once the buffer is full
-	dropped int
+	events ring.Ring[Event]
 
 	counts  [numKinds]int64
 	reasons map[reasonKey]int64
@@ -203,7 +202,9 @@ func NewCollector() *Collector {
 func (c *Collector) Enabled() bool { return c != nil }
 
 // Emit records one event: aggregates always, the event buffer up to
-// MaxEvents (oldest entries dropped beyond that). Safe on nil.
+// MaxEvents (oldest entries dropped beyond that). Once the buffer is full,
+// and every (kind, reason) and frequency seen before, Emit allocates
+// nothing. Safe on nil.
 func (c *Collector) Emit(ev Event) {
 	if c == nil {
 		return
@@ -223,31 +224,22 @@ func (c *Collector) Emit(ev Event) {
 		}
 		c.freq[freqKey{ev.Cluster, ev.MHz}]++
 	}
-	max := c.MaxEvents
-	if max == 0 {
-		max = DefaultMaxEvents
-	}
-	switch {
-	case max < 0 || len(c.events) < max:
-		c.events = append(c.events, ev)
-	default:
-		c.events[c.head] = ev
-		c.head = (c.head + 1) % max
-		c.dropped++
-	}
+	*c.events.Next(c.MaxEvents, DefaultMaxEvents) = ev
 	if c.OnEvent != nil {
 		c.OnEvent(ev)
 	}
 }
 
-// Events returns the buffered events in emission order (a copy).
+// Events returns the buffered events in emission order, as a copy that
+// later events never change.
 func (c *Collector) Events() []Event {
-	if c == nil || len(c.events) == 0 {
+	if c == nil || c.events.Len() == 0 {
 		return nil
 	}
-	out := make([]Event, 0, len(c.events))
-	out = append(out, c.events[c.head:]...)
-	out = append(out, c.events[:c.head]...)
+	out := make([]Event, c.events.Len())
+	for i := range out {
+		out[i] = *c.events.At(i)
+	}
 	return out
 }
 
@@ -256,7 +248,7 @@ func (c *Collector) Dropped() int {
 	if c == nil {
 		return 0
 	}
-	return c.dropped
+	return c.events.Dropped()
 }
 
 // Count returns the exact number of events of kind emitted so far.
@@ -526,8 +518,8 @@ func (c *Collector) Summary(duration event.Time) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "telemetry: %d events", c.TotalEvents())
-	if c.dropped > 0 {
-		fmt.Fprintf(&b, " (%d oldest dropped from the %d-entry buffer; aggregates exact)", c.dropped, len(c.events))
+	if c.Dropped() > 0 {
+		fmt.Fprintf(&b, " (%d oldest dropped from the %d-entry buffer; aggregates exact)", c.Dropped(), c.events.Len())
 	}
 	b.WriteString("\n")
 

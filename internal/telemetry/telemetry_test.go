@@ -3,8 +3,11 @@ package telemetry
 import (
 	"encoding/csv"
 	"encoding/json"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"biglittle/internal/event"
 )
@@ -88,6 +91,66 @@ func TestRingBufferDropsOldestKeepsAggregates(t *testing.T) {
 	// Aggregates survive the drops.
 	if c.Count(KindMigration) != 10 || c.CountReason(KindMigration, ReasonUpThreshold) != 10 {
 		t.Fatal("aggregates lost dropped events")
+	}
+}
+
+// TestEventsCopyOutlivesWrap checks that Events returns a copy: taken
+// before the ring wraps, it is unchanged by 2x MaxEvents further events.
+func TestEventsCopyOutlivesWrap(t *testing.T) {
+	const max = 50
+	c := NewCollector()
+	c.MaxEvents = max
+	for i := 0; i < max; i++ {
+		c.Emit(migAt(event.Time(i), ReasonUpThreshold))
+	}
+	evs := c.Events()
+	want := append([]Event(nil), evs...)
+	for i := max; i < 3*max; i++ {
+		c.Emit(migAt(event.Time(i), ReasonDownThreshold))
+	}
+	if !reflect.DeepEqual(evs, want) {
+		t.Fatalf("Events taken before the ring wrapped changed after %d more events", 2*max)
+	}
+	if got := c.Events()[0].At; got != 2*max {
+		t.Fatalf("oldest retained event at %v, want %v", got, event.Time(2*max))
+	}
+}
+
+// TestEventRingAllocatesWhatItKeeps bounds what filling the default ring
+// costs: emitting 3x DefaultMaxEvents events allocates at most 1.1x the
+// bytes the full ring retains, where an append-grown slice would allocate
+// about 5x.
+func TestEventRingAllocatesWhatItKeeps(t *testing.T) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	c := NewCollector()
+	for i := 0; i < 3*DefaultMaxEvents; i++ {
+		c.Emit(migAt(event.Time(i), ReasonUpThreshold))
+	}
+	runtime.ReadMemStats(&ms)
+	kept := float64(DefaultMaxEvents * unsafe.Sizeof(Event{}))
+	if got := float64(ms.TotalAlloc - before); got > 1.1*kept {
+		t.Fatalf("emitting %d events allocated %.1f MB to keep %.1f MB (%.2fx), want at most 1.1x",
+			3*DefaultMaxEvents, got/1e6, kept/1e6, got/kept)
+	}
+}
+
+// TestFullRingEmitsWithoutAllocating pins Emit's budget: once the ring is
+// full and its (kind, reason) and frequency have been seen, recording an
+// event allocates nothing.
+func TestFullRingEmitsWithoutAllocating(t *testing.T) {
+	c := NewCollector()
+	c.MaxEvents = 16
+	emit := func() {
+		c.Emit(migAt(event.Millisecond, ReasonUpThreshold))
+		c.Emit(Event{Kind: KindFreq, Task: -1, Core: -1, FromCore: -1, Cluster: 1, MHz: 1400})
+	}
+	for i := 0; i < 16; i++ {
+		emit()
+	}
+	if allocs := testing.AllocsPerRun(100, emit); allocs != 0 {
+		t.Fatalf("emitting into a full ring: %.1f allocs per two events, want 0", allocs)
 	}
 }
 

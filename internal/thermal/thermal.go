@@ -8,8 +8,6 @@
 package thermal
 
 import (
-	"fmt"
-
 	"biglittle/internal/event"
 	"biglittle/internal/platform"
 	"biglittle/internal/power"
@@ -169,7 +167,7 @@ func (m *Model) onSample(now event.Time) {
 				}
 				if m.Xray != nil {
 					m.Xray.Throttle(now, ci, newCap,
-						fmt.Sprintf("cap cluster%d at %d MHz", ci, newCap),
+						m.Xray.Choice("cap cluster%d at %d MHz", [3]int{ci, newCap}, [2]string{}),
 						telemetry.ReasonThrottle,
 						[]xray.Input{
 							{Name: "temp_c", Value: m.TempC[ci]},
@@ -196,9 +194,11 @@ func (m *Model) onSample(now event.Time) {
 				})
 			}
 			if m.Xray != nil {
-				choice := fmt.Sprintf("raise cluster%d cap to %d MHz", ci, cl.CapMHz)
+				var choice string
 				if cl.CapMHz == 0 {
-					choice = fmt.Sprintf("release cluster%d cap", ci)
+					choice = m.Xray.Choice("release cluster%d cap", [3]int{ci}, [2]string{})
+				} else {
+					choice = m.Xray.Choice("raise cluster%d cap to %d MHz", [3]int{ci, cl.CapMHz}, [2]string{})
 				}
 				m.Xray.Throttle(now, ci, cl.CapMHz, choice, telemetry.ReasonRelease,
 					[]xray.Input{

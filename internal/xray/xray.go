@@ -18,14 +18,20 @@
 //
 // Memory is bounded: the tracer is a flight recorder keeping the most
 // recent MaxSpans decisions in a ring; causal links to spans that have
-// fallen out of the ring simply terminate the walk.
+// fallen out of the ring simply terminate the walk. Each ring slot owns the
+// storage its span's inputs and candidates are copied into, and reuses it
+// when the ring wraps, so once the ring is full an attached tracer records
+// a decision without allocating.
 package xray
 
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"biglittle/internal/event"
+	"biglittle/internal/ring"
 )
 
 // Kind classifies a decision span.
@@ -159,10 +165,11 @@ type Tracer struct {
 	// unbounded).
 	MaxSpans int
 
-	spans   []Span
-	head    int // ring start once the buffer is full
-	dropped int64
-	nextID  int64
+	spans  ring.Ring[slot]
+	nextID int64
+
+	// choices holds every choice string Choice has rendered.
+	choices map[choiceKey]string
 
 	// Causal-link state: the last relevant span ID per task / cluster.
 	lastByTask         map[int]int64
@@ -171,9 +178,19 @@ type Tracer struct {
 	lastThermByCluster map[int]int64
 }
 
+// slot is one ring entry: a span, and the buffers its Inputs and Candidates
+// are copied into. The buffers outlive the span, so a span recorded over it
+// when the ring wraps reuses them.
+type slot struct {
+	span   Span
+	inputs []Input
+	cands  []Candidate
+}
+
 // New returns an enabled tracer with the default ring bound.
 func New() *Tracer {
 	return &Tracer{
+		choices:            map[choiceKey]string{},
 		lastByTask:         map[int]int64{},
 		lastTaskByCluster:  map[int]int64{},
 		lastFreqByCluster:  map[int]int64{},
@@ -184,23 +201,72 @@ func New() *Tracer {
 // Enabled reports whether the tracer records anything (false for nil).
 func (x *Tracer) Enabled() bool { return x != nil }
 
-// record appends a span to the ring, assigning its ID.
-func (x *Tracer) record(s Span) int64 {
+// record puts a span into the ring, assigning its ID. inputs and cands are
+// copied into buffers the ring slot owns, so the caller keeps its slices.
+func (x *Tracer) record(s Span, inputs []Input, cands []Candidate) int64 {
 	s.ID = x.nextID
 	x.nextID++
-	max := x.MaxSpans
-	if max == 0 {
-		max = DefaultMaxSpans
-	}
-	switch {
-	case max < 0 || len(x.spans) < max:
-		x.spans = append(x.spans, s)
-	default:
-		x.spans[x.head] = s
-		x.head = (x.head + 1) % max
-		x.dropped++
-	}
+	sl := x.spans.Next(x.MaxSpans, DefaultMaxSpans)
+	s.Inputs = own(&sl.inputs, inputs)
+	s.Candidates = own(&sl.cands, cands)
+	sl.span = s
 	return s.ID
+}
+
+// own copies src into *buf, growing it only when src is longer than any
+// slice it held before. A nil src stays nil.
+func own[T any](buf *[]T, src []T) []T {
+	switch {
+	case src == nil:
+		return nil
+	case len(src) == 0:
+		return []T{}
+	}
+	*buf = append((*buf)[:0], src...)
+	return *buf
+}
+
+// choiceKey identifies one choice string: its format and arguments.
+type choiceKey struct {
+	format string
+	ints   [3]int
+	strs   [2]string
+}
+
+// Choice returns the text fmt.Sprintf(format, args...) would, for a format
+// whose only verbs are %d, each taking the next of ints, and %s, each taking
+// the next of strs. It renders each distinct choice once per tracer, into
+// one allocation, and returns the same string after that, so an emitter
+// recording a decision the tracer has seen before allocates no text.
+// Returns "" on a nil tracer.
+func (x *Tracer) Choice(format string, ints [3]int, strs [2]string) string {
+	if x == nil {
+		return ""
+	}
+	k := choiceKey{format, ints, strs}
+	if c, ok := x.choices[k]; ok {
+		return c
+	}
+	var b strings.Builder
+	b.Grow(len(format) + 3*20 + len(strs[0]) + len(strs[1]))
+	var num [20]byte
+	for i := 0; i < len(format); i++ {
+		if format[i] != '%' || i+1 == len(format) {
+			b.WriteByte(format[i])
+			continue
+		}
+		switch i++; format[i] {
+		case 'd':
+			b.Write(strconv.AppendInt(num[:0], int64(ints[0]), 10))
+			ints = [3]int{ints[1], ints[2]}
+		case 's':
+			b.WriteString(strs[0])
+			strs = [2]string{strs[1]}
+		}
+	}
+	c := b.String()
+	x.choices[k] = c
+	return c
 }
 
 func (x *Tracer) link(m map[int]int64, key int) int64 {
@@ -213,6 +279,10 @@ func (x *Tracer) link(m map[int]int64, key int) int64 {
 // Wake records a wake-placement decision: task woke and was placed on core
 // (in cluster). Wake spans are causal-chain roots. Returns the span ID
 // (-1 on a nil tracer).
+//
+// Wake and the other recording methods copy inputs and cands into storage
+// the tracer owns, so emitters may pass scratch or stack slices and reuse
+// them as soon as the call returns. A nil slice is recorded as nil.
 func (x *Tracer) Wake(at event.Time, task int, name string, core, cluster int, choice, reason string, inputs []Input, cands []Candidate) int64 {
 	if x == nil {
 		return -1
@@ -221,15 +291,16 @@ func (x *Tracer) Wake(at event.Time, task int, name string, core, cluster int, c
 		Parent: -1, At: at, Kind: KindWake,
 		Task: task, TaskName: name,
 		Core: core, FromCore: -1, Cluster: cluster,
-		Choice: choice, Reason: reason, Inputs: inputs, Candidates: cands,
-	})
+		Choice: choice, Reason: reason,
+	}, inputs, cands)
 	x.lastByTask[task] = id
 	x.lastTaskByCluster[cluster] = id
 	return id
 }
 
 // Migration records a scheduler migration decision; its parent is the
-// task's previous placement or migration span.
+// task's previous placement or migration span. inputs and cands are copied,
+// as for Wake.
 func (x *Tracer) Migration(at event.Time, task int, name string, from, to, cluster int, choice, reason string, inputs []Input, cands []Candidate) int64 {
 	if x == nil {
 		return -1
@@ -238,8 +309,8 @@ func (x *Tracer) Migration(at event.Time, task int, name string, from, to, clust
 		Parent: x.link(x.lastByTask, task), At: at, Kind: KindMigration,
 		Task: task, TaskName: name,
 		Core: to, FromCore: from, Cluster: cluster,
-		Choice: choice, Reason: reason, Inputs: inputs, Candidates: cands,
-	})
+		Choice: choice, Reason: reason,
+	}, inputs, cands)
 	x.lastByTask[task] = id
 	x.lastTaskByCluster[cluster] = id
 	return id
@@ -247,7 +318,7 @@ func (x *Tracer) Migration(at event.Time, task int, name string, from, to, clust
 
 // FreqStep records a governor frequency decision for a cluster; its parent
 // is the last task placement onto that cluster — the load arrival the
-// governor is responding to.
+// governor is responding to. inputs and cands are copied, as for Wake.
 func (x *Tracer) FreqStep(at event.Time, cluster, prevMHz, mhz int, choice, reason string, inputs []Input, cands []Candidate) int64 {
 	if x == nil {
 		return -1
@@ -256,15 +327,15 @@ func (x *Tracer) FreqStep(at event.Time, cluster, prevMHz, mhz int, choice, reas
 		Parent: x.link(x.lastTaskByCluster, cluster), At: at, Kind: KindFreq,
 		Task: -1, Core: -1, FromCore: -1, Cluster: cluster,
 		PrevMHz: prevMHz, MHz: mhz,
-		Choice: choice, Reason: reason, Inputs: inputs, Candidates: cands,
-	})
+		Choice: choice, Reason: reason,
+	}, inputs, cands)
 	x.lastFreqByCluster[cluster] = id
 	return id
 }
 
 // Throttle records a thermal cap step for a cluster; its parent is the
 // cluster's last governor step (the DVFS activity that heated it), falling
-// back to the last task placement.
+// back to the last task placement. inputs is copied, as for Wake.
 func (x *Tracer) Throttle(at event.Time, cluster, capMHz int, choice, reason string, inputs []Input) int64 {
 	if x == nil {
 		return -1
@@ -277,15 +348,15 @@ func (x *Tracer) Throttle(at event.Time, cluster, capMHz int, choice, reason str
 		Parent: parent, At: at, Kind: KindThrottle,
 		Task: -1, Core: -1, FromCore: -1, Cluster: cluster,
 		MHz:    capMHz,
-		Choice: choice, Reason: reason, Inputs: inputs,
-	})
+		Choice: choice, Reason: reason,
+	}, inputs, nil)
 	x.lastThermByCluster[cluster] = id
 	return id
 }
 
 // Hotplug records a core online/offline transition; its parent is the
 // cluster's last throttle span when one exists (the emergency-hotplug
-// chain), else -1 (manual hotplug).
+// chain), else -1 (manual hotplug). inputs is copied, as for Wake.
 func (x *Tracer) Hotplug(at event.Time, core, cluster int, choice, reason string, inputs []Input) int64 {
 	if x == nil {
 		return -1
@@ -293,8 +364,8 @@ func (x *Tracer) Hotplug(at event.Time, core, cluster int, choice, reason string
 	id := x.record(Span{
 		Parent: x.link(x.lastThermByCluster, cluster), At: at, Kind: KindHotplug,
 		Task: -1, Core: core, FromCore: -1, Cluster: cluster,
-		Choice: choice, Reason: reason, Inputs: inputs,
-	})
+		Choice: choice, Reason: reason,
+	}, inputs, nil)
 	return id
 }
 
@@ -303,7 +374,7 @@ func (x *Tracer) Len() int {
 	if x == nil {
 		return 0
 	}
-	return len(x.spans)
+	return x.spans.Len()
 }
 
 // Dropped returns how many spans fell out of the bounded ring.
@@ -311,17 +382,38 @@ func (x *Tracer) Dropped() int64 {
 	if x == nil {
 		return 0
 	}
-	return x.dropped
+	return int64(x.spans.Dropped())
 }
 
-// Spans returns the retained spans in recording order (a copy).
+// Spans returns the retained spans in recording order. The copy is deep:
+// it shares no storage with the ring, so recording more spans never changes
+// it. The spans' Inputs are all carved from one array, and their Candidates
+// from another.
 func (x *Tracer) Spans() []Span {
-	if x == nil || len(x.spans) == 0 {
+	if x == nil || x.spans.Len() == 0 {
 		return nil
 	}
-	out := make([]Span, 0, len(x.spans))
-	out = append(out, x.spans[x.head:]...)
-	out = append(out, x.spans[:x.head]...)
+	out := make([]Span, x.spans.Len())
+	var nIn, nCand int
+	for i := range out {
+		out[i] = x.spans.At(i).span
+		nIn += len(out[i].Inputs)
+		nCand += len(out[i].Candidates)
+	}
+	inputs, cands := make([]Input, 0, nIn), make([]Candidate, 0, nCand)
+	for i := range out {
+		s := &out[i]
+		if s.Inputs != nil {
+			n := len(inputs)
+			inputs = append(inputs, s.Inputs...)
+			s.Inputs = inputs[n:len(inputs):len(inputs)]
+		}
+		if s.Candidates != nil {
+			n := len(cands)
+			cands = append(cands, s.Candidates...)
+			s.Candidates = cands[n:len(cands):len(cands)]
+		}
+	}
 	return out
 }
 
@@ -333,7 +425,7 @@ type Dump struct {
 	Dropped int64  `json:"dropped"`
 }
 
-// Dump snapshots the tracer.
+// Dump snapshots the tracer. Its spans are a deep copy, as Spans returns.
 func (x *Tracer) Dump() Dump {
 	return Dump{Spans: x.Spans(), Dropped: x.Dropped()}
 }
@@ -430,34 +522,34 @@ func (d *Dump) TaskSpanNear(name string, at event.Time) (Span, bool) {
 // Format renders one span as the multi-line text block blxray prints:
 // header, inputs, and candidates with rejection reasons.
 func (s Span) Format() string {
-	b := fmt.Sprintf("#%d %s %s at %v", s.ID, s.Kind, s.Choice, s.At)
+	var b strings.Builder
+	fmt.Fprintf(&b, "#%d %s %s at %v", s.ID, s.Kind, s.Choice, s.At)
 	if s.Reason != "" {
-		b += fmt.Sprintf(" (reason: %s)", s.Reason)
+		b.WriteString(" (reason: " + s.Reason + ")")
 	}
-	b += "\n"
+	b.WriteString("\n")
 	if len(s.Inputs) > 0 {
-		b += "  inputs:"
+		b.WriteString("  inputs:")
 		for _, in := range s.Inputs {
-			b += fmt.Sprintf(" %s=%g", in.Name, in.Value)
+			fmt.Fprintf(&b, " %s=%g", in.Name, in.Value)
 		}
-		b += "\n"
+		b.WriteString("\n")
 	}
 	if len(s.Candidates) > 0 {
-		b += "  candidates:\n"
+		b.WriteString("  candidates:\n")
 		for _, c := range s.Candidates {
-			line := fmt.Sprintf("    cpu%-2d %-7s queue=%d", c.Core, c.Type, c.QueueLen)
+			fmt.Fprintf(&b, "    cpu%-2d %-7s queue=%d", c.Core, c.Type, c.QueueLen)
 			if c.TargetMHz > 0 {
-				line += fmt.Sprintf(" util=%.0f%% target=%dMHz", c.Load, c.TargetMHz)
+				fmt.Fprintf(&b, " util=%.0f%% target=%dMHz", c.Load, c.TargetMHz)
 			}
 			if c.Rejected == "" {
-				line += "  CHOSEN"
+				b.WriteString("  CHOSEN\n")
 			} else {
-				line += "  rejected: " + c.Rejected
+				b.WriteString("  rejected: " + c.Rejected + "\n")
 			}
-			b += line + "\n"
 		}
 	}
-	return b
+	return b.String()
 }
 
 // Line renders one span as the single-line summary blxray ls prints.

@@ -1,6 +1,10 @@
 package xray
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -198,4 +202,141 @@ func TestSameDecision(t *testing.T) {
 	if a.SameDecision(d) {
 		t.Fatal("different time must not be the same decision")
 	}
+}
+
+// cloneSpans deep-copies spans, keeping nil slices nil.
+func cloneSpans(spans []Span) []Span {
+	out := make([]Span, len(spans))
+	for i, s := range spans {
+		if s.Inputs != nil {
+			s.Inputs = append([]Input{}, s.Inputs...)
+		}
+		if s.Candidates != nil {
+			s.Candidates = append([]Candidate{}, s.Candidates...)
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// TestRingOwnsSpanStorage checks the ring's storage contract. The tracer
+// copies an emitter's inputs and candidates, so the emitter may reuse its
+// slices right away; a nil slice stays nil; and Spans and Dump are deep
+// copies, which neither later spans nor the ring's reuse of its slot
+// buffers when it wraps can change.
+func TestRingOwnsSpanStorage(t *testing.T) {
+	const max = 8
+	x := New()
+	x.MaxSpans = max
+	inputs := make([]Input, 3)
+	cands := make([]Candidate, 4)
+	record := func(i int) {
+		for j := range inputs {
+			inputs[j] = Input{Name: fmt.Sprintf("in%d", j), Value: float64(100*i + j)}
+		}
+		for j := range cands {
+			cands[j] = Candidate{Core: j, Type: "little", QueueLen: i, Rejected: fmt.Sprintf("r%d", i)}
+		}
+		switch i % 3 {
+		case 0:
+			x.Wake(event.Time(i), i, "t", 0, 0, "w", "", inputs, cands)
+		case 1:
+			x.FreqStep(event.Time(i), 0, 500, 600, "f", "", inputs[:1], nil)
+		default:
+			x.Hotplug(event.Time(i), 4, 1, "h", "", nil)
+		}
+	}
+	for i := 0; i < max; i++ {
+		record(i)
+	}
+	spans, dump := x.Spans(), x.Dump()
+	want := cloneSpans(spans)
+	for i, s := range want {
+		if s.Kind == KindWake && (s.Inputs[0].Value != float64(100*i) || s.Candidates[0].QueueLen != i) {
+			t.Fatalf("span %d holds its emitter's later values: %+v", i, s)
+		}
+		if s.Kind == KindHotplug && (s.Inputs != nil || s.Candidates != nil) {
+			t.Fatalf("span %d recorded with nil slices has %v, %v", i, s.Inputs, s.Candidates)
+		}
+	}
+	for i := max; i < 3*max; i++ {
+		record(i)
+	}
+	if !reflect.DeepEqual(spans, want) {
+		t.Errorf("Spans taken before the ring wrapped changed after %d more spans", 2*max)
+	}
+	if !reflect.DeepEqual(dump.Spans, want) {
+		t.Errorf("Dump taken before the ring wrapped changed after %d more spans", 2*max)
+	}
+	if got := x.Spans()[0]; got.ID != 2*max {
+		t.Fatalf("oldest retained span %d, want %d", got.ID, 2*max)
+	}
+}
+
+// TestChoiceMatchesSprintf checks that every choice the emitters intern
+// reads exactly as fmt.Sprintf renders it, and that a choice seen before
+// comes back without allocating.
+func TestChoiceMatchesSprintf(t *testing.T) {
+	x := New()
+	for _, c := range []struct {
+		format string
+		ints   [3]int
+		strs   [2]string
+		args   []any
+	}{
+		{"woke on cpu%d (%s)", [3]int{5}, [2]string{"big"}, []any{5, "big"}},
+		{"woke pinned on cpu%d", [3]int{0}, [2]string{}, []any{0}},
+		{"cpu%d (%s) -> cpu%d (%s)", [3]int{1, 7}, [2]string{"little", "big"}, []any{1, "little", 7, "big"}},
+		{"cpu%d %s", [3]int{6}, [2]string{"offline"}, []any{6, "offline"}},
+		{"cluster%d %d -> %d MHz", [3]int{1, 1900, 800}, [2]string{}, []any{1, 1900, 800}},
+		{"cap cluster%d at %d MHz", [3]int{0, -1200}, [2]string{}, []any{0, -1200}},
+		{"raise cluster%d cap to %d MHz", [3]int{1, 1700}, [2]string{}, []any{1, 1700}},
+		{"release cluster%d cap", [3]int{1}, [2]string{}, []any{1}},
+	} {
+		want := fmt.Sprintf(c.format, c.args...)
+		if got := x.Choice(c.format, c.ints, c.strs); got != want {
+			t.Errorf("Choice(%q) = %q, want %q", c.format, got, want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { x.Choice(c.format, c.ints, c.strs) }); allocs != 0 {
+			t.Errorf("Choice(%q) seen before: %.0f allocs, want 0", c.format, allocs)
+		}
+	}
+}
+
+// FuzzParseDump holds the dump parser that bldiff and blserve's /diff read
+// uploads with to two properties: it never panics, and on any input it
+// accepts, encoding is a fixed point after one parse. The second property
+// compares bytes rather than structs, because omitempty reads an empty
+// slice back as nil.
+func FuzzParseDump(f *testing.F) {
+	data, err := chainTracer().JSON()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	for _, n := range []int{0, 1, len(data) / 3, len(data) / 2, len(data) - 2} {
+		f.Add(data[:n])
+	}
+	f.Add([]byte(`{"spans":[{"kind":"wake","inputs":[],"candidates":[]}],"dropped":-1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := ParseDump(data)
+		if err != nil {
+			return
+		}
+		first, err := json.MarshalIndent(d, "", "  ")
+		if err != nil {
+			t.Fatalf("encoding a parsed dump: %v", err)
+		}
+		again, err := ParseDump(first)
+		if err != nil {
+			t.Fatalf("parsing an encoded dump: %v\n%s", err, first)
+		}
+		second, err := json.MarshalIndent(again, "", "  ")
+		if err != nil {
+			t.Fatalf("re-encoding: %v", err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("encode∘parse is not idempotent:\n%s\n---\n%s", first, second)
+		}
+	})
 }
