@@ -25,8 +25,9 @@ bench-smoke:
 # output into BENCH_baseline.json; bench-compare re-measures and fails if a
 # gated benchmark's median regressed >10% (time only on the same CPU model;
 # allocs/op everywhere — it is machine-independent). The gate runs at a fixed
-# GOMAXPROCS because some benchmarks' allocs/op grow with the worker count;
-# the baseline was measured at -cpu 2.
+# GOMAXPROCS because the time gate compares ns/op between hosts of the same
+# CPU model, and that comparison holds only at a fixed worker count; the
+# baseline was measured at -cpu 2.
 GATED_CPU = 2
 GATED_BENCH = BenchmarkSingleRun|BenchmarkFig2Speedup|BenchmarkFig3SpecPower|BenchmarkDerivedWarm|BenchmarkDigestOff|BenchmarkDigestOn|BenchmarkObserversOn|BenchmarkForkSweep|BenchmarkExplore|BenchmarkLongSession
 
@@ -197,11 +198,12 @@ report-par:
 		cmp /tmp/report-cold.txt /tmp/report-warm.txt || { echo "report-par: cold and warm output differ" >&2; exit 1; }; \
 		echo "report-par: OK"
 
-# Line-coverage floors for the simulation kernel packages. The profile can
-# contain one copy of each block per test binary, so blocks are deduplicated
-# by location before aggregating per package.
+# Line-coverage floors for the simulation kernel packages and the
+# microarchitecture layer behind Figures 2-3. The profile can contain one
+# copy of each block per test binary, so blocks are deduplicated by location
+# before aggregating per package.
 cover:
-	go test -coverpkg=./internal/core,./internal/sched,./internal/platform,./internal/snapshot \
+	go test -coverpkg=./internal/core,./internal/sched,./internal/platform,./internal/snapshot,./internal/uarch,./internal/cache,./internal/bpred \
 		-coverprofile=/tmp/biglittle-cover.out ./... > /dev/null
 	awk 'NR>1 {key=$$1; stmts[key]=$$2; if ($$3>0) hit[key]=1} \
 		END { \
@@ -209,6 +211,9 @@ cover:
 			floors["biglittle/internal/sched"]=88; \
 			floors["biglittle/internal/platform"]=90; \
 			floors["biglittle/internal/snapshot"]=90; \
+			floors["biglittle/internal/uarch"]=90; \
+			floors["biglittle/internal/cache"]=90; \
+			floors["biglittle/internal/bpred"]=90; \
 			bad=0; \
 			for (k in stmts) {p=k; sub(/:.*/, "", p); sub(/\/[^\/]*$$/, "", p); total[p]+=stmts[k]; if (hit[k]) cov[p]+=stmts[k]} \
 			for (p in floors) { \

@@ -30,8 +30,9 @@ type predictorKey struct {
 
 // PredictorStudy measures real bimodal and tournament predictors over
 // structured branch traces derived from each SPEC-like profile, validating
-// the PredictorFactor the Cortex-A15 CPI model assumes. Each row is
-// memoized as a derived result, so a cache hit skips the trace as well.
+// the PredictorFactor the Cortex-A15 CPI model assumes. The branches are
+// streamed through the three predictors, never stored. Each row is memoized
+// as a derived result, so a cache hit skips the trace as well.
 func PredictorStudy(o Options) []PredictorRow {
 	o = o.withDefaults()
 	n := o.Instructions
@@ -43,13 +44,9 @@ func PredictorStudy(o Options) []PredictorRow {
 	o.forEach(len(profiles), func(i int) {
 		p := profiles[i]
 		rows[i] = lab.Memo(o.lab(), "bpred", predictorKey{Profile: p, Instructions: n}, func() PredictorRow {
-			tr := bpred.Trace(p, n)
-			row := PredictorRow{
-				Workload:   p.Name,
-				Static:     bpred.Measure(bpred.StaticTaken{}, tr),
-				Bimodal:    bpred.Measure(bpred.CortexA7Predictor(), tr),
-				Tournament: bpred.Measure(bpred.CortexA15Predictor(), tr),
-			}
+			rates := bpred.MeasureStream(p, n,
+				bpred.StaticTaken{}, bpred.CortexA7Predictor(), bpred.CortexA15Predictor())
+			row := PredictorRow{Workload: p.Name, Static: rates[0], Bimodal: rates[1], Tournament: rates[2]}
 			if row.Bimodal > 0 {
 				row.Ratio = row.Tournament / row.Bimodal
 			}

@@ -1,6 +1,8 @@
 package bpred
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"biglittle/internal/synth"
@@ -137,5 +139,44 @@ func TestPredictorNames(t *testing.T) {
 func TestMeasureEmpty(t *testing.T) {
 	if Measure(NewBimodal(16), nil) != 0 {
 		t.Fatal("empty trace")
+	}
+	if r := MeasureStream(synth.SPEC()[0], 0, NewBimodal(16)); len(r) != 1 || r[0] != 0 {
+		t.Fatalf("empty stream rates = %v", r)
+	}
+}
+
+// The streamed measurement must see the same branch sequence as Measure over
+// a stored Trace: every predictor's rate equal bit for bit, on every profile.
+func TestMeasureStreamMatchesTrace(t *testing.T) {
+	const n = 60_000
+	preds := func() []Predictor {
+		return []Predictor{StaticTaken{}, CortexA7Predictor(), CortexA15Predictor(), NewGShare(4096, 10)}
+	}
+	for _, p := range synth.SPEC() {
+		got := MeasureStream(p, n, preds()...)
+		tr := Trace(p, n)
+		for i, pr := range preds() {
+			if want := Measure(pr, tr); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Errorf("%s %s: streamed rate %v, Measure over Trace %v", p.Name, pr.Name(), got[i], want)
+			}
+		}
+	}
+}
+
+// A streamed measurement stores no branch: measuring 400k branches
+// allocates what measuring 50k does.
+func TestMeasureStreamAllocsFlat(t *testing.T) {
+	p, _ := synth.ProfileByName("gobmk")
+	allocated := func(n int) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		MeasureStream(p, n, StaticTaken{}, CortexA7Predictor(), CortexA15Predictor())
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	allocated(1000) // first use
+	short, long := allocated(50_000), allocated(400_000)
+	if d := long - short; d > 1<<10 || d < -1<<10 {
+		t.Fatalf("400k branches allocated %d bytes, 50k allocated %d: want equal within 1 KiB", long, short)
 	}
 }

@@ -36,6 +36,43 @@ type site struct {
 // profile's MispredictRate: predictable workloads are loop-dominated,
 // unpredictable ones carry more data-dependent random branches.
 func Trace(p synth.Profile, n int) []Branch {
+	next := branches(p)
+	out := make([]Branch, n)
+	for i := range out {
+		out[i] = next()
+	}
+	return out
+}
+
+// MeasureStream returns each predictor's misprediction rate over the
+// profile's n-branch trace, in the order given. Each branch is fed to every
+// predictor as it is generated, so memory does not grow with n, and each
+// rate equals Measure over Trace(p, n) bit for bit.
+func MeasureStream(p synth.Profile, n int, preds ...Predictor) []float64 {
+	rates := make([]float64, len(preds))
+	if n <= 0 {
+		return rates
+	}
+	miss := make([]int, len(preds))
+	next := branches(p)
+	for i := 0; i < n; i++ {
+		b := next()
+		for j, pr := range preds {
+			if pr.Predict(b.Site) != b.Taken {
+				miss[j]++
+			}
+			pr.Update(b.Site, b.Taken)
+		}
+	}
+	for j, m := range miss {
+		rates[j] = float64(m) / float64(n)
+	}
+	return rates
+}
+
+// branches returns a generator of the profile's branch sequence: each call
+// draws the next branch. Trace and MeasureStream read the same sequence.
+func branches(p synth.Profile) func() Branch {
 	h := fnv.New64a()
 	h.Write([]byte(p.Name + "/branches"))
 	rng := rand.New(rand.NewSource(int64(h.Sum64())))
@@ -57,9 +94,10 @@ func Trace(p synth.Profile, n int) []Branch {
 	// Enough distinct sites to pressure a small predictor's table (the
 	// A7-class bimodal has 512 entries) without overwhelming a big one.
 	const nSites = 1024
-	sites := make([]*site, nSites)
+	sites := make([]site, nSites)
 	for i := range sites {
-		s := &site{id: uint32(i * 2654435761)}
+		s := &sites[i]
+		s.id = uint32(i * 2654435761)
 		r := rng.Float64()
 		switch {
 		case r < loopShare:
@@ -85,13 +123,11 @@ func Trace(p synth.Profile, n int) []Branch {
 			s.kind = randomSite
 			s.bias = 0.35 + 0.3*rng.Float64()
 		}
-		sites[i] = s
 	}
 
-	out := make([]Branch, n)
 	prevTaken := true
-	for i := 0; i < n; i++ {
-		s := sites[rng.Intn(nSites)]
+	return func() Branch {
+		s := &sites[rng.Intn(nSites)]
 		var taken bool
 		switch s.kind {
 		case loopSite:
@@ -104,8 +140,7 @@ func Trace(p synth.Profile, n int) []Branch {
 		default:
 			taken = rng.Float64() < s.bias
 		}
-		out[i] = Branch{Site: s.id, Taken: taken}
 		prevTaken = taken
+		return Branch{Site: s.id, Taken: taken}
 	}
-	return out
 }

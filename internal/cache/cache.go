@@ -82,6 +82,17 @@ type Cache struct {
 // New builds a cache from cfg; it panics on an invalid configuration since
 // configurations are compile-time constants in this simulator.
 func New(cfg Config) *Cache {
+	c := new(Cache)
+	c.Reshape(cfg)
+	return c
+}
+
+// Reshape empties the cache and gives it cfg's geometry, reusing its arrays
+// when they are large enough, so one Cache can simulate a sequence of
+// geometries without allocating after the largest. A reshaped cache behaves
+// exactly as New(cfg) does: same contents, clock, MRU ways and statistics.
+// It panics on an invalid configuration, as New does.
+func (c *Cache) Reshape(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -90,15 +101,26 @@ func New(cfg Config) *Cache {
 	for 1<<shift < cfg.LineB {
 		shift++
 	}
-	return &Cache{
+	*c = Cache{
 		cfg:       cfg,
-		tags:      make([]uint64, nsets*cfg.Ways),
-		use:       make([]uint64, nsets*cfg.Ways),
-		mru:       make([]int32, nsets),
+		tags:      emptied(c.tags, nsets*cfg.Ways),
+		use:       emptied(c.use, nsets*cfg.Ways),
+		mru:       emptied(c.mru, nsets),
 		ways:      cfg.Ways,
 		setMask:   uint64(nsets - 1),
 		lineShift: shift,
 	}
+}
+
+// emptied returns s resized to n zeroed elements, reallocating only when s
+// cannot hold n.
+func emptied[T uint64 | int32](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Config returns the cache's configuration.
@@ -110,15 +132,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the statistics while keeping cache contents — used to
 // exclude warmup accesses from measurement.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
-
-// Reset clears all contents and statistics.
-func (c *Cache) Reset() {
-	clear(c.tags)
-	clear(c.use)
-	clear(c.mru)
-	c.clock = 0
-	c.stats = Stats{}
-}
 
 // Access looks up addr, allocating the line on a miss (write-allocate for
 // both loads and stores — the distinction does not matter for the CPI model).
@@ -185,48 +198,6 @@ func (c *Cache) Contains(addr uint64) bool {
 	return false
 }
 
-// Snapshot is a copy of a cache's full replacement state (contents, LRU
-// stamps, clock, statistics). It lets a warmed cache be cloned instead of
-// re-simulating the warmup access stream; restoring a snapshot reproduces
-// the subsequent hit/miss sequence bit-for-bit.
-type Snapshot struct {
-	cfg   Config
-	tags  []uint64
-	use   []uint64
-	mru   []int32
-	clock uint64
-	stats Stats
-}
-
-// Snapshot captures the cache's current state.
-func (c *Cache) Snapshot() Snapshot {
-	s := Snapshot{
-		cfg:   c.cfg,
-		tags:  make([]uint64, len(c.tags)),
-		use:   make([]uint64, len(c.use)),
-		mru:   make([]int32, len(c.mru)),
-		clock: c.clock,
-		stats: c.stats,
-	}
-	copy(s.tags, c.tags)
-	copy(s.use, c.use)
-	copy(s.mru, c.mru)
-	return s
-}
-
-// Restore overwrites the cache's state with a snapshot taken from a cache of
-// the identical configuration; it panics on a configuration mismatch.
-func (c *Cache) Restore(s Snapshot) {
-	if s.cfg != c.cfg {
-		panic(fmt.Sprintf("cache: restoring %q snapshot into %q", s.cfg.Name, c.cfg.Name))
-	}
-	copy(c.tags, s.tags)
-	copy(c.use, s.use)
-	copy(c.mru, s.mru)
-	c.clock = s.clock
-	c.stats = s.stats
-}
-
 // Level identifies where in the hierarchy an access was satisfied.
 type Level int
 
@@ -256,11 +227,6 @@ type Hierarchy struct {
 	L2  *Cache
 }
 
-// NewHierarchy builds a hierarchy from per-level configs.
-func NewHierarchy(l1d, l2 Config) *Hierarchy {
-	return &Hierarchy{L1D: New(l1d), L2: New(l2)}
-}
-
 // Access walks addr through the hierarchy and returns the level that
 // satisfied it. An L1 miss always probes L2; an L2 miss goes to memory and
 // fills both levels (inclusive fill). The L1-hit common case resolves in the
@@ -273,10 +239,4 @@ func (h *Hierarchy) Access(addr uint64) Level {
 		return L2
 	}
 	return Memory
-}
-
-// Reset clears both levels.
-func (h *Hierarchy) Reset() {
-	h.L1D.Reset()
-	h.L2.Reset()
 }

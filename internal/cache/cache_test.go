@@ -104,10 +104,11 @@ func TestWorkingSetExceeds(t *testing.T) {
 	}
 }
 
+// Reshaping a cache to its own geometry resets it.
 func TestReset(t *testing.T) {
 	c := New(small())
 	c.Access(0x40)
-	c.Reset()
+	c.Reshape(c.Config())
 	if c.Contains(0x40) {
 		t.Fatal("line survived reset")
 	}
@@ -117,10 +118,10 @@ func TestReset(t *testing.T) {
 }
 
 func TestHierarchyLevels(t *testing.T) {
-	h := NewHierarchy(
-		Config{Name: "l1", SizeB: 1024, Ways: 2, LineB: 64},
-		Config{Name: "l2", SizeB: 8 * 1024, Ways: 4, LineB: 64},
-	)
+	h := &Hierarchy{
+		L1D: New(Config{Name: "l1", SizeB: 1024, Ways: 2, LineB: 64}),
+		L2:  New(Config{Name: "l2", SizeB: 8 * 1024, Ways: 4, LineB: 64}),
+	}
 	if lvl := h.Access(0x100); lvl != Memory {
 		t.Fatalf("cold access = %v, want Memory", lvl)
 	}

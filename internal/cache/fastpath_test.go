@@ -8,7 +8,9 @@ import (
 // The flat-array + MRU-probe implementation must be behaviourally identical
 // to a straightforward per-way LRU model: same hit/miss verdict on every
 // access and same final stats, for random address streams over several
-// geometries.
+// geometries — on a new cache, and on one cache reshaped through every
+// geometry, each after a larger or a smaller one, whose arrays still hold
+// the previous geometry's lines.
 func TestMatchesReferenceLRU(t *testing.T) {
 	cfgs := []Config{
 		{Name: "dm", SizeB: 4 << 10, Ways: 1, LineB: 64},
@@ -16,8 +18,7 @@ func TestMatchesReferenceLRU(t *testing.T) {
 		{Name: "a4", SizeB: 32 << 10, Ways: 4, LineB: 64},
 		{Name: "a16", SizeB: 64 << 10, Ways: 16, LineB: 64},
 	}
-	for _, cfg := range cfgs {
-		c := New(cfg)
+	check := func(c *Cache, cfg Config) {
 		ref := newRefCache(cfg)
 		rng := rand.New(rand.NewSource(7))
 		// Mix of hot reuse, streaming, and random addresses.
@@ -45,6 +46,14 @@ func TestMatchesReferenceLRU(t *testing.T) {
 		if c.Stats() != ref.stats {
 			t.Fatalf("%s: stats %+v, reference %+v", cfg.Name, c.Stats(), ref.stats)
 		}
+	}
+	for _, cfg := range cfgs {
+		check(New(cfg), cfg)
+	}
+	var c Cache
+	for _, i := range []int{1, 0, 3, 2, 1} { // a2, then smaller, larger, smaller, smaller
+		c.Reshape(cfgs[i])
+		check(&c, cfgs[i])
 	}
 }
 
@@ -109,53 +118,14 @@ func (c *refCache) access(addr uint64) bool {
 	return false
 }
 
-// Restoring a snapshot must reproduce the exact subsequent access behaviour
-// of the cache it was taken from.
-func TestSnapshotRestoreExact(t *testing.T) {
-	cfg := Config{Name: "snap", SizeB: 16 << 10, Ways: 4, LineB: 64}
-	warm := func() *Cache {
-		c := New(cfg)
-		for a := uint64(0); a < 64<<10; a += 64 {
-			c.Access(a)
-		}
-		c.ResetStats()
-		return c
-	}
-	a, b := warm(), New(cfg)
-	b.Restore(a.Snapshot())
-
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 50_000; i++ {
-		addr := uint64(rng.Intn(128 << 10))
-		ha, hb := a.Access(addr), b.Access(addr)
-		if ha != hb {
-			t.Fatalf("access %d addr %#x: original hit=%v, restored hit=%v", i, addr, ha, hb)
-		}
-	}
-	if a.Stats() != b.Stats() {
-		t.Fatalf("stats diverged: %+v vs %+v", a.Stats(), b.Stats())
-	}
-}
-
-func TestRestoreConfigMismatchPanics(t *testing.T) {
-	a := New(Config{Name: "a", SizeB: 16 << 10, Ways: 4, LineB: 64})
-	b := New(Config{Name: "b", SizeB: 32 << 10, Ways: 4, LineB: 64})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Restore with mismatched config did not panic")
-		}
-	}()
-	b.Restore(a.Snapshot())
-}
-
 // An L1 hit — the overwhelmingly common case in every SPEC run — must not
 // allocate. This is half of the allocation budget the CI gate enforces (the
 // other half is the event fire path).
 func TestZeroAllocL1Hit(t *testing.T) {
-	h := NewHierarchy(
-		Config{Name: "l1", SizeB: 32 << 10, Ways: 4, LineB: 64},
-		Config{Name: "l2", SizeB: 512 << 10, Ways: 8, LineB: 64},
-	)
+	h := &Hierarchy{
+		L1D: New(Config{Name: "l1", SizeB: 32 << 10, Ways: 4, LineB: 64}),
+		L2:  New(Config{Name: "l2", SizeB: 512 << 10, Ways: 8, LineB: 64}),
+	}
 	h.Access(0x1000) // fill
 	if avg := testing.AllocsPerRun(1000, func() {
 		if h.Access(0x1000) != L1 {
@@ -168,10 +138,10 @@ func TestZeroAllocL1Hit(t *testing.T) {
 
 // Misses through the full hierarchy must not allocate either.
 func TestZeroAllocMissPath(t *testing.T) {
-	h := NewHierarchy(
-		Config{Name: "l1", SizeB: 4 << 10, Ways: 2, LineB: 64},
-		Config{Name: "l2", SizeB: 16 << 10, Ways: 4, LineB: 64},
-	)
+	h := &Hierarchy{
+		L1D: New(Config{Name: "l1", SizeB: 4 << 10, Ways: 2, LineB: 64}),
+		L2:  New(Config{Name: "l2", SizeB: 16 << 10, Ways: 4, LineB: 64}),
+	}
 	addr := uint64(0)
 	if avg := testing.AllocsPerRun(1000, func() {
 		addr += 1 << 16 // always a fresh set-conflicting line

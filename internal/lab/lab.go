@@ -375,55 +375,65 @@ func (r *Runner) Run(job Job) (core.Result, error) {
 	return r.runOne(job)
 }
 
-// ForEach runs fn(i) for i in [0, n) on the worker pool with a bounded
-// queue, for fan-out work that is not a core simulation (microarchitecture
-// sweeps, branch-predictor traces). A panic in fn is re-raised in the
+// ForEach runs fn(i) for i in [0, n) on the worker pool, for fan-out work
+// that is not a core simulation (microarchitecture sweeps, branch-predictor
+// traces). The calling goroutine is one of the workers, and every worker
+// runs the same function value over shared state, so what ForEach allocates
+// does not depend on the worker count. A panic in fn is re-raised in the
 // caller once every worker has drained.
 func (r *Runner) ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
+	f := &fanOut{fn: fn, n: int64(n)}
+	work := f.work
 	workers := r.workers(n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
+	f.wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	work()
+	f.wg.Wait()
+	if f.panicV != nil {
+		panic(f.panicV)
+	}
+}
+
+// fanOut is the state ForEach's workers share: the next index to claim, and
+// the first panic any of them recovered.
+type fanOut struct {
+	fn     func(i int)
+	n      int64
+	next   atomic.Int64
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	panicV any
+}
+
+// work claims indices until none remain.
+func (f *fanOut) work() {
+	defer f.wg.Done()
+	for {
+		i := f.next.Add(1) - 1
+		if i >= f.n {
+			return
 		}
-		return
+		f.call(int(i))
 	}
-	var (
-		wg      sync.WaitGroup
-		next    = make(chan int, workers)
-		panicMu sync.Mutex
-		panicV  any
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				func() {
-					defer func() {
-						if p := recover(); p != nil {
-							panicMu.Lock()
-							if panicV == nil {
-								panicV = p
-							}
-							panicMu.Unlock()
-						}
-					}()
-					fn(i)
-				}()
+}
+
+// call runs fn(i), recording a panic instead of letting it kill the worker.
+func (f *fanOut) call(i int) {
+	defer func() {
+		if p := recover(); p != nil {
+			f.mu.Lock()
+			if f.panicV == nil {
+				f.panicV = p
 			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if panicV != nil {
-		panic(panicV)
-	}
+			f.mu.Unlock()
+		}
+	}()
+	f.fn(i)
 }
 
 // runOne resolves one job: cache lookup, then bounded simulation attempts.

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"biglittle/internal/apps"
@@ -275,6 +276,44 @@ func TestPanicRecoveryAndRetry(t *testing.T) {
 	s := r.Stats()
 	if s.Retries != 1 || s.Failures != 1 {
 		t.Fatalf("stats = %+v, want 1 retry and 1 failure", s)
+	}
+}
+
+// ForEach on any worker count runs every index, re-raises a panic in fn only
+// once every worker has drained, and allocates the same number of objects:
+// its workers share one state value and one function value.
+func TestForEach(t *testing.T) {
+	const n = 64
+	allocs := map[int]float64{}
+	for _, workers := range []int{1, 2, 4} {
+		r := New(workers, nil)
+		var ran [n]atomic.Bool
+		func() {
+			defer func() {
+				if p := recover(); p != "boom" {
+					t.Errorf("%d workers: recovered %v, want the panic from fn", workers, p)
+				}
+			}()
+			r.ForEach(n, func(i int) {
+				ran[i].Store(true)
+				if i == 3 {
+					panic("boom")
+				}
+			})
+		}()
+		for i := range ran {
+			if !ran[i].Load() {
+				t.Errorf("%d workers: index %d never ran", workers, i)
+			}
+		}
+
+		out := make([]int, n)
+		fill := func(i int) { out[i] = i }
+		r.ForEach(n, fill) // let the runtime keep the goroutines it frees
+		allocs[workers] = testing.AllocsPerRun(100, func() { r.ForEach(n, fill) })
+	}
+	if allocs[1] != allocs[2] || allocs[1] != allocs[4] {
+		t.Fatalf("ForEach allocs at 1, 2, 4 workers = %v, %v, %v: want equal", allocs[1], allocs[2], allocs[4])
 	}
 }
 

@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"runtime"
 	"testing"
 
 	"biglittle/internal/synth"
@@ -10,9 +11,6 @@ func resetMemos() {
 	runMu.Lock()
 	clear(runMemo)
 	runMu.Unlock()
-	prefillMu.Lock()
-	clear(prefillMemo)
-	prefillMu.Unlock()
 }
 
 // The trace memo must be invisible: a Run served by replaying a recorded
@@ -63,5 +61,31 @@ func TestRunMemoKeyedByLength(t *testing.T) {
 	}
 	if a.Cycles == b.Cycles {
 		t.Fatal("distinct trace lengths returned identical cycle counts")
+	}
+}
+
+// A trace reuses its caches and event buffer: once warm-up traces of mcf,
+// the profile with the most penalty events, have sized the scratch on both
+// models, a trace allocates the event log it keeps plus a fixed few objects
+// (its stream and RNG, the recorded trace), whatever its geometry.
+func TestTraceAllocatesOnlyItsLog(t *testing.T) {
+	const instr = 100_000
+	models := []Model{CortexA7(), CortexA15()}
+	mcf, _ := synth.ProfileByName("mcf")
+	for _, m := range models {
+		trace(m, mcf, instr)
+	}
+	for _, p := range synth.SPEC() {
+		for _, m := range models {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			tr := trace(m, p, instr)
+			runtime.ReadMemStats(&after)
+			log := uint64(len(tr.memEvents))
+			if got := after.TotalAlloc - before.TotalAlloc; got > log+16<<10 {
+				t.Errorf("%s on %s: trace allocated %d bytes, want at most its %d-byte event log + 16 KiB",
+					p.Name, m.Name, got, log)
+			}
+		}
 	}
 }

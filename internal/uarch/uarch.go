@@ -12,6 +12,8 @@
 package uarch
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 
 	"biglittle/internal/cache"
@@ -174,10 +176,6 @@ func Run(m Model, p synth.Profile, freqMHz int, instructions int) Result {
 		runMu.Unlock()
 	}
 
-	effIssue := min(float64(m.IssueWidth), p.ILP*m.IPCEfficiency)
-	if effIssue < 0.5 {
-		effIssue = 0.5
-	}
 	mlp := 1.0
 	if m.OutOfOrder {
 		mlp = min(m.MaxMLP, p.MLP)
@@ -233,11 +231,54 @@ func Run(m Model, p synth.Profile, freqMHz int, instructions int) Result {
 	}
 }
 
+// scratch is the working storage of one trace: its three caches and the
+// event log it grows before copying it out at its final length.
+type scratch struct {
+	l1i, l1d, l2 cache.Cache
+	events       []uint8
+}
+
+// idle is the free list of scratch sets not in use by a trace. It keeps at
+// most GOMAXPROCS sets, so the memory it retains is bounded by the number of
+// concurrent traces times the largest geometry each has seen. It is a plain
+// list rather than a sync.Pool because a GC empties a pool, and a report
+// would then re-allocate its caches mid-run.
+var (
+	idleMu sync.Mutex
+	idle   []*scratch
+)
+
+func getScratch() *scratch {
+	idleMu.Lock()
+	defer idleMu.Unlock()
+	n := len(idle)
+	if n == 0 {
+		return new(scratch)
+	}
+	s := idle[n-1]
+	idle[n-1] = nil
+	idle = idle[:n-1]
+	return s
+}
+
+func putScratch(s *scratch) {
+	idleMu.Lock()
+	defer idleMu.Unlock()
+	if len(idle) < runtime.GOMAXPROCS(0) {
+		idle = append(idle, s)
+	}
+}
+
 // trace simulates the full instruction trace once, recording every
 // frequency-dependent penalty as an event code instead of a cost.
 func trace(m Model, p synth.Profile, instructions int) *runTrace {
-	l1i := cache.New(m.L1I)
-	h := cache.NewHierarchy(m.L1D, m.L2)
+	s := getScratch()
+	defer putScratch(s)
+	s.l1i.Reshape(m.L1I)
+	s.l1d.Reshape(m.L1D)
+	s.l2.Reshape(m.L2)
+	l1i := &s.l1i
+	h := &cache.Hierarchy{L1D: &s.l1d, L2: &s.l2}
 	prefill(l1i, h, p)
 
 	effIssue := min(float64(m.IssueWidth), p.ILP*m.IPCEfficiency)
@@ -245,7 +286,7 @@ func trace(m Model, p synth.Profile, instructions int) *runTrace {
 		effIssue = 0.5
 	}
 
-	st := NewStream(p)
+	st := synth.NewStream(p)
 	// Per-instruction costs are loop-invariant; hoisting them preserves the
 	// exact float64 values the in-loop expressions produced (each is the same
 	// left-to-right computation, evaluated once).
@@ -253,7 +294,8 @@ func trace(m Model, p synth.Profile, instructions int) *runTrace {
 	brPenalty := m.BranchPenalty * m.PredictorFactor
 	l1iLineB := uint64(m.L1I.LineB)
 
-	tr := &runTrace{memEvents: make([]uint8, 0, 4096)}
+	tr := &runTrace{}
+	events := s.events[:0]
 	lastFetchLine := uint64(1) << 62 // sentinel: forces first fetch
 	redirected := false
 	var buf [256]synth.Instr
@@ -293,70 +335,35 @@ func trace(m Model, p synth.Profile, instructions int) *runTrace {
 			case synth.Load:
 				switch h.Access(in.Addr) {
 				case cache.L2:
-					tr.memEvents = append(tr.memEvents, evL2Load)
+					events = append(events, evL2Load)
 				case cache.Memory:
-					tr.memEvents = append(tr.memEvents, evMemLoad)
+					events = append(events, evMemLoad)
 				}
 			case synth.Store:
 				switch h.Access(in.Addr) {
 				case cache.L2:
-					tr.memEvents = append(tr.memEvents, evL2Store)
+					events = append(events, evL2Store)
 				case cache.Memory:
-					tr.memEvents = append(tr.memEvents, evMemStore)
+					events = append(events, evMemStore)
 				}
 			}
 		}
 	}
 
+	s.events = events
+	tr.memEvents = slices.Clone(events)
 	tr.l1iStats = l1i.Stats()
 	tr.l1dStats = h.L1D.Stats()
 	tr.l2Stats = h.L2.Stats()
 	return tr
 }
 
-// NewStream wraps synth.NewStream; indirection point for tests.
-func NewStream(p synth.Profile) *synth.Stream { return synth.NewStream(p) }
-
-// prefillKey identifies a warmed-cache state: the walk below is a pure
-// function of the cache geometries and the profile's footprints.
-type prefillKey struct {
-	l1i, l1d, l2       cache.Config
-	working, hot, code uint64
-}
-
-type prefillSnap struct {
-	l1i, l1d, l2 cache.Snapshot
-}
-
-var (
-	prefillMu   sync.Mutex
-	prefillMemo = map[prefillKey]prefillSnap{}
-)
-
 // prefill warms the caches with the workload's footprint so the measured
 // window sees steady-state behaviour rather than cold misses — the paper's
 // SPEC runs execute billions of instructions, amortizing cold misses to
 // nothing. The cold working set is streamed first and the hot set last, so
 // LRU keeps the hot region resident exactly as a steady-state run would.
-//
-// The warmed state is memoized per (cache configs, footprints): the walk is
-// deterministic, so restoring a snapshot is bit-identical to re-walking, and
-// sweeps that revisit the same core/workload pair skip the warmup entirely.
 func prefill(l1i *cache.Cache, h *cache.Hierarchy, p synth.Profile) {
-	key := prefillKey{
-		l1i: l1i.Config(), l1d: h.L1D.Config(), l2: h.L2.Config(),
-		working: p.WorkingSetB, hot: p.HotSetB, code: p.CodeFootprintB,
-	}
-	prefillMu.Lock()
-	snap, ok := prefillMemo[key]
-	prefillMu.Unlock()
-	if ok {
-		l1i.Restore(snap.l1i)
-		h.L1D.Restore(snap.l1d)
-		h.L2.Restore(snap.l2)
-		return
-	}
-
 	const dataBase = 1 << 32 // must match synth's data segment base
 	for a := uint64(0); a < p.WorkingSetB; a += 64 {
 		h.Access(dataBase + p.HotSetB + a)
@@ -370,14 +377,6 @@ func prefill(l1i *cache.Cache, h *cache.Hierarchy, p synth.Profile) {
 	h.L1D.ResetStats()
 	h.L2.ResetStats()
 	l1i.ResetStats()
-
-	snap = prefillSnap{l1i: l1i.Snapshot(), l1d: h.L1D.Snapshot(), l2: h.L2.Snapshot()}
-	prefillMu.Lock()
-	if len(prefillMemo) >= 64 {
-		clear(prefillMemo) // bound memory across long parameter sweeps
-	}
-	prefillMemo[key] = snap
-	prefillMu.Unlock()
 }
 
 // Speedup returns tBaseline/tCandidate given two results for the same
