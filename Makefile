@@ -198,12 +198,12 @@ report-par:
 		cmp /tmp/report-cold.txt /tmp/report-warm.txt || { echo "report-par: cold and warm output differ" >&2; exit 1; }; \
 		echo "report-par: OK"
 
-# Line-coverage floors for the simulation kernel packages and the
-# microarchitecture layer behind Figures 2-3. The profile can contain one
+# Line-coverage floors for the simulation kernel packages, the governors and
+# the microarchitecture layer behind Figures 2-3. The profile can contain one
 # copy of each block per test binary, so blocks are deduplicated by location
 # before aggregating per package.
 cover:
-	go test -coverpkg=./internal/core,./internal/sched,./internal/platform,./internal/snapshot,./internal/uarch,./internal/cache,./internal/bpred \
+	go test -coverpkg=./internal/core,./internal/sched,./internal/platform,./internal/snapshot,./internal/governor,./internal/uarch,./internal/cache,./internal/bpred \
 		-coverprofile=/tmp/biglittle-cover.out ./... > /dev/null
 	awk 'NR>1 {key=$$1; stmts[key]=$$2; if ($$3>0) hit[key]=1} \
 		END { \
@@ -211,6 +211,7 @@ cover:
 			floors["biglittle/internal/sched"]=88; \
 			floors["biglittle/internal/platform"]=90; \
 			floors["biglittle/internal/snapshot"]=90; \
+			floors["biglittle/internal/governor"]=90; \
 			floors["biglittle/internal/uarch"]=90; \
 			floors["biglittle/internal/cache"]=90; \
 			floors["biglittle/internal/bpred"]=90; \
@@ -236,6 +237,8 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/spec/
 	go test -run '^$$' -fuzz '^FuzzParseCoreConfig$$' -fuzztime 30s ./internal/platform/
 	go test -run '^$$' -fuzz '^FuzzApplyOverrides$$' -fuzztime 30s ./internal/cli/
+	go test -run '^$$' -fuzz '^FuzzParsePhases$$' -fuzztime 30s ./internal/cli/
+	go test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 30s ./internal/explore/
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/snapshot/
 	go test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/fleet/
 	go test -run '^$$' -fuzz '^FuzzCacheBlob$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/lab/

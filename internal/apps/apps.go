@@ -9,7 +9,7 @@
 //
 // Two modeling elements deserve a note:
 //
-//   - backgroundHum stands in for the Android system services (input,
+//   - BackgroundHum stands in for the Android system services (input,
 //     SurfaceFlinger, binder traffic, sensors) that keep one or two little
 //     cores lightly active even when the foreground app is quiescent — this
 //     is why the paper measures only 9-20% idle for apps whose foreground
@@ -91,14 +91,16 @@ func newPhase(ctx *workload.Ctx, normal, heavy float64, normalDur, heavyDur even
 	return p
 }
 
-// backgroundHum models ambient Android system activity: a Poisson event
+// BackgroundHum models ambient Android system activity: a Poisson event
 // stream (mean interval meanGap) where each event runs a sliver of work on a
 // primary system thread, sometimes accompanied by a second (p2) and third
 // (p3) thread — binder calls fan out across services. The slivers are tiny,
 // so the hum keeps little cores at minimum frequency but marks them active
 // in the 10 ms samples, reproducing the paper's low idle fractions and the
-// Table V dominance of the "min" state.
-func backgroundHum(ctx *workload.Ctx, prefix string, meanGap event.Time, p2, p3 float64) {
+// Table V dominance of the "min" state. Its threads are named prefix.sys1
+// to prefix.sys3, and its first event falls one gap after the build, so an
+// app built mid-session hums from its own start.
+func BackgroundHum(ctx *workload.Ctx, prefix string, meanGap event.Time, p2, p3 float64) {
 	a := workload.NewThread(ctx, prefix+".sys1", 1.3)
 	b := workload.NewThread(ctx, prefix+".sys2", 1.3)
 	c := workload.NewThread(ctx, prefix+".sys3", 1.3)
@@ -313,7 +315,7 @@ func PDFReader() App {
 					{Threads: []*workload.Thread{compose}, Work: 2 * mc, CV: 0.3, PostDelay: 4 * ms},
 				}),
 			})
-			backgroundHum(ctx, "pdf", 6*ms, 0.55, 0.1)
+			BackgroundHum(ctx, "pdf", 6*ms, 0.55, 0.1)
 		},
 	}
 }
@@ -340,7 +342,7 @@ func VideoEditor() App {
 					{Threads: []*workload.Thread{preview}, Work: 5 * mc, CV: 0.4, PostDelay: 6 * ms},
 				}),
 			})
-			backgroundHum(ctx, "vedit", 7*ms, 0.6, 0.15)
+			BackgroundHum(ctx, "vedit", 7*ms, 0.6, 0.15)
 		},
 	}
 }
@@ -364,7 +366,7 @@ func PhotoEditor() App {
 					{Threads: []*workload.Thread{preview}, Work: 2.5 * mc, CV: 0.3, PostDelay: 10 * ms},
 				}),
 			})
-			backgroundHum(ctx, "pedit", 4500*event.Microsecond, 0.15, 0)
+			BackgroundHum(ctx, "pedit", 4500*event.Microsecond, 0.15, 0)
 		},
 	}
 }
@@ -395,7 +397,7 @@ func BBench() App {
 					{Threads: []*workload.Thread{paint}, Work: 6 * mc, CV: 0.4, PostDelay: 5 * ms},
 				}),
 			})
-			backgroundHum(ctx, "bb", 5*ms, 0.9, 0.9)
+			BackgroundHum(ctx, "bb", 5*ms, 0.9, 0.9)
 		},
 	}
 }
@@ -420,7 +422,7 @@ func VirusScanner() App {
 				}),
 			})
 			workload.Periodic(ctx, ui, workload.PeriodicConfig{Period: 400 * ms, Work: 1 * mc, CV: 0.3})
-			backgroundHum(ctx, "scan", 7*ms, 0.4, 0.1)
+			BackgroundHum(ctx, "scan", 7*ms, 0.4, 0.1)
 		},
 	}
 }
@@ -456,7 +458,7 @@ func Browser() App {
 					{Threads: []*workload.Thread{js}, Work: 2.2 * mc, CV: 0.5},
 				}),
 			})
-			backgroundHum(ctx, "br", 19*ms, 0.75, 0.2)
+			BackgroundHum(ctx, "br", 19*ms, 0.75, 0.2)
 		},
 	}
 }
@@ -496,7 +498,7 @@ func Encoder() App {
 				chunk(fin)
 			}
 			ctx.After(5*ms, chunk)
-			backgroundHum(ctx, "enc", 12*ms, 0.15, 0)
+			BackgroundHum(ctx, "enc", 12*ms, 0.15, 0)
 		},
 	}
 }
@@ -522,7 +524,7 @@ func AngryBird() App {
 			workload.PoissonBursts(ctx, physics, 120*ms, 1.5*mc, 0.5)
 			workload.Periodic(ctx, audio, workload.PeriodicConfig{Period: 23 * ms, Work: 0.4 * mc, CV: 0.3})
 			workload.TouchKicks(ctx, 420*ms)
-			backgroundHum(ctx, "ab", 14*ms, 0.25, 0)
+			BackgroundHum(ctx, "ab", 14*ms, 0.25, 0)
 		},
 	}
 }
@@ -549,7 +551,7 @@ func EternityWarrior() App {
 				1850*ms, 350*ms)
 			workload.Periodic(ctx, audio, workload.PeriodicConfig{Period: 23 * ms, Work: 0.5 * mc, CV: 0.3})
 			workload.TouchKicks(ctx, 380*ms)
-			backgroundHum(ctx, "ew", 12*ms, 0.4, 0.1)
+			BackgroundHum(ctx, "ew", 12*ms, 0.4, 0.1)
 		},
 	}
 }
@@ -574,7 +576,7 @@ func FIFA15() App {
 				3300*ms, 900*ms)
 			workload.Periodic(ctx, audio, workload.PeriodicConfig{Period: 23 * ms, Work: 0.5 * mc, CV: 0.3})
 			workload.TouchKicks(ctx, 500*ms)
-			backgroundHum(ctx, "ff", 13*ms, 0.4, 0.1)
+			BackgroundHum(ctx, "ff", 13*ms, 0.4, 0.1)
 		},
 	}
 }
@@ -599,7 +601,7 @@ func VideoPlayer() App {
 				},
 				33000*ms, 400*ms)
 			workload.Periodic(ctx, audio, workload.PeriodicConfig{Period: 46 * ms, Work: 0.5 * mc, CV: 0.3})
-			backgroundHum(ctx, "vp", 8*ms, 0.45, 0.1)
+			BackgroundHum(ctx, "vp", 8*ms, 0.45, 0.1)
 		},
 	}
 }
@@ -625,7 +627,7 @@ func Youtube() App {
 				33000*ms, 400*ms)
 			workload.Periodic(ctx, audio, workload.PeriodicConfig{Period: 46 * ms, Work: 0.5 * mc, CV: 0.3})
 			workload.PoissonBursts(ctx, net, 450*ms, 1.8*mc, 0.6)
-			backgroundHum(ctx, "yt", 8500*event.Microsecond, 0.45, 0.1)
+			BackgroundHum(ctx, "yt", 8500*event.Microsecond, 0.45, 0.1)
 		},
 	}
 }

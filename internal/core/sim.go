@@ -22,7 +22,8 @@ import (
 // dynamic state can be captured and restored around a fork.
 type gov interface {
 	Start()
-	governor.Snapshotter
+	Snapshot() governor.Snap
+	Restore(*governor.Snap) error
 }
 
 // Sim is one assembled simulation with explicit control over its clock: run
@@ -107,6 +108,7 @@ func assemble(cfg Config, rec *workload.Recorder) *Sim {
 		s.eas = altsched.NewEAS(sys, cfg.Power)
 	}
 
+	var g *governor.Sampler
 	switch cfg.Governor {
 	case Performance:
 		s.gov = governor.NewPerformance(sys)
@@ -115,19 +117,15 @@ func assemble(cfg Config, rec *workload.Recorder) *Sim {
 	case Userspace:
 		s.gov = governor.NewUserspace(sys, cfg.PinnedMHz)
 	case Ondemand:
-		g := governor.NewOndemand(sys, cfg.Gov.SampleMs)
-		g.Tel, g.Xray = obs.Telemetry, obs.Xray
-		s.gov = g
+		g = governor.NewOndemand(sys, cfg.Gov.SampleMs)
 	case Conservative:
-		g := governor.NewConservative(sys, cfg.Gov.SampleMs)
-		g.Tel, g.Xray = obs.Telemetry, obs.Xray
-		s.gov = g
+		g = governor.NewConservative(sys, cfg.Gov.SampleMs)
 	case PAST:
-		g := governor.NewPAST(sys, cfg.Gov.SampleMs)
-		g.Tel, g.Xray = obs.Telemetry, obs.Xray
-		s.gov = g
+		g = governor.NewPAST(sys, cfg.Gov.SampleMs)
 	default:
-		g := governor.NewInteractive(sys, cfg.Gov)
+		g = governor.NewInteractive(sys, cfg.Gov)
+	}
+	if g != nil {
 		g.Tel, g.Xray = obs.Telemetry, obs.Xray
 		s.gov = g
 	}
@@ -265,11 +263,12 @@ func (s *Sim) Snapshot() (*snapshot.State, error) {
 	if s.cfg.Digest != nil && len(s.cfg.Digest.Steps()) > 0 {
 		return nil, errors.New("core: cannot snapshot a run with full-rate digest steps recorded — steps are not carried across a fork")
 	}
+	id := s.cfg.Identity()
 	st := &snapshot.State{
-		App:            s.cfg.App.Name,
-		Seed:           s.cfg.Seed,
-		Cores:          s.cfg.Cores,
-		CustomPlatform: s.cfg.Platform != "",
+		App:            id.App,
+		Seed:           id.Seed,
+		Cores:          id.Cores,
+		CustomPlatform: id.CustomPlatform,
 		SchedKind:      s.cfg.Scheduler.String(),
 		GovKind:        s.cfg.Governor.String(),
 		Time:           s.eng.Now(),
@@ -311,20 +310,28 @@ func (s *Sim) Snapshot() (*snapshot.State, error) {
 	return st, nil
 }
 
-// compat verifies that cfg can legally continue from st: identity fields
-// must match exactly, and the horizon must not precede the capture point.
-// Policy knobs (governor tuning, scheduler kind, thermal envelope) may
-// differ — that is what a fork sweep varies.
+// Identity is the half of a Config that a snapshot pins: a run can resume
+// from a snapshot only when its Identity equals the capturing run's. Every
+// other knob is policy a fork may vary.
+type Identity struct {
+	App            string
+	Seed           int64
+	Cores          platform.CoreConfig
+	CustomPlatform bool
+}
+
+// Identity returns c's snapshot identity.
+func (c Config) Identity() Identity {
+	return Identity{App: c.App.Name, Seed: c.Seed, Cores: c.Cores, CustomPlatform: c.Platform != ""}
+}
+
+// compat verifies that cfg can legally continue from st: identities must
+// match, and the horizon must not precede the capture point.
 func compat(cfg Config, st *snapshot.State) error {
-	switch {
-	case cfg.App.Name != st.App:
-		return fmt.Errorf("core: resume app %q, snapshot captured %q", cfg.App.Name, st.App)
-	case cfg.Seed != st.Seed:
-		return fmt.Errorf("core: resume seed %d, snapshot captured %d", cfg.Seed, st.Seed)
-	case cfg.Cores != st.Cores:
-		return fmt.Errorf("core: resume cores %v, snapshot captured %v", cfg.Cores, st.Cores)
-	case (cfg.Platform != "") != st.CustomPlatform:
-		return fmt.Errorf("core: resume and snapshot disagree on custom platform use")
+	captured := Identity{App: st.App, Seed: st.Seed, Cores: st.Cores, CustomPlatform: st.CustomPlatform}
+	switch id := cfg.Identity(); {
+	case id != captured:
+		return fmt.Errorf("core: resume identity %+v, snapshot captured %+v", id, captured)
 	case cfg.Duration < st.Time:
 		return fmt.Errorf("core: resume duration %v precedes the capture point %v", cfg.Duration, st.Time)
 	}

@@ -379,10 +379,11 @@ func run(space Space, opts Options, exhaustive bool) (*Report, error) {
 	if r == nil {
 		return nil, fmt.Errorf("explore: Options.Runner is required")
 	}
-	if err := space.Validate(); err != nil {
+	space.Base = space.Base.Normalized()
+	forkable, err := space.check()
+	if err != nil {
 		return nil, err
 	}
-	space.Base = space.Base.Normalized()
 	D := space.Base.Duration
 	size := space.Size()
 	eta, keep := opts.eta(), opts.keep()
@@ -396,7 +397,7 @@ func run(space Space, opts Options, exhaustive bool) (*Report, error) {
 	// A checking runner audits every job from scratch; fork acceleration is
 	// mutually exclusive with auditing, so the ladder degrades to short
 	// from-scratch screening runs (still a large saving over exhaustive).
-	forkable := space.Forkable() && !r.Check
+	forkable = forkable && !r.Check
 
 	var rungs []Rung
 	n0 := size

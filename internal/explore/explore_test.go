@@ -54,8 +54,8 @@ func TestSpaceEnumeration(t *testing.T) {
 	if cfg.Gov.SampleMs != 60 || cfg.Gov.TargetLoad != 80 {
 		t.Fatalf("Config(6): SampleMs=%d TargetLoad=%d, want 60 and 80", cfg.Gov.SampleMs, cfg.Gov.TargetLoad)
 	}
-	if !s.Forkable() {
-		t.Fatal("governor-tunable space must be forkable")
+	if forkable, err := s.check(); err != nil || !forkable {
+		t.Fatalf("governor-tunable space must be forkable (err %v)", err)
 	}
 
 	bad := s
@@ -334,8 +334,14 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 // exhaustive.
 func TestExploreIdentityDimDisablesFork(t *testing.T) {
 	seedSpace := Space{Dims: []Dim{{Key: "seed", Values: []string{"1", "2"}}}}
-	if seedSpace.Forkable() {
-		t.Fatal("seed dimension must make the space unforkable")
+	if forkable, err := seedSpace.check(); err != nil || forkable {
+		t.Fatalf("seed dimension must make the space unforkable (err %v)", err)
+	}
+	// Identity is what core compares, not a list of keys: a dimension whose
+	// every value keeps Base's identity still forks.
+	seedSpace.Dims[0].Values = []string{"0"}
+	if forkable, err := seedSpace.check(); err != nil || !forkable {
+		t.Fatalf("a seed dimension that keeps Base's seed must stay forkable (err %v)", err)
 	}
 
 	space := faithfulSpace(t)
@@ -343,8 +349,8 @@ func TestExploreIdentityDimDisablesFork(t *testing.T) {
 		{Key: "cores", Values: []string{"L4+B4", "L4+B2", "L4", "L2+B2", "L2"}},
 		{Key: "governor", Values: []string{"interactive", "performance", "powersave"}},
 	}
-	if space.Forkable() {
-		t.Fatal("cores dimension must make the space unforkable")
+	if forkable, err := space.check(); err != nil || forkable {
+		t.Fatalf("cores dimension must make the space unforkable (err %v)", err)
 	}
 	r := &lab.Runner{Workers: 4}
 	rep, err := Run(space, Options{Runner: r, Eta: 2, Keep: 4})

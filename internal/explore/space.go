@@ -39,12 +39,6 @@ type Space struct {
 	Dims []Dim
 }
 
-// identityDims are override keys that change the simulation's snapshot
-// identity (snapshot.State pins App, Seed, and Cores): a space varying one
-// of these cannot share fork prefixes across points, so the engine screens
-// it with short from-scratch runs instead.
-var identityDims = map[string]bool{"cores": true, "seed": true}
-
 // Size returns the number of points in the space.
 func (s *Space) Size() int {
 	if len(s.Dims) == 0 {
@@ -62,26 +56,40 @@ func (s *Space) Size() int {
 // cleanly to the base config — so a typo fails before any simulation, not
 // at rung three.
 func (s *Space) Validate() error {
+	_, err := s.check()
+	return err
+}
+
+// check is Validate plus forkability in one pass: it applies every
+// dimension value to Base once, for both the error and the identity
+// comparison. Points of the space can resume from a shared snapshot prefix
+// of Base unless some dimension value, applied to Base, changes Base's
+// snapshot identity (core.Identity); a space that cannot fork is screened
+// with short from-scratch runs instead. run normalizes Base before calling
+// it, so a zero field and its default compare equal.
+func (s *Space) check() (forkable bool, err error) {
 	if len(s.Dims) == 0 {
-		return fmt.Errorf("explore: empty space (no dimensions)")
+		return false, fmt.Errorf("explore: empty space (no dimensions)")
 	}
+	forkable = true
 	seen := make(map[string]bool, len(s.Dims))
 	for _, d := range s.Dims {
 		if len(d.Values) == 0 {
-			return fmt.Errorf("explore: dimension %q has no values", d.Key)
+			return false, fmt.Errorf("explore: dimension %q has no values", d.Key)
 		}
 		if seen[d.Key] {
-			return fmt.Errorf("explore: dimension %q declared twice", d.Key)
+			return false, fmt.Errorf("explore: dimension %q declared twice", d.Key)
 		}
 		seen[d.Key] = true
 		for _, v := range d.Values {
 			cfg := s.Base
 			if err := cli.ApplyOverrides(&cfg, d.Key+"="+v); err != nil {
-				return fmt.Errorf("explore: dimension %q: %w", d.Key, err)
+				return false, fmt.Errorf("explore: dimension %q: %w", d.Key, err)
 			}
+			forkable = forkable && cfg.Identity() == s.Base.Identity()
 		}
 	}
-	return nil
+	return forkable, nil
 }
 
 // Config materializes point i of the space.
@@ -119,18 +127,6 @@ func (s *Space) Shape() string {
 		parts[i] = fmt.Sprintf("%s(%d)", d.Key, len(d.Values))
 	}
 	return strings.Join(parts, " x ")
-}
-
-// Forkable reports whether points of this space can resume from a shared
-// snapshot prefix of Base: they can unless a dimension rewrites the
-// snapshot identity (cores, seed).
-func (s *Space) Forkable() bool {
-	for _, d := range s.Dims {
-		if identityDims[d.Key] {
-			return false
-		}
-	}
-	return true
 }
 
 // ParseDim parses one "key=v1,v2,v3" dimension spec (the blexplore -dim

@@ -6,7 +6,10 @@
 // cluster shares one clock (§II) — programs every cluster to the maximum of
 // its cores' targets.
 //
-// Performance, powersave, and userspace governors are provided as baselines.
+// The ondemand, conservative and PAST governors the study compares it with
+// run the same loop: one Sampler serves all four, and each constructor
+// supplies only its per-core policy. Performance, powersave, and userspace
+// governors are provided as static baselines.
 package governor
 
 import (
@@ -53,79 +56,165 @@ func DefaultInteractive() InteractiveConfig {
 	}
 }
 
-// Interactive is the load-tracking DVFS governor.
-type Interactive struct {
-	Cfg InteractiveConfig
-
-	sys      *sched.System
-	sample   event.Time
-	sampleFn event.Handler // cached method value: evaluating g.onSample allocates
-	sampleEv event.Handle  // the pending sample (retained for snapshot capture)
-	lastBusy []event.Time
-	// Per-cluster hold state for the delay tunables.
-	hispeedSince []event.Time
-	lastRaise    []event.Time
+// Sampler is the load-tracking governor loop that interactive, ondemand,
+// conservative and PAST share: every sample period it reads each online
+// core's utilization since the last sample, asks its policy for that core's
+// target frequency, and programs each cluster to the maximum of its cores'
+// targets. Each constructor supplies only the policy.
+type Sampler struct {
 	// Tel, when non-nil, receives a KindGovernor event for every frequency
 	// change decision, carrying the triggering utilization (Value, percent)
-	// and the reason (hispeed jump, scale-up, scale-down).
+	// and the policy's reason.
 	Tel *telemetry.Collector
 	// Xray, when non-nil, receives a decision span for every frequency
 	// change: each online core's utilization and per-core target (the
 	// candidates; the cluster takes the max), the thresholds compared, and
 	// the reason. Nil disables tracing at one pointer check per sample.
 	Xray *xray.Tracer
+
+	// cfg holds the tunables, fixed at construction. Its hold delays are
+	// zero, and the hold step inert, for every policy but interactive's.
+	cfg      InteractiveConfig
+	sys      *sched.System
+	pol      policy
+	sample   event.Time
+	sampleFn event.Handler // cached method value: evaluating g.onSample allocates
+	sampleEv event.Handle  // the pending sample (retained for snapshot capture)
+	lastBusy []event.Time
+	// Interactive's per-cluster hold state for the delay tunables; nil for
+	// the other policies.
+	hispeedSince []event.Time
+	lastRaise    []event.Time
 	// xrayCands is the scratch candidate buffer, reused across samples so
-	// tracing only allocates when a span is actually recorded.
+	// tracing only allocates when a span is actually recorded. A span's
+	// inputs are xrayIn[:nIn]: max_util_pct, then the policy's thresholds.
 	xrayCands []xray.Candidate
+	xrayIn    [4]xray.Input
+	nIn       int
+}
+
+// policy is what one load-tracking governor adds to the sampling loop. Its
+// functions take the sampler as an argument, so binding one allocates
+// nothing.
+type policy struct {
+	reason string // names every frequency change, unless step does
+	// target is one core's target frequency at utilization util, with its
+	// cluster cl at curMHz.
+	target func(g *Sampler, cl *platform.Cluster, curMHz int, util float64) int
+	// step, when non-nil, sees every change of cluster ci from prevMHz to
+	// mhz and names its reason.
+	step func(g *Sampler, ci, prevMHz, mhz int, now event.Time) string
+}
+
+func newSampler(sys *sched.System, cfg InteractiveConfig, pol policy) *Sampler {
+	if cfg.SampleMs <= 0 {
+		cfg.SampleMs = 20
+	}
+	g := &Sampler{
+		cfg:      cfg,
+		sys:      sys,
+		pol:      pol,
+		sample:   event.Time(cfg.SampleMs) * event.Millisecond,
+		lastBusy: make([]event.Time, len(sys.SoC.Cores)),
+		xrayIn:   [4]xray.Input{{Name: "max_util_pct"}},
+		nIn:      1,
+	}
+	g.sampleFn = g.onSample
+	return g
 }
 
 // NewInteractive attaches an interactive governor to sys. Call Start to
 // begin sampling.
-func NewInteractive(sys *sched.System, cfg InteractiveConfig) *Interactive {
-	if cfg.SampleMs <= 0 {
-		cfg.SampleMs = 20
-	}
+func NewInteractive(sys *sched.System, cfg InteractiveConfig) *Sampler {
 	if cfg.TargetLoad <= 0 || cfg.TargetLoad > 100 {
 		cfg.TargetLoad = 70
 	}
 	if cfg.DownThreshold <= 0 {
 		cfg.DownThreshold = 45
 	}
-	g := &Interactive{
-		Cfg:          cfg,
-		sys:          sys,
-		sample:       event.Time(cfg.SampleMs) * event.Millisecond,
-		lastBusy:     make([]event.Time, len(sys.SoC.Cores)),
-		hispeedSince: make([]event.Time, len(sys.SoC.Clusters)),
-		lastRaise:    make([]event.Time, len(sys.SoC.Clusters)),
-	}
+	g := newSampler(sys, cfg, policy{target: (*Sampler).coreTarget, step: (*Sampler).interactiveStep})
+	g.hispeedSince = make([]event.Time, len(sys.SoC.Clusters))
+	g.lastRaise = make([]event.Time, len(sys.SoC.Clusters))
 	for i := range g.hispeedSince {
 		g.hispeedSince[i] = -1
 	}
-	g.sampleFn = g.onSample
+	g.xrayIn[1] = xray.Input{Name: "target_load", Value: float64(cfg.TargetLoad)}
+	g.xrayIn[2] = xray.Input{Name: "down_threshold", Value: float64(cfg.DownThreshold)}
+	g.xrayIn[3].Name = "hispeed_mhz"
+	g.nIn = 4
 	return g
 }
 
+// NewOndemand builds the classic Linux ondemand governor: jump straight to
+// the maximum frequency when utilization exceeds 80%, otherwise set the
+// lowest frequency that keeps utilization under that threshold. Fast
+// reaction, jumpy power.
+func NewOndemand(sys *sched.System, sampleMs int) *Sampler {
+	const up = 0.80
+	return newSampler(sys, InteractiveConfig{SampleMs: sampleMs}, policy{reason: "ondemand",
+		target: func(_ *Sampler, cl *platform.Cluster, cur int, util float64) int {
+			if util > up {
+				return cl.MaxMHz()
+			}
+			// Proportional down-scaling with the same headroom.
+			return int(float64(cur) * util / up)
+		}})
+}
+
+// NewConservative builds the Linux conservative governor: frequency moves
+// one 100 MHz table step at a time — up above 80% utilization, down below
+// 35%. Smooth power, slow reaction.
+func NewConservative(sys *sched.System, sampleMs int) *Sampler {
+	const up, down = 0.80, 0.35
+	return newSampler(sys, InteractiveConfig{SampleMs: sampleMs}, policy{reason: "conservative",
+		target: func(_ *Sampler, cl *platform.Cluster, cur int, util float64) int {
+			switch {
+			case util > up:
+				return cl.ClampMHz(cur + 100)
+			case util < down:
+				if cur-100 < cl.MinMHz() {
+					return cl.MinMHz()
+				}
+				return cur - 100
+			default:
+				return cur
+			}
+		}})
+}
+
+// NewPAST builds Weiser et al.'s PAST policy (§IV-D cites it as the
+// precursor of the interactive governor): the next interval is assumed to
+// repeat the previous one, and the speed is set so that the predicted work
+// just fits — i.e. target = current_speed × utilization, with a small
+// headroom so minor increases do not immediately saturate.
+func NewPAST(sys *sched.System, sampleMs int) *Sampler {
+	const headroom = 0.9 // run the predicted load at 90% utilization
+	return newSampler(sys, InteractiveConfig{SampleMs: sampleMs}, policy{reason: "past",
+		target: func(_ *Sampler, _ *platform.Cluster, cur int, util float64) int {
+			return int(float64(cur) * util / headroom)
+		}})
+}
+
 // Start schedules the periodic sampling.
-func (g *Interactive) Start() {
+func (g *Sampler) Start() {
 	g.sampleEv = g.sys.Eng.After(g.sample, g.sampleFn)
 }
 
-func (g *Interactive) hispeed(t platform.CoreType) int {
+func (g *Sampler) hispeed(t platform.CoreType) int {
 	switch t {
 	case platform.Big:
-		return g.Cfg.HispeedBigMHz
+		return g.cfg.HispeedBigMHz
 	case platform.Tiny:
-		if g.Cfg.HispeedTinyMHz > 0 {
-			return g.Cfg.HispeedTinyMHz
+		if g.cfg.HispeedTinyMHz > 0 {
+			return g.cfg.HispeedTinyMHz
 		}
 		return 500
 	default:
-		return g.Cfg.HispeedLittleMHz
+		return g.cfg.HispeedLittleMHz
 	}
 }
 
-func (g *Interactive) onSample(now event.Time) {
+func (g *Sampler) onSample(now event.Time) {
 	g.sys.SyncAll(now)
 	for ci := range g.sys.SoC.Clusters {
 		cl := &g.sys.SoC.Clusters[ci]
@@ -150,7 +239,7 @@ func (g *Interactive) onSample(now event.Time) {
 			if util > maxUtil {
 				maxUtil = util
 			}
-			t := g.coreTarget(cl, cur, util)
+			t := g.pol.target(g, cl, cur, util)
 			if t > target {
 				target = t
 			}
@@ -164,64 +253,74 @@ func (g *Interactive) onSample(now event.Time) {
 		if target == 0 {
 			target = cl.MinMHz()
 		}
-		// above_hispeed_delay: hold at hispeed until the demand persists.
-		if d := g.Cfg.AboveHispeedDelayMs; d > 0 {
-			hs := g.hispeed(cl.Type)
-			if target > hs && cur >= hs {
-				if g.hispeedSince[ci] < 0 {
-					g.hispeedSince[ci] = now
-				}
-				if now-g.hispeedSince[ci] < event.Time(d)*event.Millisecond {
-					target = cur
-				}
-			} else if target <= hs {
-				g.hispeedSince[ci] = -1
-			}
+		if target = g.hold(ci, cur, target, now); target == cur {
+			continue
 		}
-		// min_sample_time: do not scale down right after a raise.
-		if m := g.Cfg.MinSampleTimeMs; m > 0 && target < cur {
-			if now-g.lastRaise[ci] < event.Time(m)*event.Millisecond {
-				target = cur
-			}
+		mhz := g.sys.SetClusterFreq(ci, target)
+		if mhz == cur {
+			continue
 		}
-		newMHz := cur
-		if target != cur {
-			newMHz = g.sys.SetClusterFreq(ci, target)
-			if newMHz > cur {
-				g.lastRaise[ci] = now
-			}
-			if newMHz != cur {
-				reason := telemetry.ReasonScaleDown
-				if newMHz > cur {
-					if cur < g.hispeed(cl.Type) && newMHz >= g.hispeed(cl.Type) {
-						reason = telemetry.ReasonHispeed
-					} else {
-						reason = telemetry.ReasonScaleUp
-					}
-				}
-				if g.Tel != nil {
-					g.Tel.Emit(telemetry.Event{
-						At: now, Kind: telemetry.KindGovernor,
-						Task: -1, Core: -1, FromCore: -1, Cluster: ci,
-						PrevMHz: cur, MHz: newMHz,
-						Reason: reason, Value: 100 * maxUtil,
-					})
-				}
-				if g.Xray != nil {
-					g.Xray.FreqStep(now, ci, cur, newMHz,
-						g.Xray.Choice("cluster%d %d -> %d MHz", [3]int{ci, cur, newMHz}, [2]string{}), reason,
-						[]xray.Input{
-							{Name: "max_util_pct", Value: 100 * maxUtil},
-							{Name: "target_load", Value: float64(g.Cfg.TargetLoad)},
-							{Name: "down_threshold", Value: float64(g.Cfg.DownThreshold)},
-							{Name: "hispeed_mhz", Value: float64(g.hispeed(cl.Type))},
-						},
-						markGovernorChoice(g.xrayCands, target))
-				}
-			}
+		reason := g.pol.reason
+		if g.pol.step != nil {
+			reason = g.pol.step(g, ci, cur, mhz, now)
+		}
+		if g.Tel != nil {
+			g.Tel.Emit(telemetry.Event{
+				At: now, Kind: telemetry.KindGovernor,
+				Task: -1, Core: -1, FromCore: -1, Cluster: ci,
+				PrevMHz: cur, MHz: mhz,
+				Reason: reason, Value: 100 * maxUtil,
+			})
+		}
+		if g.Xray != nil {
+			g.xrayIn[0].Value = 100 * maxUtil
+			g.Xray.FreqStep(now, ci, cur, mhz,
+				g.Xray.Choice("cluster%d %d -> %d MHz", [3]int{ci, cur, mhz}, [2]string{}), reason,
+				g.xrayIn[:g.nIn], markGovernorChoice(g.xrayCands, target))
 		}
 	}
 	g.sampleEv = g.sys.Eng.After(g.sample, g.sampleFn)
+}
+
+// hold applies interactive's damping tunables to cluster ci's target:
+// above_hispeed_delay holds at hispeed until the demand persists, and
+// min_sample_time blocks scaling down right after a raise. Both delays are
+// zero for every other policy, which leaves the target as it is.
+func (g *Sampler) hold(ci, cur, target int, now event.Time) int {
+	if d := g.cfg.AboveHispeedDelayMs; d > 0 {
+		hs := g.hispeed(g.sys.SoC.Clusters[ci].Type)
+		if target > hs && cur >= hs {
+			if g.hispeedSince[ci] < 0 {
+				g.hispeedSince[ci] = now
+			}
+			if now-g.hispeedSince[ci] < event.Time(d)*event.Millisecond {
+				target = cur
+			}
+		} else if target <= hs {
+			g.hispeedSince[ci] = -1
+		}
+	}
+	if m := g.cfg.MinSampleTimeMs; m > 0 && target < cur && now-g.lastRaise[ci] < event.Time(m)*event.Millisecond {
+		target = cur
+	}
+	return target
+}
+
+// interactiveStep is interactive's step: it records a raise for
+// min_sample_time, fills the hispeed_mhz x-ray input, and names the change a
+// hispeed jump (from below hispeed to at least it), a scale-up, or a
+// scale-down.
+func (g *Sampler) interactiveStep(ci, prevMHz, mhz int, now event.Time) string {
+	hs := g.hispeed(g.sys.SoC.Clusters[ci].Type)
+	g.xrayIn[3].Value = float64(hs)
+	if mhz < prevMHz {
+		return telemetry.ReasonScaleDown
+	}
+	g.lastRaise[ci] = now
+	if prevMHz < hs && mhz >= hs {
+		return telemetry.ReasonHispeed
+	}
+	return telemetry.ReasonScaleUp
 }
 
 // markGovernorChoice marks, in place in the scratch candidate buffer, the
@@ -255,17 +354,17 @@ func markGovernorChoice(out []xray.Candidate, target int) []xray.Candidate {
 }
 
 // coreTarget applies Algorithm 2 for one core.
-func (g *Interactive) coreTarget(cl *platform.Cluster, curMHz int, util float64) int {
+func (g *Sampler) coreTarget(cl *platform.Cluster, curMHz int, util float64) int {
 	utilPct := int(util*100 + 0.5)
-	targetFreq := int(float64(curMHz) * util * 100 / float64(g.Cfg.TargetLoad))
+	targetFreq := int(float64(curMHz) * util * 100 / float64(g.cfg.TargetLoad))
 	switch {
-	case utilPct > g.Cfg.TargetLoad:
+	case utilPct > g.cfg.TargetLoad:
 		hs := g.hispeed(cl.Type)
 		if curMHz < hs {
 			return hs
 		}
 		return targetFreq
-	case utilPct < g.Cfg.DownThreshold:
+	case utilPct < g.cfg.DownThreshold:
 		if targetFreq < cl.MinMHz() {
 			return cl.MinMHz()
 		}

@@ -27,9 +27,9 @@ func TestRampUpUnderLoad(t *testing.T) {
 	s.Push(task, 1e12)
 	eng.Run(30 * event.Millisecond) // two samples
 	lc := s.SoC.ClusterByType(platform.Little)
-	if lc.CurMHz < g.Cfg.HispeedLittleMHz {
+	if lc.CurMHz < g.cfg.HispeedLittleMHz {
 		t.Fatalf("little at %d MHz after load spike, want >= hispeed %d",
-			lc.CurMHz, g.Cfg.HispeedLittleMHz)
+			lc.CurMHz, g.cfg.HispeedLittleMHz)
 	}
 	eng.Run(200 * event.Millisecond)
 	if lc.CurMHz != lc.MaxMHz() {
@@ -119,14 +119,14 @@ func TestClusterTakesMaxOfCores(t *testing.T) {
 	s.Push(task, 1e12)
 	eng.Run(100 * event.Millisecond)
 	lc := s.SoC.ClusterByType(platform.Little)
-	if lc.CurMHz < g.Cfg.HispeedLittleMHz {
+	if lc.CurMHz < g.cfg.HispeedLittleMHz {
 		t.Fatalf("cluster freq %d ignores its one saturated core", lc.CurMHz)
 	}
 }
 
 // sampleTimes steps g's sampling n times and returns when each pending
 // sample was due.
-func sampleTimes(eng *event.Engine, g *Interactive, n int) []event.Time {
+func sampleTimes(eng *event.Engine, g *Sampler, n int) []event.Time {
 	g.Start()
 	var at []event.Time
 	for len(at) < n {
@@ -161,8 +161,8 @@ func TestSampleIntervalRespected(t *testing.T) {
 func TestConfigDefaultsApplied(t *testing.T) {
 	_, s := newSys()
 	g := NewInteractive(s, InteractiveConfig{})
-	if g.Cfg.SampleMs != 20 || g.Cfg.TargetLoad != 70 || g.Cfg.DownThreshold != 45 {
-		t.Fatalf("zero config not defaulted: %+v", g.Cfg)
+	if g.cfg.SampleMs != 20 || g.cfg.TargetLoad != 70 || g.cfg.DownThreshold != 45 {
+		t.Fatalf("zero config not defaulted: %+v", g.cfg)
 	}
 }
 
@@ -292,8 +292,8 @@ func TestAboveHispeedDelayHolds(t *testing.T) {
 	// After two samples we are at hispeed, but the delay must block the
 	// climb to max until 100ms of sustained demand above hispeed.
 	eng.Run(60 * event.Millisecond)
-	if lc.CurMHz != g.Cfg.HispeedLittleMHz {
-		t.Fatalf("at %d MHz, want held at hispeed %d", lc.CurMHz, g.Cfg.HispeedLittleMHz)
+	if lc.CurMHz != g.cfg.HispeedLittleMHz {
+		t.Fatalf("at %d MHz, want held at hispeed %d", lc.CurMHz, g.cfg.HispeedLittleMHz)
 	}
 	eng.Run(400 * event.Millisecond)
 	if lc.CurMHz != lc.MaxMHz() {

@@ -29,13 +29,6 @@ func (sn *Snap) PendingEvents() int {
 	return 0
 }
 
-// Snapshotter is implemented by every governor: capture and restore of its
-// dynamic state around an engine Reset.
-type Snapshotter interface {
-	Snapshot() Snap
-	Restore(*Snap) error
-}
-
 func copyTimes(ts []event.Time) []event.Time { return append([]event.Time(nil), ts...) }
 
 func restoreTimes(dst, src []event.Time, what string) error {
@@ -46,8 +39,10 @@ func restoreTimes(dst, src []event.Time, what string) error {
 	return nil
 }
 
-// Snapshot captures the interactive governor's dynamic state.
-func (g *Interactive) Snapshot() Snap {
+// Snapshot captures a load-tracking governor's dynamic state. Only
+// interactive keeps hold state; the other policies' nil slices copy to nil,
+// which the wire form omits.
+func (g *Sampler) Snapshot() Snap {
 	sn := Snap{
 		LastBusy:     copyTimes(g.lastBusy),
 		HispeedSince: copyTimes(g.hispeedSince),
@@ -60,7 +55,7 @@ func (g *Interactive) Snapshot() Snap {
 }
 
 // Restore loads sn; the engine must already be Reset to the capture point.
-func (g *Interactive) Restore(sn *Snap) error {
+func (g *Sampler) Restore(sn *Snap) error {
 	if err := restoreTimes(g.lastBusy, sn.LastBusy, "lastBusy"); err != nil {
 		return err
 	}
@@ -68,26 +63,6 @@ func (g *Interactive) Restore(sn *Snap) error {
 		return err
 	}
 	if err := restoreTimes(g.lastRaise, sn.LastRaise, "lastRaise"); err != nil {
-		return err
-	}
-	if sn.SamplePending {
-		g.sampleEv = g.sys.Eng.ScheduleAt(sn.SampleAt, sn.SampleSeq, g.sampleFn)
-	}
-	return nil
-}
-
-// Snapshot captures a load-sampling governor's dynamic state.
-func (g *loadSampler) Snapshot() Snap {
-	sn := Snap{LastBusy: copyTimes(g.lastBusy)}
-	if seq, ok := g.sampleEv.EventSeq(); ok {
-		sn.SamplePending, sn.SampleAt, sn.SampleSeq = true, g.sampleEv.At(), seq
-	}
-	return sn
-}
-
-// Restore loads sn; the engine must already be Reset to the capture point.
-func (g *loadSampler) Restore(sn *Snap) error {
-	if err := restoreTimes(g.lastBusy, sn.LastBusy, "lastBusy"); err != nil {
 		return err
 	}
 	if sn.SamplePending {

@@ -553,13 +553,29 @@ func (s *System) wakeCPU(t *Task) *cpu {
 		}
 		// Requested type offline: fall through to the default placement.
 	}
-	// Tier hysteresis, mirroring the migration rules: move one tier up when
-	// above the up-threshold, one tier down below the down-threshold,
-	// otherwise stay on the last tier. Fresh tasks start on the little
-	// tier. The tiny tier additionally requires a small burst footprint.
+	// Try the preferred tier, then walk outward (up first: capacity beats
+	// efficiency when the preferred cluster is offline).
+	tier := s.wakeTier(t, t.lastCPU)
+	for _, cand := range []int{tier, tier + 1, tier + 2, tier - 1, tier - 2} {
+		if cand < 0 || cand > 2 {
+			continue
+		}
+		if c := s.pickCPU(platform.TypeForTier(cand), t); c != nil {
+			return c
+		}
+	}
+	panic("sched: no online cores")
+}
+
+// wakeTier is the tier HMP wake placement prefers for t, last queued on
+// prevCPU (-1 for a fresh task). It mirrors the migration rules: one tier up
+// above the up-threshold, one tier down below the down-threshold, otherwise
+// the last tier; fresh tasks start on the little tier, and the tiny tier
+// additionally requires a small burst footprint.
+func (s *System) wakeTier(t *Task, prevCPU int) int {
 	tier := platform.Little.Tier()
-	if t.lastCPU >= 0 {
-		tier = s.cpus[t.lastCPU].typ.Tier()
+	if prevCPU >= 0 {
+		tier = s.cpus[prevCPU].typ.Tier()
 	}
 	switch {
 	case t.Load() > s.Cfg.UpThreshold:
@@ -576,17 +592,7 @@ func (s *System) wakeCPU(t *Task) *cpu {
 	if tier < 0 {
 		tier = 0
 	}
-	// Try the preferred tier, then walk outward (up first: capacity beats
-	// efficiency when the preferred cluster is offline).
-	for _, cand := range []int{tier, tier + 1, tier + 2, tier - 1, tier - 2} {
-		if cand < 0 || cand > 2 {
-			continue
-		}
-		if c := s.pickCPU(platform.TypeForTier(cand), t); c != nil {
-			return c
-		}
-	}
-	panic("sched: no online cores")
+	return tier
 }
 
 // pickCPU selects the wake/migration destination among online cores of typ:

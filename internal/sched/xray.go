@@ -2,7 +2,6 @@ package sched
 
 import (
 	"biglittle/internal/event"
-	"biglittle/internal/platform"
 	"biglittle/internal/xray"
 )
 
@@ -78,27 +77,6 @@ func (s *System) xrayWake(t *Task, c *cpu, prevCPU int, now event.Time, reason s
 			[]xray.Candidate{{Core: c.id, Type: c.typ.String(), QueueLen: len(c.queue)}})
 		return
 	}
-	// Re-derive the tier hysteresis exactly as wakeCPU did.
-	lastTier := platform.Little.Tier()
-	if prevCPU >= 0 {
-		lastTier = s.cpus[prevCPU].typ.Tier()
-	}
-	targetTier := lastTier
-	switch {
-	case t.Load() > s.Cfg.UpThreshold:
-		targetTier++
-	case t.Load() < s.Cfg.DownThreshold:
-		targetTier--
-	}
-	if targetTier > 2 {
-		targetTier = 2
-	}
-	if targetTier < 1 && t.sleepLoad >= float64(s.Cfg.TinyWakeLoad) {
-		targetTier = 1
-	}
-	if targetTier < 0 {
-		targetTier = 0
-	}
 	affinity := prevCPU == c.id && len(c.queue) == 0
 	s.Xray.Wake(now, t.ID, t.Name, c.id, s.SoC.Cores[c.id].Cluster,
 		s.Xray.Choice("woke on cpu%d (%s)", [3]int{c.id}, [2]string{c.typ.String()}), reason,
@@ -109,7 +87,7 @@ func (s *System) xrayWake(t *Task, c *cpu, prevCPU int, now event.Time, reason s
 			{Name: "burst_footprint", Value: t.sleepLoad},
 			{Name: "tiny_wake_load", Value: float64(s.Cfg.TinyWakeLoad)},
 			{Name: "last_cpu", Value: float64(prevCPU)},
-			{Name: "target_tier", Value: float64(targetTier)},
+			{Name: "target_tier", Value: float64(s.wakeTier(t, prevCPU))},
 		},
 		s.xrayCandidates(c, affinity, -1, noAdjust))
 }

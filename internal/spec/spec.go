@@ -278,31 +278,9 @@ func build(ctx *workload.Ctx, f File) {
 		apps.FrameLoop(ctx, cfg)
 	}
 	if f.Hum != nil && f.Hum.MeanMs > 0 {
-		hum(ctx, f.Name, ms(f.Hum.MeanMs), f.Hum.P2, f.Hum.P3)
+		apps.BackgroundHum(ctx, f.Name, ms(f.Hum.MeanMs), f.Hum.P2, f.Hum.P3)
 	}
 	if f.TouchKicksMs > 0 {
 		workload.TouchKicks(ctx, ms(f.TouchKicksMs))
 	}
-}
-
-// hum mirrors the bundled apps' background activity for spec-loaded apps.
-func hum(ctx *workload.Ctx, prefix string, meanGap event.Time, p2, p3 float64) {
-	a := workload.NewThread(ctx, prefix+".sys1", 1.3)
-	b := workload.NewThread(ctx, prefix+".sys2", 1.3)
-	c := workload.NewThread(ctx, prefix+".sys3", 1.3)
-	var arrive func(now event.Time)
-	arrive = func(now event.Time) {
-		if now >= ctx.Duration {
-			return
-		}
-		a.Push(ctx.Jitter(0.25*workload.Mc, 0.5), nil)
-		if ctx.Rng.Float64() < p2 {
-			b.Push(ctx.Jitter(0.3*workload.Mc, 0.5), nil)
-		}
-		if ctx.Rng.Float64() < p3 {
-			c.Push(ctx.Jitter(0.25*workload.Mc, 0.5), nil)
-		}
-		ctx.At(now+ctx.Exp(meanGap), arrive)
-	}
-	ctx.At(ctx.Exp(meanGap), arrive)
 }

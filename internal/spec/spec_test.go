@@ -7,6 +7,7 @@ import (
 	"biglittle/internal/apps"
 	"biglittle/internal/core"
 	"biglittle/internal/event"
+	"biglittle/internal/session"
 )
 
 const chatApp = `{
@@ -72,6 +73,25 @@ func TestParseAndRunLatencyApp(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("crypto thread missing from task stats")
+	}
+}
+
+// A spec app's hum starts one gap after the app is built, so the app can
+// run as any phase of a session, not only the first.
+func TestHumInLaterSessionPhase(t *testing.T) {
+	app, err := Parse([]byte(chatApp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	browser, err := apps.ByName("browser")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := session.Run(session.DefaultConfig(
+		session.Phase{App: browser, Duration: 2 * event.Second},
+		session.Phase{App: app, Duration: 2 * event.Second}))
+	if len(r.Phases) != 2 || r.Phases[1].App != "chat_app" || r.Phases[1].Interactions == 0 {
+		t.Fatalf("session did not run chat_app as its second phase: %+v", r.Phases)
 	}
 }
 
