@@ -198,12 +198,13 @@ report-par:
 		cmp /tmp/report-cold.txt /tmp/report-warm.txt || { echo "report-par: cold and warm output differ" >&2; exit 1; }; \
 		echo "report-par: OK"
 
-# Line-coverage floors for the simulation kernel packages, the governors and
-# the microarchitecture layer behind Figures 2-3. The profile can contain one
+# Line-coverage floors for the simulation kernel packages, the governors, the
+# microarchitecture layer behind Figures 2-3, and the lab and explore
+# orchestration above them. The profile can contain one
 # copy of each block per test binary, so blocks are deduplicated by location
 # before aggregating per package.
 cover:
-	go test -coverpkg=./internal/core,./internal/sched,./internal/platform,./internal/snapshot,./internal/governor,./internal/uarch,./internal/cache,./internal/bpred \
+	go test -coverpkg=./internal/core,./internal/sched,./internal/platform,./internal/snapshot,./internal/governor,./internal/uarch,./internal/cache,./internal/bpred,./internal/lab,./internal/explore \
 		-coverprofile=/tmp/biglittle-cover.out ./... > /dev/null
 	awk 'NR>1 {key=$$1; stmts[key]=$$2; if ($$3>0) hit[key]=1} \
 		END { \
@@ -215,6 +216,8 @@ cover:
 			floors["biglittle/internal/uarch"]=90; \
 			floors["biglittle/internal/cache"]=90; \
 			floors["biglittle/internal/bpred"]=90; \
+			floors["biglittle/internal/lab"]=84; \
+			floors["biglittle/internal/explore"]=89; \
 			bad=0; \
 			for (k in stmts) {p=k; sub(/:.*/, "", p); sub(/\/[^\/]*$$/, "", p); total[p]+=stmts[k]; if (hit[k]) cov[p]+=stmts[k]} \
 			for (p in floors) { \

@@ -632,6 +632,30 @@ func exploreBenchSpace() biglittle.ExploreSpace {
 	}
 }
 
+// TestExploreBenchSpaceDistinct pins how many simulations BenchmarkExplore's
+// space holds at one duration, which is what a lab batch with a cache runs:
+// 8 core configs x 4 schedulers x (16 interactive points + 4 each for
+// ondemand, conservative and PAST, which read only sample-ms, + 1 each for
+// performance and powersave, which read no tunable) = 960 of 3072.
+func TestExploreBenchSpaceDistinct(t *testing.T) {
+	space := exploreBenchSpace()
+	distinct := make(map[string]bool)
+	for i := 0; i < space.Size(); i++ {
+		cfg, err := space.Config(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, ok := biglittle.LabFingerprint(biglittle.LabJob{Config: cfg})
+		if !ok {
+			t.Fatalf("point %d (%s) is not fingerprintable", i, space.Desc(i))
+		}
+		distinct[fp] = true
+	}
+	if space.Size() != 3072 || len(distinct) != 960 {
+		t.Fatalf("the space's %d points fingerprint to %d distinct jobs, want 3072 and 960", space.Size(), len(distinct))
+	}
+}
+
 // BenchmarkAblationL2Size: how much of mcf's same-frequency gap the L2-size
 // difference explains.
 func BenchmarkAblationL2Size(b *testing.B) {

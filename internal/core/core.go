@@ -124,10 +124,13 @@ type Knobs struct {
 
 	Sched sched.Config `json:"sched"`
 	// Scheduler selects the mapping policy; HMP is the paper's baseline.
-	Scheduler SchedulerKind              `json:"scheduler"`
-	Governor  GovernorKind               `json:"governor"`
-	Gov       governor.InteractiveConfig `json:"gov"`
-	// PinnedMHz maps cluster ID to frequency for the Userspace governor.
+	Scheduler SchedulerKind `json:"scheduler"`
+	Governor  GovernorKind  `json:"governor"`
+	// Gov is read whole by interactive; ondemand, conservative and PAST
+	// read only its SampleMs; performance, powersave and userspace read
+	// none of it (see Effective).
+	Gov governor.InteractiveConfig `json:"gov"`
+	// PinnedMHz maps cluster ID to frequency. Only Userspace reads it.
 	PinnedMHz map[int]int `json:"pinned_mhz,omitempty"`
 
 	Power power.Params `json:"power"`
@@ -293,8 +296,10 @@ type TaskStat struct {
 }
 
 // Normalized returns cfg with every zero-valued field resolved to the same
-// default Run would apply, so two configs that produce identical simulations
-// compare (and fingerprint) identically.
+// default Run would apply, so a sparse config and its resolved twin compare
+// (and fingerprint) identically. Knobs the governor never reads are left as
+// they are; Knobs.Effective resets those, and the lab fingerprint applies
+// both.
 func (c Config) Normalized() Config {
 	if c.Duration <= 0 {
 		c.Duration = 30 * event.Second
@@ -315,9 +320,12 @@ func (c Config) Normalized() Config {
 // part-way, step a NewSim with RunTo and Snapshot instead (DESIGN.md §9).
 func Run(cfg Config) Result {
 	cfg = cfg.Normalized()
-	sim := newSim(cfg, nil)
+	rng := seededRand(cfg.Seed)
+	sim := newSim(cfg, nil, rng)
 	sim.eng.Run(cfg.Duration)
-	return sim.Finish()
+	res := sim.Finish()
+	releaseRand(rng)
+	return res
 }
 
 // Performance returns the app's scalar performance for comparisons: frames

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 
 	"biglittle/internal/altsched"
 	"biglittle/internal/apps"
@@ -50,23 +52,60 @@ type Sim struct {
 // Assemble builds cfg's platform, scheduler, policies and observers, with no
 // workload yet: call Build for each app to run on it. cfg.App is not used.
 func Assemble(cfg Config) *Sim {
-	return assemble(cfg.Normalized(), nil)
+	return assemble(cfg.Normalized(), nil, nil)
 }
 
 // newSim assembles cfg and builds its app over the whole run. rec, when
 // non-nil, interposes workload recording for snapshot capture (or replay,
-// when resuming).
-func newSim(cfg Config, rec *workload.Recorder) *Sim {
-	s := assemble(cfg, rec)
+// when resuming). rng, when non-nil, is the run's random source, already
+// seeded with cfg.Seed; nil seeds a fresh one.
+func newSim(cfg Config, rec *workload.Recorder, rng *rand.Rand) *Sim {
+	s := assemble(cfg, rec, rng)
 	s.Build(cfg.App, cfg.Duration)
 	return s
+}
+
+// idleRands is the free list of random sources whose runs have finished.
+// Seeding a source resets all of it, the read position included, so a
+// reused source draws exactly what a fresh one would. Only Run hands one
+// back, because its Sim never escapes. It keeps at most GOMAXPROCS sources
+// (about 5 KB each), and is a plain list rather than a sync.Pool because a
+// GC empties a pool.
+var (
+	idleRandMu sync.Mutex
+	idleRands  []*rand.Rand
+)
+
+// seededRand returns a source seeded with seed, reusing an idle one if any.
+func seededRand(seed int64) *rand.Rand {
+	idleRandMu.Lock()
+	n := len(idleRands)
+	if n == 0 {
+		idleRandMu.Unlock()
+		return rand.New(rand.NewSource(seed))
+	}
+	rng := idleRands[n-1]
+	idleRands[n-1] = nil
+	idleRands = idleRands[:n-1]
+	idleRandMu.Unlock()
+	rng.Seed(seed)
+	return rng
+}
+
+// releaseRand returns a finished run's source to the free list.
+func releaseRand(rng *rand.Rand) {
+	idleRandMu.Lock()
+	defer idleRandMu.Unlock()
+	if len(idleRands) < runtime.GOMAXPROCS(0) {
+		idleRands = append(idleRands, rng)
+	}
 }
 
 // assemble builds the simulation in a fixed order, which fixes the order of
 // events due at the same instant: platform, scheduler, scheduler policy,
 // governor, metrics sampler, auditor, thermal model, digest recorder, then
 // OnSystem. The observers attach along the way, as Observers documents.
-func assemble(cfg Config, rec *workload.Recorder) *Sim {
+func assemble(cfg Config, rec *workload.Recorder, rng *rand.Rand) *Sim {
 	eng := event.New()
 	var soc *platform.SoC
 	var err error
@@ -93,11 +132,10 @@ func assemble(cfg Config, rec *workload.Recorder) *Sim {
 	}
 	sys.Start()
 
-	s := &Sim{
-		cfg: cfg, eng: eng, soc: soc, sys: sys,
-		rng: rand.New(rand.NewSource(cfg.Seed)),
-		rec: rec,
+	if rng == nil {
+		rng = rand.New(rand.NewSource(cfg.Seed))
 	}
+	s := &Sim{cfg: cfg, eng: eng, soc: soc, sys: sys, rng: rng, rec: rec}
 
 	switch cfg.Scheduler {
 	case EfficiencyBased:
@@ -108,6 +146,8 @@ func assemble(cfg Config, rec *workload.Recorder) *Sim {
 		s.eas = altsched.NewEAS(sys, cfg.Power)
 	}
 
+	// Knobs.Effective records which knobs each case below reads: a knob a
+	// governor starts reading must be kept there too.
 	var g *governor.Sampler
 	switch cfg.Governor {
 	case Performance:
@@ -156,6 +196,28 @@ func assemble(cfg Config, rec *workload.Recorder) *Sim {
 		cfg.OnSystem(sys)
 	}
 	return s
+}
+
+// Effective returns k with every knob its governor does not read reset to
+// DefaultKnobs' value, so configs that differ only in such knobs simulate
+// identically and compare equal. It mirrors assemble's governor switch:
+// performance, powersave and userspace read no Gov tunable; ondemand,
+// conservative and PAST read only Gov.SampleMs; every other kind runs
+// interactive, which reads all of Gov; only userspace reads PinnedMHz.
+func (k Knobs) Effective() Knobs {
+	def := DefaultKnobs()
+	switch k.Governor {
+	case Performance, Powersave:
+		k.Gov, k.PinnedMHz = def.Gov, def.PinnedMHz
+	case Userspace:
+		k.Gov = def.Gov
+	case Ondemand, Conservative, PAST:
+		def.Gov.SampleMs = k.Gov.SampleMs
+		k.Gov, k.PinnedMHz = def.Gov, def.PinnedMHz
+	default:
+		k.PinnedMHz = def.PinnedMHz
+	}
+	return k
 }
 
 // Build builds app's workload on the assembled platform, generating work
@@ -214,7 +276,7 @@ func NewSim(cfg Config) (*Sim, error) {
 	if err := snapshotCompat(cfg); err != nil {
 		return nil, err
 	}
-	return newSim(cfg, workload.NewRecorder()), nil
+	return newSim(cfg, workload.NewRecorder(), nil), nil
 }
 
 // snapshotCompat rejects config hooks whose state a snapshot cannot capture
@@ -367,7 +429,7 @@ func Resume(cfg Config, st *snapshot.State) (sim *Sim, err error) {
 		}
 	}()
 	rec := workload.NewReplayer(st.Workload.Log)
-	s := newSim(cfg, rec)
+	s := newSim(cfg, rec, nil)
 	rec.Replay(s.eng)
 	if got := rec.ThreadCount(); got != st.Workload.Threads {
 		return nil, fmt.Errorf("core: replayed build created %d threads, snapshot recorded %d", got, st.Workload.Threads)

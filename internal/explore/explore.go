@@ -162,10 +162,12 @@ type Report struct {
 	Frontier []Point
 	// Winner is the frontier point minimizing the scalar objective.
 	Winner Point
-	// PlannedNs is the ladder's simulated-time plan — what a cold cache
-	// executes. SimulatedNs is what this run actually executed (0 when
-	// fully warm). ExhaustiveNs is the cost of the full-fidelity
-	// exhaustive sweep the ladder replaces: SpaceSize x Base.Duration.
+	// PlannedNs is the ladder's simulated-time plan — an upper bound on
+	// what a cold cache executes, since points whose effective knobs
+	// coincide share one simulation. SimulatedNs is what this run actually
+	// executed (0 when fully warm). ExhaustiveNs is the cost of the
+	// full-fidelity exhaustive sweep the ladder replaces: SpaceSize x
+	// Base.Duration.
 	PlannedNs    int64
 	SimulatedNs  int64
 	ExhaustiveNs int64
@@ -290,21 +292,26 @@ func paretoFront(pts []Point) []Point {
 // savings; capped promotion keeps every rung within 2x its plan. Returned
 // indices are sorted ascending so the next rung's job order is
 // deterministic.
-func survivors(pts []Point, want int, obj Objective) []int {
-	byScore := make([]Point, len(pts))
-	copy(byScore, pts)
+func survivors(pts []Point, want int) []int {
+	// byScore orders positions in pts, not copies of the points (each
+	// carries its whole Result); (Score, Index) is a total order.
+	byScore := make([]int, len(pts))
+	for i := range byScore {
+		byScore[i] = i
+	}
 	sort.Slice(byScore, func(i, j int) bool {
-		if byScore[i].Score != byScore[j].Score {
-			return byScore[i].Score < byScore[j].Score
+		p, q := &pts[byScore[i]], &pts[byScore[j]]
+		if p.Score != q.Score {
+			return p.Score < q.Score
 		}
-		return byScore[i].Index < byScore[j].Index
+		return p.Index < q.Index
 	})
 	if want > len(byScore) {
 		want = len(byScore)
 	}
 	keep := make(map[int]bool, 2*want)
-	for _, p := range byScore[:want] {
-		keep[p.Index] = true
+	for _, i := range byScore[:want] {
+		keep[pts[i].Index] = true
 	}
 	onFront := make(map[int]bool)
 	for _, p := range paretoFront(pts) {
@@ -314,12 +321,12 @@ func survivors(pts []Point, want int, obj Objective) []int {
 	// deterministic, and biased toward frontier points that are also good
 	// on the scalar objective.
 	bonus := want
-	for _, p := range byScore[want:] {
+	for _, i := range byScore[want:] {
 		if bonus == 0 {
 			break
 		}
-		if onFront[p.Index] && !keep[p.Index] {
-			keep[p.Index] = true
+		if idx := pts[i].Index; onFront[idx] && !keep[idx] {
+			keep[idx] = true
 			bonus--
 		}
 	}
@@ -495,7 +502,7 @@ func run(space Space, opts Options, exhaustive bool) (*Report, error) {
 			rep.Frontier = paretoFront(pts)
 			rr.Promoted = len(rep.Frontier)
 		} else {
-			cands = survivors(pts, rungs[ri+1].Candidates, opts.Objective)
+			cands = survivors(pts, rungs[ri+1].Candidates)
 			rr.Promoted = len(cands)
 		}
 		rr.Pruned = rr.Candidates - rr.Promoted

@@ -172,7 +172,7 @@ func TestSurvivorsKeepParetoFront(t *testing.T) {
 		{Index: 2, EnergyMJ: 9.5, DelayS: 2.5, Score: 3},
 		{Index: 3, EnergyMJ: 1, DelayS: 9, Score: 9},
 	}
-	got := survivors(pts, 2, Runtime)
+	got := survivors(pts, 2)
 	if !reflect.DeepEqual(got, []int{0, 1, 3}) {
 		t.Fatalf("survivors = %v, want [0 1 3] (top-2 by delay plus the energy-optimal frontier point)", got)
 	}
@@ -183,7 +183,7 @@ func TestSurvivorsKeepParetoFront(t *testing.T) {
 	for i := range chain {
 		chain[i] = Point{Index: i, EnergyMJ: float64(10 - i), DelayS: float64(1 + i), Score: float64(1 + i)}
 	}
-	got = survivors(chain, 2, Runtime)
+	got = survivors(chain, 2)
 	if !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
 		t.Fatalf("capped survivors = %v, want [0 1 2 3] (top-2 plus 2 front members by score)", got)
 	}

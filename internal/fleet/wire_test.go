@@ -27,7 +27,8 @@ import (
 //	go test ./internal/fleet -run TestSpecWireGolden -golden-update
 //
 // only for an intentional change to the fingerprinted state, and bump the
-// lab schemaVersion with it.
+// lab schemaVersion with it whenever a key could come to name a different
+// simulation.
 var updateGolden = flag.Bool("golden-update", false, "rewrite testdata/spec_wire.golden from current output")
 
 const wireGolden = "testdata/spec_wire.golden"

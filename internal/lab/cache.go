@@ -13,16 +13,22 @@ import (
 	"biglittle/internal/snapshot"
 )
 
-// schemaVersion invalidates every cached result when the blob layout or the
-// fingerprint definition changes. Bump it alongside such changes.
+// schemaVersion invalidates every cached result when the blob layout
+// changes, or when the fingerprint definition changes so that a key could
+// come to name a different simulation. A change that only merges keys of
+// identical simulations (as the Effective knob view did) needs no bump: every
+// new key is the old key of a config that simulates the same.
 const schemaVersion = "1"
 
 // CodeVersion identifies the simulator build whose results populate the
 // cache: the VCS revision stamped into the binary (suffixed "+dirty" for
 // modified working trees), or "dev" when no stamp is available (e.g. test
 // binaries). Results from different code versions live in different cache
-// subdirectories, so a code change invalidates warm results without ever
-// serving stale ones.
+// subdirectories, so a change committed between two stamped builds
+// invalidates warm results. Unstamped ("dev") and modified ("+dirty") builds
+// are not told apart: two different such builds share one namespace, and
+// the second is served the first's results. Give each unstamped or modified
+// build a fresh -cache-dir.
 func CodeVersion() string {
 	rev, dirty := "", false
 	if bi, ok := debug.ReadBuildInfo(); ok {

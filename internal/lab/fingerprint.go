@@ -13,8 +13,10 @@ import (
 // print is the canonical, serializable view of a resolved job config. It is
 // marshaled with encoding/json — which sorts map keys — and hashed, so the
 // fingerprint is stable across processes. Embedding core.Knobs puts every
-// knob in the hash by construction. Field order is part of the hash, which
-// is why Seed and Duration stay here, ahead of the knobs.
+// knob in the hash by construction; it holds the knobs' Effective view, so
+// configs that differ only in knobs their governor never reads share one
+// fingerprint. Field order is part of the hash, which is why Seed and
+// Duration stay here, ahead of the knobs.
 type print struct {
 	App      string      `json:"app"`
 	Desc     string      `json:"desc"`
@@ -59,7 +61,7 @@ func Fingerprint(job Job) (string, bool) {
 		Salt:     job.Salt,
 		Seed:     cfg.Seed,
 		Duration: cfg.Duration,
-		Knobs:    cfg.Knobs,
+		Knobs:    cfg.Knobs.Effective(),
 	}
 	if job.Fork != nil {
 		baseFp, ok := Fingerprint(Job{Config: job.Fork.Base})

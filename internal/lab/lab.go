@@ -86,7 +86,7 @@ type Executor interface {
 // (when nothing failed); on a fully warm cache Simulated is zero.
 type Stats struct {
 	Jobs      int64 // jobs submitted
-	Hits      int64 // results served from cache
+	Hits      int64 // results served from cache, or shared within a batch (RunAll)
 	Misses    int64 // cache lookups that missed (cacheable jobs only)
 	Simulated int64 // simulations actually executed
 	Stored    int64 // results written to cache
@@ -257,14 +257,57 @@ func (r *Runner) countAdd(fn func(*Stats), counter string, n int64) {
 // The first error (by submission order) is returned after all jobs finish;
 // its result slot is the zero Result. Configs are values: the caller's jobs
 // are never mutated.
+//
+// With a Cache or a Remote attached, RunAll fingerprints every job before
+// the fan-out and runs each distinct fingerprint once: a later job with the
+// same fingerprint takes the first one's result and error, and counts as a
+// cache hit, or as a failure when the first one failed. Such jobs share
+// their Result's slices, so the results are read-only.
 func (r *Runner) RunAll(jobs []Job) ([]core.Result, error) {
 	results := make([]core.Result, len(jobs))
 	errs := make([]error, len(jobs))
 	prog := r.newProgress(len(jobs))
+	// fps[i] is job i's fingerprint ("" when it has none), and first maps
+	// each fingerprint to the first job carrying it. Both stay nil when the
+	// runner has no use for fingerprints.
+	var fps []string
+	var first map[string]int
+	if r.Cache != nil || r.Remote != nil {
+		fps = make([]string, len(jobs))
+		first = make(map[string]int, len(jobs))
+		for i := range jobs {
+			fp, _ := Fingerprint(jobs[i])
+			fps[i] = fp
+			if _, seen := first[fp]; fp != "" && !seen {
+				first[fp] = i
+			}
+		}
+	}
 	r.ForEach(len(jobs), func(i int) {
-		results[i], errs[i] = r.runOne(jobs[i])
+		var fp string
+		if fps != nil {
+			if fp = fps[i]; fp != "" && first[fp] != i {
+				return // a duplicate: filled in below
+			}
+		}
+		results[i], errs[i] = r.runOne(jobs[i], fp)
 		prog.step()
 	})
+	for i, fp := range fps {
+		j := first[fp]
+		if fp == "" || j == i {
+			continue
+		}
+		results[i], errs[i] = results[j], errs[j]
+		if errs[i] != nil {
+			r.count(func(s *Stats) { s.Jobs++; s.Failures++ }, "lab_jobs", "lab_failures")
+			r.logJob("job failed", jobs[i].Config.App.Name, "err", errs[i], "duplicate_of", j)
+		} else {
+			r.count(func(s *Stats) { s.Jobs++; s.Hits++ }, "lab_jobs", "lab_cache_hits")
+			r.logJob("batch duplicate", jobs[i].Config.App.Name, "fingerprint", fp, "duplicate_of", j)
+		}
+		prog.step()
+	}
 	prog.finish()
 	for _, err := range errs {
 		if err != nil {
@@ -372,7 +415,11 @@ func (r *Runner) logJob(msg, app string, args ...any) {
 
 // Run executes a single job (still counted, cached, and recovered).
 func (r *Runner) Run(job Job) (core.Result, error) {
-	return r.runOne(job)
+	var fp string
+	if r.Cache != nil || r.Remote != nil {
+		fp, _ = Fingerprint(job)
+	}
+	return r.runOne(job, fp)
 }
 
 // ForEach runs fn(i) for i in [0, n) on the worker pool, for fan-out work
@@ -437,7 +484,10 @@ func (f *fanOut) call(i int) {
 }
 
 // runOne resolves one job: cache lookup, then bounded simulation attempts.
-func (r *Runner) runOne(job Job) (core.Result, error) {
+// fp is the job's fingerprint, or "" when it has none or the runner has
+// neither a cache nor a remote executor to use it with: a fingerprint costs
+// a config marshal (two for fork jobs).
+func (r *Runner) runOne(job Job, fp string) (core.Result, error) {
 	r.count(func(s *Stats) { s.Jobs++ }, "lab_jobs")
 
 	cfg := job.Config
@@ -451,14 +501,7 @@ func (r *Runner) runOne(job Job) (core.Result, error) {
 		r.logJob("job failed", cfg.App.Name, "err", err)
 		return core.Result{}, err
 	}
-	// Fingerprinting costs a config marshal (two for fork jobs); skip it
-	// when neither the cache nor a remote executor could use the result.
-	probe := Job{Config: cfg, Salt: job.Salt, Fork: job.Fork}
-	var fp string
-	var printable bool
-	if r.Cache != nil || r.Remote != nil {
-		fp, printable = Fingerprint(probe)
-	}
+	printable := fp != ""
 	cacheable := printable && r.Cache != nil
 	if cacheable {
 		if res, ok := r.Cache.Get(fp); ok {
@@ -484,7 +527,7 @@ func (r *Runner) runOne(job Job) (core.Result, error) {
 	// falls through to local simulation — the fleet is an accelerator, not a
 	// dependency.
 	if printable && r.Remote != nil {
-		res, ok, rerr := r.Remote.Execute(probe)
+		res, ok, rerr := r.Remote.Execute(job)
 		switch {
 		case rerr != nil:
 			r.count(func(s *Stats) { s.RemoteErrors++ }, "lab_remote_errors")
