@@ -307,15 +307,14 @@ func LoadSpec(data []byte) (App, error) { return spec.Parse(data) }
 // SessionPhase is one app segment of a multi-app usage session.
 type SessionPhase = session.Phase
 
-// SessionConfig describes a session run: phases, seed and battery on the
-// same platform and policy knobs as Config.
+// SessionConfig describes a session run: phases and seed on the same
+// platform and policy knobs as Config. Battery drain is the Galaxy S5's.
 type SessionConfig = session.Config
 
 // SessionResult summarizes a session with per-phase metrics.
 type SessionResult = session.Result
 
-// NewSession returns a session on the paper's baseline platform with the
-// Galaxy S5 battery.
+// NewSession returns a session on the paper's baseline platform.
 func NewSession(phases ...SessionPhase) SessionConfig { return session.DefaultConfig(phases...) }
 
 // RunSession executes a multi-app session: phases run back to back on one

@@ -69,7 +69,7 @@ type Report struct {
 	TaskMigrations   int     `json:"task_migrations"`
 
 	Violations []Violation `json:"violations,omitempty"`
-	// Dropped counts violations beyond the MaxViolations cap.
+	// Dropped counts violations beyond the DefaultMaxViolations cap.
 	Dropped int `json:"dropped,omitempty"`
 }
 
@@ -110,10 +110,6 @@ func (r Report) String() string {
 // migrations. Finish reconciles the integral against the meter, per-task run
 // time against per-core busy time, and migration counters against events.
 type Auditor struct {
-	// MaxViolations caps the recorded violation list (DefaultMaxViolations
-	// when zero); excess violations are counted in Report.Dropped.
-	MaxViolations int
-
 	sys *sched.System
 	pw  power.Params
 
@@ -377,11 +373,7 @@ func (a *Auditor) Err() error {
 }
 
 func (a *Auditor) fail(at event.Time, invariant, detail string) {
-	max := a.MaxViolations
-	if max <= 0 {
-		max = DefaultMaxViolations
-	}
-	if len(a.rep.Violations) >= max {
+	if len(a.rep.Violations) >= DefaultMaxViolations {
 		a.rep.Dropped++
 		return
 	}

@@ -142,17 +142,20 @@ func TestAuditorViolationCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	aud := New()
-	aud.MaxViolations = 4
 	cfg := quickConfig(app, 1*event.Second)
 	cfg.Check = aud
 	cfg.OnSystem = func(sys *sched.System) {
-		sys.SoC.Clusters[0].CurMHz = 12345 // broken from the first tick on
+		// Broken from the first tick on, and again after every tick: the
+		// governor's first step restores a legal frequency, and the run
+		// must outlast the cap.
+		sys.SoC.Clusters[0].CurMHz = 12345
+		sys.OnTick(func(event.Time) { sys.SoC.Clusters[0].CurMHz = 12345 })
 	}
 	core.Run(cfg)
 
 	rep := aud.Report()
-	if len(rep.Violations) != 4 {
-		t.Fatalf("recorded %d violations, want cap of 4", len(rep.Violations))
+	if len(rep.Violations) != DefaultMaxViolations {
+		t.Fatalf("recorded %d violations, want cap of %d", len(rep.Violations), DefaultMaxViolations)
 	}
 	if rep.Dropped == 0 {
 		t.Fatal("no dropped violations counted beyond the cap")

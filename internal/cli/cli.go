@@ -1,9 +1,9 @@
 // Package cli holds the flag plumbing shared by the commands: the
 // -seed/-duration pair and the -workers/-cache-dir/-no-cache orchestration
 // flags of the experiment commands (blreport, blsweep, blexplore), app-list
-// resolution, the key=value override vocabulary (blsweep -param, bldiff
-// -a/-b, blexplore -dim), and the app:duration phase lists of blserve and
-// blsession.
+// resolution, the key=value override vocabulary (blsim -set, blsweep -param,
+// bldiff -a/-b, blexplore -dim), and the app:duration phase lists of blserve
+// and blsim -phases.
 package cli
 
 import (
@@ -188,7 +188,7 @@ var overrides = []struct {
 	{"target-load", intOverride(func(c *core.Config, n int) { c.Gov.TargetLoad = n })},
 	{"gov-down", intOverride(func(c *core.Config, n int) { c.Gov.DownThreshold = n })},
 	{"governor", func(c *core.Config, _, v string) (err error) {
-		c.Governor, err = ParseGovernor(v)
+		c.Governor, err = parseGovernor(v)
 		return
 	}},
 	{"scheduler", func(c *core.Config, _, v string) (err error) {
@@ -212,9 +212,10 @@ func overrideKeys() string {
 }
 
 // ApplyOverrides applies a comma-separated key=value override list to a run
-// configuration — the vocabulary bldiff's -a/-b flags use to describe the
-// two sides of a comparison ("up=350", "governor=ondemand,sample-ms=60"),
-// blsweep's -param sweeps, and blexplore's -dim axes.
+// configuration — the vocabulary blsim's -set flag uses for one run's knobs,
+// bldiff's -a/-b flags to describe the two sides of a comparison ("up=350",
+// "governor=ondemand,sample-ms=60"), blsweep's -param sweeps, and
+// blexplore's -dim axes.
 // Unknown keys and unparseable values are errors listing the vocabulary, so
 // a typo can never silently diff a config against itself.
 func ApplyOverrides(cfg *core.Config, spec string) error {
@@ -245,9 +246,9 @@ func ApplyOverrides(cfg *core.Config, spec string) error {
 	return nil
 }
 
-// ParseGovernor resolves a governor name — the "governor" override and
-// blsim's -governor flag — listing every name when s is none of them.
-func ParseGovernor(s string) (core.GovernorKind, error) {
+// parseGovernor resolves the "governor" override's value, listing every
+// name when s is none of them.
+func parseGovernor(s string) (core.GovernorKind, error) {
 	for _, k := range []core.GovernorKind{core.Interactive, core.Performance,
 		core.Powersave, core.Userspace, core.Ondemand, core.Conservative, core.PAST} {
 		if k.String() == s {

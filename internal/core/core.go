@@ -147,13 +147,14 @@ type Knobs struct {
 
 // Observers are the pure observers a run or a session can carry. Each is
 // nil by default, which disables it at the cost of a pointer check per hook
-// site; an observed run produces byte-identical results. Assemble attaches
-// them in one pass, in this order: Telemetry, Profiler and Xray onto the
-// scheduler before it starts, then Telemetry and Xray onto the governor,
-// Telemetry and Profiler onto the metrics sampler, Check right after the
-// sampler starts, Telemetry and Xray onto the thermal model, and Digest
-// last. Check and Digest subscribe to the scheduler tick in that order,
-// ahead of any OnSystem hook.
+// site; an observed run produces byte-identical results. Assemble sets
+// Telemetry, Profiler and Xray once, on the scheduler system before it
+// starts; the governor, the metrics sampler, the thermal model and any trace
+// recorder read them from the system when they emit. Check attaches right
+// after the metrics sampler starts and Digest last, so they subscribe to the
+// scheduler tick in that order, ahead of any OnSystem hook. A Check on a run
+// without Telemetry installs its own one-event collector on the system, so
+// every subsystem's events then reach the auditor's event hook.
 type Observers struct {
 	// Telemetry, when non-nil, is attached to every subsystem: the scheduler
 	// emits migration/wake/preempt/boost events, the governor its frequency

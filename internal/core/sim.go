@@ -148,7 +148,6 @@ func assemble(cfg Config, rec *workload.Recorder, rng *rand.Rand) *Sim {
 
 	// Knobs.Effective records which knobs each case below reads: a knob a
 	// governor starts reading must be kept there too.
-	var g *governor.Sampler
 	switch cfg.Governor {
 	case Performance:
 		s.gov = governor.NewPerformance(sys)
@@ -157,22 +156,17 @@ func assemble(cfg Config, rec *workload.Recorder, rng *rand.Rand) *Sim {
 	case Userspace:
 		s.gov = governor.NewUserspace(sys, cfg.PinnedMHz)
 	case Ondemand:
-		g = governor.NewOndemand(sys, cfg.Gov.SampleMs)
+		s.gov = governor.NewOndemand(sys, cfg.Gov.SampleMs)
 	case Conservative:
-		g = governor.NewConservative(sys, cfg.Gov.SampleMs)
+		s.gov = governor.NewConservative(sys, cfg.Gov.SampleMs)
 	case PAST:
-		g = governor.NewPAST(sys, cfg.Gov.SampleMs)
+		s.gov = governor.NewPAST(sys, cfg.Gov.SampleMs)
 	default:
-		g = governor.NewInteractive(sys, cfg.Gov)
-	}
-	if g != nil {
-		g.Tel, g.Xray = obs.Telemetry, obs.Xray
-		s.gov = g
+		s.gov = governor.NewInteractive(sys, cfg.Gov)
 	}
 	s.gov.Start()
 
 	s.sampler = metrics.NewSampler(sys, cfg.Power)
-	s.sampler.Tel, s.sampler.Prof = obs.Telemetry, obs.Profiler
 	s.sampler.Start()
 
 	// The auditor attaches directly after the sampler so its sampling events
@@ -183,7 +177,6 @@ func assemble(cfg Config, rec *workload.Recorder, rng *rand.Rand) *Sim {
 
 	if cfg.Thermal != nil {
 		s.therm = thermal.Attach(sys, cfg.Power, *cfg.Thermal)
-		s.therm.Tel, s.therm.Xray = obs.Telemetry, obs.Xray
 		s.therm.Start()
 	}
 

@@ -61,17 +61,14 @@ func DefaultInteractive() InteractiveConfig {
 // core's utilization since the last sample, asks its policy for that core's
 // target frequency, and programs each cluster to the maximum of its cores'
 // targets. Each constructor supplies only the policy.
+//
+// The sampler reports to the system's observers: a KindGovernor event to
+// sys.Tel for every frequency change decision, carrying the triggering
+// utilization (Value, percent) and the policy's reason, and a decision span
+// to sys.Xray with each online core's utilization and per-core target (the
+// candidates; the cluster takes the max), the thresholds compared, and the
+// reason. Nil observers cost one pointer check per sample.
 type Sampler struct {
-	// Tel, when non-nil, receives a KindGovernor event for every frequency
-	// change decision, carrying the triggering utilization (Value, percent)
-	// and the policy's reason.
-	Tel *telemetry.Collector
-	// Xray, when non-nil, receives a decision span for every frequency
-	// change: each online core's utilization and per-core target (the
-	// candidates; the cluster takes the max), the thresholds compared, and
-	// the reason. Nil disables tracing at one pointer check per sample.
-	Xray *xray.Tracer
-
 	// cfg holds the tunables, fixed at construction. Its hold delays are
 	// zero, and the hold step inert, for every policy but interactive's.
 	cfg      InteractiveConfig
@@ -216,17 +213,18 @@ func (g *Sampler) hispeed(t platform.CoreType) int {
 
 func (g *Sampler) onSample(now event.Time) {
 	g.sys.SyncAll(now)
+	tel, xr := g.sys.Tel, g.sys.Xray
 	for ci := range g.sys.SoC.Clusters {
 		cl := &g.sys.SoC.Clusters[ci]
 		cur := cl.CurMHz
 		target := 0
 		maxUtil := 0.0
-		if g.Xray != nil {
+		if xr != nil {
 			g.xrayCands = g.xrayCands[:0]
 		}
 		for _, id := range cl.CoreIDs {
 			if !g.sys.SoC.Cores[id].Online {
-				if g.Xray != nil {
+				if xr != nil {
 					g.xrayCands = append(g.xrayCands, xray.Candidate{
 						Core: id, Type: g.sys.SoC.Cores[id].Type.String(), Rejected: "offline",
 					})
@@ -243,7 +241,7 @@ func (g *Sampler) onSample(now event.Time) {
 			if t > target {
 				target = t
 			}
-			if g.Xray != nil {
+			if xr != nil {
 				g.xrayCands = append(g.xrayCands, xray.Candidate{
 					Core: id, Type: g.sys.SoC.Cores[id].Type.String(),
 					QueueLen: g.sys.QueueLen(id), Load: 100 * util, TargetMHz: t,
@@ -264,18 +262,18 @@ func (g *Sampler) onSample(now event.Time) {
 		if g.pol.step != nil {
 			reason = g.pol.step(g, ci, cur, mhz, now)
 		}
-		if g.Tel != nil {
-			g.Tel.Emit(telemetry.Event{
+		if tel != nil {
+			tel.Emit(telemetry.Event{
 				At: now, Kind: telemetry.KindGovernor,
 				Task: -1, Core: -1, FromCore: -1, Cluster: ci,
 				PrevMHz: cur, MHz: mhz,
 				Reason: reason, Value: 100 * maxUtil,
 			})
 		}
-		if g.Xray != nil {
+		if xr != nil {
 			g.xrayIn[0].Value = 100 * maxUtil
-			g.Xray.FreqStep(now, ci, cur, mhz,
-				g.Xray.Choice("cluster%d %d -> %d MHz", [3]int{ci, cur, mhz}, [2]string{}), reason,
+			xr.FreqStep(now, ci, cur, mhz,
+				xr.Choice("cluster%d %d -> %d MHz", [3]int{ci, cur, mhz}, [2]string{}), reason,
 				g.xrayIn[:g.nIn], markGovernorChoice(g.xrayCands, target))
 		}
 	}

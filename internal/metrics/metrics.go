@@ -59,23 +59,20 @@ func (e EffState) String() string {
 
 // Sampler observes the system every SampleInterval and accumulates the
 // paper's characterization metrics. Attach with Start before running.
+//
+// Every SampleInterval it reports to the system's observers: a KindPower
+// meter snapshot (Value in mW) to sys.Tel — the Monsoon-style power counter
+// track — and the interval's per-core power terms (the same ones fed to the
+// meter) to sys.Prof, so the profiler can attribute the interval's energy
+// to the tasks that ran in it. Nil observers cost one pointer check per
+// sample.
 type Sampler struct {
-	// Tel, when non-nil, receives a KindPower meter snapshot (Value in mW)
-	// every SampleInterval — the Monsoon-style power counter track.
-	Tel *telemetry.Collector
-
-	// Prof, when non-nil, receives every power-model interval's per-core
-	// power terms (the same ones fed to the meter) so it can attribute the
-	// interval's energy to the tasks that ran in it. Nil disables the feed
-	// at the cost of one pointer check per sample.
-	Prof *profile.Profiler
-
 	sys *sched.System
 	pw  power.Params
 
 	lastBusy  []event.Time
 	lastDeep  []event.Time
-	profCores []profile.CorePower // reused per-sample buffer for Prof
+	profCores []profile.CorePower // reused per-sample buffer for sys.Prof
 
 	// Matrix[b][l] counts samples with exactly b big and l little cores
 	// active (Table IV).
@@ -142,6 +139,7 @@ func (m *Sampler) onSample(now event.Time) {
 	// attribute the very same energy the meter integrates.
 	mw := m.pw.BaseMW
 	m.profCores = m.profCores[:0]
+	tel, prof := m.sys.Tel, m.sys.Prof
 
 	for id := range soc.Cores {
 		core := &soc.Cores[id]
@@ -159,7 +157,7 @@ func (m *Sampler) onSample(now event.Time) {
 		cl := soc.ClusterOf(id)
 		cmw := m.pw.CorePowerDeepMW(core.Type, cl.CurMHz, util, deepFrac)
 		mw += cmw
-		if m.Prof != nil {
+		if prof != nil {
 			m.profCores = append(m.profCores, profile.CorePower{Core: id, MW: cmw})
 		}
 		m.utilSum[core.Type] += util
@@ -198,11 +196,11 @@ func (m *Sampler) onSample(now event.Time) {
 	}
 
 	m.meter.Add(SampleInterval, mw)
-	if m.Prof != nil {
-		m.Prof.OnPowerInterval(SampleInterval, m.pw.BaseMW, m.profCores)
+	if prof != nil {
+		prof.OnPowerInterval(SampleInterval, m.pw.BaseMW, m.profCores)
 	}
-	if m.Tel != nil {
-		m.Tel.Emit(telemetry.Event{
+	if tel != nil {
+		tel.Emit(telemetry.Event{
 			At: now, Kind: telemetry.KindPower,
 			Task: -1, Core: -1, FromCore: -1, Cluster: -1,
 			Value: mw,

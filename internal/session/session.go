@@ -27,14 +27,14 @@ type Phase struct {
 	Duration event.Time
 }
 
-// Config describes a session run: phases, seed and battery on the platform
-// its core.Knobs describe, assembled exactly as a single run's. Zero-valued
-// knobs get core.Config's defaults, and a zero Pack is the Galaxy S5 battery.
+// Config describes a session run: phases and seed on the platform its
+// core.Knobs describe, assembled exactly as a single run's. Zero-valued
+// knobs get core.Config's defaults. Battery drain is the paper device's
+// Galaxy S5 pack.
 type Config struct {
 	Phases []Phase
 	Seed   int64
 	core.Knobs
-	Pack battery.Pack
 
 	// Observers watch the whole session, across every phase. Threads live
 	// per phase, so the profiler's table carries every phase's threads side
@@ -43,10 +43,9 @@ type Config struct {
 	core.Observers
 }
 
-// DefaultConfig returns a session on the paper's baseline platform with the
-// Galaxy S5 battery.
+// DefaultConfig returns a session on the paper's baseline platform.
 func DefaultConfig(phases ...Phase) Config {
-	return Config{Phases: phases, Seed: 1, Knobs: core.DefaultKnobs(), Pack: battery.GalaxyS5()}
+	return Config{Phases: phases, Seed: 1, Knobs: core.DefaultKnobs()}
 }
 
 // PhaseResult holds one phase's metrics.
@@ -115,9 +114,6 @@ type Live struct {
 // NewLive assembles the session's platform on a core.Sim spanning every phase
 // and returns it ready to Advance.
 func NewLive(cfg Config) *Live {
-	if cfg.Pack == (battery.Pack{}) {
-		cfg.Pack = battery.GalaxyS5()
-	}
 	l := &Live{cfg: cfg, done: len(cfg.Phases) == 0}
 	l.sim = core.Assemble(core.Config{
 		Seed:      cfg.Seed,
@@ -189,7 +185,7 @@ func (l *Live) finishPhase() {
 		Duration:     ph.Duration,
 		AvgPowerMW:   dE * 1000 / ph.Duration.Seconds(),
 		EnergyJ:      dE,
-		DrainPct:     l.cfg.Pack.DrainPct(dE * 1000),
+		DrainPct:     battery.GalaxyS5().DrainPct(dE * 1000),
 		AvgFPS:       ctx.FPS.Avg(ph.Duration),
 		Interactions: ctx.Lat.N,
 		MeanLatency:  ctx.Lat.Mean(),
@@ -233,7 +229,7 @@ func (l *Live) Advance(to event.Time) bool {
 		}
 	}
 	l.done = true
-	l.res.TotalDrainPct = l.cfg.Pack.DrainPct(l.res.TotalEnergyJ * 1000)
+	l.res.TotalDrainPct = battery.GalaxyS5().DrainPct(l.res.TotalEnergyJ * 1000)
 	if l.res.Duration > 0 {
 		l.res.AvgPowerMW = l.res.TotalEnergyJ * 1000 / l.res.Duration.Seconds()
 	}

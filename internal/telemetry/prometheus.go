@@ -73,7 +73,7 @@ func (c *Collector) promSize() int {
 //     collector keeps every observation) plus _sum and _count.
 //
 // Safe on a nil collector (writes nothing). blserve serves this on /metrics
-// and `blmetrics -prom` writes it to a file. The registry section (named
+// and `blsim -prom` writes it to a file. The registry section (named
 // counters, gauges, histograms) is safe to export while parallel lab
 // workers update counters and gauges; the event aggregates assume the
 // single-threaded engine has quiesced or is serialized by the caller.

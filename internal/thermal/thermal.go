@@ -51,20 +51,17 @@ func Default() Params {
 }
 
 // Model tracks per-cluster temperature and applies throttling.
+//
+// It reports every cap step to the system's observers: a KindThrottle event
+// to sys.Tel (Reason throttle/release, MHz the new cap with 0 = fully
+// released, Value the cluster temperature), and a decision span to sys.Xray
+// with the cluster temperature against the trip/clear points, the watts that
+// drove it, and the previous cap, linked causally to the cluster's last
+// governor step. Emergency hotplug transitions are emitted by
+// sched.SetCoreOnline as KindHotplug events. Nil observers cost one pointer
+// check per step.
 type Model struct {
 	Par Params
-
-	// Tel, when non-nil, receives a KindThrottle event for every cap step
-	// (Reason throttle/release, MHz the new cap with 0 = fully released,
-	// Value the cluster temperature). Emergency hotplug transitions are
-	// emitted by sched.SetCoreOnline as KindHotplug events.
-	Tel *telemetry.Collector
-
-	// Xray, when non-nil, receives a decision span for every cap step: the
-	// cluster temperature against the trip/clear points, the watts that drove
-	// it, and the previous cap. Spans link causally to the cluster's last
-	// governor step. Nil disables tracing at one pointer check per step.
-	Xray *xray.Tracer
 
 	sys      *sched.System
 	pw       power.Params
@@ -158,16 +155,16 @@ func (m *Model) onSample(now event.Time) {
 				cl.CapMHz = newCap
 				m.sys.SetClusterFreq(ci, cl.CurMHz) // re-clamp under the new cap
 				m.Events++
-				if m.Tel != nil {
-					m.Tel.Emit(telemetry.Event{
+				if tel := m.sys.Tel; tel != nil {
+					tel.Emit(telemetry.Event{
 						At: now, Kind: telemetry.KindThrottle,
 						Task: -1, Core: -1, FromCore: -1, Cluster: ci,
 						MHz: newCap, Reason: telemetry.ReasonThrottle, Value: m.TempC[ci],
 					})
 				}
-				if m.Xray != nil {
-					m.Xray.Throttle(now, ci, newCap,
-						m.Xray.Choice("cap cluster%d at %d MHz", [3]int{ci, newCap}, [2]string{}),
+				if xr := m.sys.Xray; xr != nil {
+					xr.Throttle(now, ci, newCap,
+						xr.Choice("cap cluster%d at %d MHz", [3]int{ci, newCap}, [2]string{}),
 						telemetry.ReasonThrottle,
 						[]xray.Input{
 							{Name: "temp_c", Value: m.TempC[ci]},
@@ -186,21 +183,21 @@ func (m *Model) onSample(now event.Time) {
 				cl.CapMHz = newCap
 			}
 			m.Events++
-			if m.Tel != nil {
-				m.Tel.Emit(telemetry.Event{
+			if tel := m.sys.Tel; tel != nil {
+				tel.Emit(telemetry.Event{
 					At: now, Kind: telemetry.KindThrottle,
 					Task: -1, Core: -1, FromCore: -1, Cluster: ci,
 					MHz: cl.CapMHz, Reason: telemetry.ReasonRelease, Value: m.TempC[ci],
 				})
 			}
-			if m.Xray != nil {
+			if xr := m.sys.Xray; xr != nil {
 				var choice string
 				if cl.CapMHz == 0 {
-					choice = m.Xray.Choice("release cluster%d cap", [3]int{ci}, [2]string{})
+					choice = xr.Choice("release cluster%d cap", [3]int{ci}, [2]string{})
 				} else {
-					choice = m.Xray.Choice("raise cluster%d cap to %d MHz", [3]int{ci, cl.CapMHz}, [2]string{})
+					choice = xr.Choice("raise cluster%d cap to %d MHz", [3]int{ci, cl.CapMHz}, [2]string{})
 				}
-				m.Xray.Throttle(now, ci, cl.CapMHz, choice, telemetry.ReasonRelease,
+				xr.Throttle(now, ci, cl.CapMHz, choice, telemetry.ReasonRelease,
 					[]xray.Input{
 						{Name: "temp_c", Value: m.TempC[ci]},
 						{Name: "trip_c", Value: m.Par.TripC},

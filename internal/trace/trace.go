@@ -53,14 +53,6 @@ type Recorder struct {
 	MaxSamples int
 	// Dropped counts samples discarded because of MaxSamples.
 	Dropped int
-	// Tel, when non-nil, lets ChromeTrace add instant events (migrations,
-	// boosts) and a power counter track from the telemetry event log.
-	Tel *telemetry.Collector
-	// Xray, when non-nil, lets ChromeTrace draw the causal decision chains as
-	// flow arrows: each retained span with a retained parent becomes an
-	// s/f flow pair (wake → migration → frequency step → throttle), rendered
-	// by Perfetto as arrows between the involved core and cluster tracks.
-	Xray *xray.Tracer
 	// names caches task names by ID for rendering.
 	names map[int]string
 }
@@ -160,14 +152,15 @@ func (r *Recorder) Render(width int) string {
 	for core := range soc.Cores {
 		fmt.Fprintf(&b, "cpu%d %-6s |", core, soc.Cores[core].Type)
 		for i := 0; i < len(r.Samples); i += stride {
-			// Within a stride, show the most common non-idle occupant.
+			// Within a stride, show the most common non-idle occupant; the
+			// lowest task ID wins a tie, so map order never decides.
 			counts := map[int]int{}
 			for j := i; j < i+stride && j < len(r.Samples); j++ {
 				counts[r.Samples[j].TaskOnCore[core]]++
 			}
 			best, bestN := -1, 0
 			for id, n := range counts {
-				if id >= 0 && n > bestN {
+				if id >= 0 && (n > bestN || n == bestN && id < best) {
 					best, bestN = id, n
 				}
 			}
@@ -291,9 +284,13 @@ type chromeEvent struct {
 
 // ChromeTrace renders the recorded window as Chrome trace-event JSON: one
 // track per core (tid = core id), one slice per contiguous run of a task,
-// plus counter tracks for per-cluster MHz and total runnable tasks. When Tel
-// is set, it also carries a power (mW) counter track and instant events for
-// every migration and boost in the recorded window.
+// plus counter tracks for per-cluster MHz and total runnable tasks. It reads
+// the system's observers: with sys.Tel set it also carries a power (mW)
+// counter track and instant events for every migration and boost in the
+// recorded window, and with sys.Xray set it draws the causal decision chains
+// as flow arrows — each retained span with a retained parent becomes an s/f
+// flow pair (wake → migration → frequency step → throttle), rendered by
+// Perfetto as arrows between the involved core and cluster tracks.
 func (r *Recorder) ChromeTrace() ([]byte, error) {
 	var events []chromeEvent
 	if len(r.Samples) > 0 {
@@ -369,10 +366,10 @@ func (r *Recorder) ChromeTrace() ([]byte, error) {
 		// parent→child decision edge inside the recorded window. Spans land
 		// on their core's track when they have one (wake, migration,
 		// hotplug), else on their cluster's counter track.
-		if r.Xray != nil {
+		if xr := r.sys.Xray; xr != nil {
 			lo := r.Samples[0].At
 			hi := r.Samples[len(r.Samples)-1].At + event.Millisecond
-			dump := r.Xray.Dump()
+			dump := xr.Dump()
 			tidOf := func(s xray.Span) int {
 				if s.Core >= 0 {
 					return s.Core
@@ -403,10 +400,10 @@ func (r *Recorder) ChromeTrace() ([]byte, error) {
 
 		// Telemetry enrichment: instant events on the core tracks plus a
 		// power counter track, limited to the recorded window.
-		if r.Tel != nil {
+		if tel := r.sys.Tel; tel != nil {
 			lo := r.Samples[0].At
 			hi := r.Samples[len(r.Samples)-1].At + event.Millisecond
-			for _, ev := range r.Tel.Events() {
+			for _, ev := range tel.Events() {
 				if ev.At < lo || ev.At >= hi {
 					continue
 				}

@@ -103,6 +103,34 @@ func TestRenderEmpty(t *testing.T) {
 	}
 }
 
+// TestRenderBreaksTiesByLowestID pins a column whose stride holds two tasks
+// equally often: every render shows the lower task ID's glyph, whatever
+// order the per-column counts are visited in.
+func TestRenderBreaksTiesByLowestID(t *testing.T) {
+	_, sys := rig()
+	r := Attach(sys, 0, 0)
+	r.names = map[int]string{3: "low", 7: "high"}
+	for i, id := range []int{7, 3} {
+		occ := make([]int, len(sys.SoC.Cores))
+		for c := range occ {
+			occ[c] = -1
+		}
+		occ[0] = id
+		r.Samples = append(r.Samples, Sample{
+			At:         event.Time(i) * event.Millisecond,
+			TaskOnCore: occ,
+			ClusterMHz: make([]int, len(sys.SoC.Clusters)),
+			RunQueue:   make([]int, len(occ)),
+		})
+	}
+	for i := 0; i < 64; i++ {
+		out := r.Render(1) // one column spans both ticks
+		if !strings.Contains(out, "cpu0 little |a|\n") {
+			t.Fatalf("render %d: tied column does not show task 3's glyph 'a':\n%s", i, out)
+		}
+	}
+}
+
 func TestRenderDownsamples(t *testing.T) {
 	eng, sys := rig()
 	r := Attach(sys, 0, event.Second)
@@ -294,7 +322,6 @@ func TestChromeTraceSchemaRoundTrip(t *testing.T) {
 	r := Attach(sys, 0, 100*event.Millisecond)
 	tel := telemetry.NewCollector()
 	sys.Tel = tel
-	r.Tel = tel
 	task := sys.NewTask("schema.task", 1)
 	task.Pin(1)
 	sys.Push(task, 1e12)
@@ -368,7 +395,7 @@ func TestChromeTraceTelemetryInstants(t *testing.T) {
 	eng, sys := rig()
 	r := Attach(sys, 0, 100*event.Millisecond)
 	tel := telemetry.NewCollector()
-	r.Tel = tel
+	sys.Tel = tel
 	eng.Run(100 * event.Millisecond)
 
 	// Synthesize telemetry inside and outside the recorded window; only the
@@ -407,7 +434,7 @@ func TestChromeTraceXrayFlowEvents(t *testing.T) {
 	eng, sys := rig()
 	r := Attach(sys, 0, 100*event.Millisecond)
 	x := xray.New()
-	r.Xray = x
+	sys.Xray = x
 	eng.Run(100 * event.Millisecond)
 
 	// Synthesize a wake -> migration -> freq chain inside the window, plus a
