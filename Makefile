@@ -199,12 +199,13 @@ report-par:
 		echo "report-par: OK"
 
 # Line-coverage floors for the simulation kernel packages, the governors, the
+# workload generators and their snapshot recorder, the ring buffer, the
 # microarchitecture layer behind Figures 2-3, and the lab and explore
 # orchestration above them. The profile can contain one
 # copy of each block per test binary, so blocks are deduplicated by location
 # before aggregating per package.
 cover:
-	go test -coverpkg=./internal/core,./internal/sched,./internal/platform,./internal/snapshot,./internal/governor,./internal/uarch,./internal/cache,./internal/bpred,./internal/lab,./internal/explore \
+	go test -coverpkg=./internal/core,./internal/sched,./internal/platform,./internal/snapshot,./internal/governor,./internal/uarch,./internal/cache,./internal/bpred,./internal/lab,./internal/explore,./internal/workload,./internal/ring \
 		-coverprofile=/tmp/biglittle-cover.out ./... > /dev/null
 	awk 'NR>1 {key=$$1; stmts[key]=$$2; if ($$3>0) hit[key]=1} \
 		END { \
@@ -218,6 +219,8 @@ cover:
 			floors["biglittle/internal/bpred"]=90; \
 			floors["biglittle/internal/lab"]=84; \
 			floors["biglittle/internal/explore"]=89; \
+			floors["biglittle/internal/workload"]=90; \
+			floors["biglittle/internal/ring"]=95; \
 			bad=0; \
 			for (k in stmts) {p=k; sub(/:.*/, "", p); sub(/\/[^\/]*$$/, "", p); total[p]+=stmts[k]; if (hit[k]) cov[p]+=stmts[k]} \
 			for (p in floors) { \

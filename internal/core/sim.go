@@ -67,10 +67,10 @@ func newSim(cfg Config, rec *workload.Recorder, rng *rand.Rand) *Sim {
 
 // idleRands is the free list of random sources whose runs have finished.
 // Seeding a source resets all of it, the read position included, so a
-// reused source draws exactly what a fresh one would. Only Run hands one
-// back, because its Sim never escapes. It keeps at most GOMAXPROCS sources
-// (about 5 KB each), and is a plain list rather than a sync.Pool because a
-// GC empties a pool.
+// reused source draws exactly what a fresh one would. Only Run and RunFrom
+// hand one back, because their Sims never escape. It keeps at most
+// GOMAXPROCS sources (about 5 KB each), and is a plain list rather than a
+// sync.Pool because a GC empties a pool.
 var (
 	idleRandMu sync.Mutex
 	idleRands  []*rand.Rand
@@ -398,12 +398,37 @@ func compat(cfg Config, st *snapshot.State) error {
 // RNG position, the engine is reset to the capture point with every pending
 // event re-bound under its original ordering key, and each subsystem's
 // state is restored. The returned Sim records from the fork point onwards,
-// so it can itself be snapshotted again.
+// so it can itself be snapshotted again. A continuation that only runs to
+// its end and is never snapshotted should use RunFrom, which records
+// nothing.
 //
 // The State is read-only: Resume may be called any number of times on the
 // same decoded snapshot (that is how a fork sweep shares one prefix).
-func Resume(cfg Config, st *snapshot.State) (sim *Sim, err error) {
+func Resume(cfg Config, st *snapshot.State) (*Sim, error) {
+	return resume(cfg.Normalized(), st, nil, true)
+}
+
+// RunFrom resumes st under cfg, runs it to cfg.Duration and returns the
+// Result: it relates to Resume as Run relates to NewSim. Nothing can
+// snapshot the continuation, so from the fork point on it records no
+// workload log and takes the same paths as a plain run, and its Result
+// equals that of Resume, RunTo(cfg.Duration) and Finish.
+func RunFrom(cfg Config, st *snapshot.State) (Result, error) {
 	cfg = cfg.Normalized()
+	rng := seededRand(cfg.Seed)
+	defer releaseRand(rng)
+	sim, err := resume(cfg, st, rng, false)
+	if err != nil {
+		return Result{}, err
+	}
+	sim.eng.Run(cfg.Duration)
+	return sim.Finish(), nil
+}
+
+// resume is Resume for a normalized cfg. rng, when non-nil, is the run's
+// random source, already seeded with cfg.Seed; record says whether the
+// continuation goes on recording its workload log (see Recorder.Resched).
+func resume(cfg Config, st *snapshot.State, rng *rand.Rand, record bool) (sim *Sim, err error) {
 	if err := snapshotCompat(cfg); err != nil {
 		return nil, err
 	}
@@ -422,7 +447,7 @@ func Resume(cfg Config, st *snapshot.State) (sim *Sim, err error) {
 		}
 	}()
 	rec := workload.NewReplayer(st.Workload.Log)
-	s := newSim(cfg, rec, nil)
+	s := newSim(cfg, rec, rng)
 	rec.Replay(s.eng)
 	if got := rec.ThreadCount(); got != st.Workload.Threads {
 		return nil, fmt.Errorf("core: replayed build created %d threads, snapshot recorded %d", got, st.Workload.Threads)
@@ -470,7 +495,7 @@ func Resume(cfg Config, st *snapshot.State) (sim *Sim, err error) {
 			return nil, err
 		}
 	}
-	rec.Resched(s.eng, st.Workload.Pending)
+	rec.Resched(s.eng, st.Workload.Pending, record)
 	// Replay rebuilt the performance trackers from the log; cross-check them
 	// against the captured copies before trusting the fork.
 	if err := checkTrackers(s.ctx, st); err != nil {

@@ -212,6 +212,9 @@ func (c *Cache) loadPrefix(key string) ([]byte, *snapshot.State, bool) {
 	return data, st, true
 }
 
+// removePrefix deletes the prefix blob stored under key, if any.
+func (c *Cache) removePrefix(key string) { os.Remove(c.prefixPath(key)) }
+
 // PutPrefix stores an encoded prefix snapshot under key, written atomically
 // like Put.
 func (c *Cache) PutPrefix(key string, blob []byte) error {

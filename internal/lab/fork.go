@@ -13,11 +13,11 @@ import (
 )
 
 // prefixEntry is one singleflight slot of the in-process prefix tier. The
-// state is the snapshot decoded from its wire form exactly once: core.Resume
-// treats a State as read-only (every Restore copies, the replayer reads the
-// log in place and records into a tail of its own), so concurrent
-// continuations can share it. Decoding per fork would cost more than the
-// continuation itself on short runs.
+// state is the snapshot decoded from its wire form exactly once:
+// core.RunFrom treats a State as read-only (every Restore copies, and the
+// replayer reads the log in place and records nothing past the fork), so
+// concurrent continuations can share it. Decoding per fork would cost more
+// than the continuation itself on short runs.
 type prefixEntry struct {
 	once      sync.Once
 	state     *snapshot.State
@@ -98,16 +98,22 @@ func (r *Runner) prefixState(spec *ForkSpec) (*snapshot.State, error) {
 }
 
 // loadOrBuildPrefix tries the cache's prefix tier, then simulates the base
-// config to the fork time and snapshots it. The captured state is handed out
-// directly — Snapshot builds fresh DTOs, and the codec's fidelity is pinned
-// by the snapshot round-trip and golden-fork tests — so encoding here is
-// purely for the disk tier and is skipped when there is none (it would
-// otherwise cost as much as two continuations). Simulation panics are
-// recovered into errors so a broken base config fails the jobs that share
-// it rather than the whole sweep.
+// config to the fork time and snapshots it. A stored blob that is not the
+// prefix spec would build is removed and rebuilt like a corrupt one. The
+// captured state is handed out directly — Snapshot builds fresh DTOs, and
+// the codec's fidelity is pinned by the snapshot round-trip and golden-fork
+// tests — so encoding here is purely for the disk tier and is skipped when
+// there is none (it would otherwise cost as much as two continuations).
+// Simulation panics are recovered into errors so a broken base config fails
+// the jobs that share it rather than the whole sweep.
 func (r *Runner) loadOrBuildPrefix(spec *ForkSpec, key string) (st *snapshot.State, simulated bool, err error) {
 	if _, st, ok := r.Cache.loadPrefix(key); ok {
-		return st, false, nil
+		err := prefixMismatch(st, spec)
+		if err == nil {
+			return st, false, nil
+		}
+		r.logJob("prefix mismatch", spec.Base.App.Name, "key", key[:12], "err", err)
+		r.Cache.removePrefix(key)
 	}
 	defer func() {
 		if p := recover(); p != nil {
@@ -132,6 +138,29 @@ func (r *Runner) loadOrBuildPrefix(spec *ForkSpec, key string) (st *snapshot.Sta
 		r.Cache.PutPrefix(key, blob)
 	}
 	return captured, true, nil
+}
+
+// prefixMismatch reports how a loaded prefix differs from the one spec
+// would build, comparing what BLSNAP records of the capturing run: its
+// identity, policy kinds, horizon, thermal presence and capture time, which
+// is spec.At capped at the horizon as RunTo caps it. The base's tunables are
+// not recorded, so a blob captured under other tunables passes.
+func prefixMismatch(st *snapshot.State, spec *ForkSpec) error {
+	base := spec.Base.Normalized()
+	captured := core.Identity{App: st.App, Seed: st.Seed, Cores: st.Cores, CustomPlatform: st.CustomPlatform}
+	switch at := min(spec.At, base.Duration); {
+	case captured != base.Identity():
+		return fmt.Errorf("captured identity %+v, base has %+v", captured, base.Identity())
+	case st.SchedKind != base.Scheduler.String() || st.GovKind != base.Governor.String():
+		return fmt.Errorf("captured under %s/%s, base runs %s/%s", st.SchedKind, st.GovKind, base.Scheduler, base.Governor)
+	case st.Duration != base.Duration:
+		return fmt.Errorf("captured a %v run, base runs %v", st.Duration, base.Duration)
+	case (st.Thermal != nil) != (base.Thermal != nil):
+		return fmt.Errorf("captured thermal model present %v, base %v", st.Thermal != nil, base.Thermal != nil)
+	case st.Time != at:
+		return fmt.Errorf("captured at %v, fork is at %v", st.Time, at)
+	}
+	return nil
 }
 
 // budget resolves the prefix tier's byte budget: DefaultPrefixBudget unless
@@ -192,15 +221,15 @@ func (r *Runner) prefixTouch(key string, e *prefixEntry) (evicted int) {
 	return evicted
 }
 
-// forkRun is the attempt body of a fork-accelerated job: resume the shared
-// read-only prefix under the job's config and run the continuation out.
+// forkRun is the attempt body of a fork-accelerated job: run the job's
+// config out from the shared read-only prefix with core.RunFrom. Nothing
+// snapshots a continuation, so it records no workload log.
 func forkRun(st *snapshot.State) func(core.Config) (core.Result, error) {
 	return func(cfg core.Config) (core.Result, error) {
-		sim, err := core.Resume(cfg, st)
+		res, err := core.RunFrom(cfg, st)
 		if err != nil {
 			return core.Result{}, fmt.Errorf("lab: job %q: resume fork prefix: %w", cfg.App.Name, err)
 		}
-		sim.RunTo(cfg.Duration)
-		return sim.Finish(), nil
+		return res, nil
 	}
 }

@@ -7,10 +7,12 @@ import (
 	"strings"
 	"testing"
 
+	"biglittle/internal/apps"
 	"biglittle/internal/core"
 	"biglittle/internal/delta"
 	"biglittle/internal/event"
 	"biglittle/internal/snapshot"
+	"biglittle/internal/thermal"
 )
 
 const forkAt = 250 * event.Millisecond
@@ -169,6 +171,119 @@ func TestForkPrefixCorruptBlobRebuilds(t *testing.T) {
 	}
 	if _, err := os.Stat(p); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestForkPrefixMisfiledBlobRebuilds pins that the disk tier serves a blob
+// only as the prefix its key names. A fifa15 prefix captured at 1 s, stored
+// under the same base's 3 s key or under a browser base's, is removed and
+// rebuilt like a corrupt blob: the variant's result equals a cacheless
+// runner's, and the one prefix is counted as simulated.
+func TestForkPrefixMisfiledBlobRebuilds(t *testing.T) {
+	fifa := core.DefaultConfig(apps.FIFA15())
+	fifa.Duration = 4 * event.Second
+	browser := core.DefaultConfig(apps.Browser())
+	browser.Duration = fifa.Duration
+
+	sim, err := core.NewSim(fifa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.RunTo(event.Second)
+	st, err := sim.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := snapshot.Encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		base core.Config
+	}{{"earlier capture", fifa}, {"other app", browser}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cache, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp, ok := Fingerprint(Job{Config: tc.base})
+			if !ok {
+				t.Fatal("base config must be fingerprintable")
+			}
+			const at = 3 * event.Second
+			key := prefixKey(fp, at)
+			if err := cache.PutPrefix(key, blob); err != nil {
+				t.Fatal(err)
+			}
+			variant := tc.base
+			variant.Gov.SampleMs = 40
+			jobs := []Job{{Config: variant, Fork: &ForkSpec{Base: tc.base, At: at}}}
+
+			want, err := New(1, nil).RunAll(jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := New(1, cache)
+			got, err := r.RunAll(jobs)
+			if err != nil {
+				t.Fatalf("misfiled prefix blob failed the job: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("fork over a misfiled prefix blob differs from a cacheless runner's")
+			}
+			if s := r.Stats(); s.PrefixMisses != 1 || s.PrefixHits != 0 {
+				t.Fatalf("PrefixMisses=%d PrefixHits=%d, want 1 and 0 (a misfiled blob must be rebuilt)", s.PrefixMisses, s.PrefixHits)
+			}
+			stored, ok := cache.GetPrefix(key)
+			if !ok {
+				t.Fatal("rebuilt prefix blob missing from the cache")
+			}
+			rebuilt, err := snapshot.Decode(stored)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rebuilt.App != tc.base.App.Name || rebuilt.Time != at {
+				t.Fatalf("stored prefix is %s at %v, want %s at %v", rebuilt.App, rebuilt.Time, tc.base.App.Name, at)
+			}
+		})
+	}
+}
+
+// TestPrefixMismatch pins each field the prefix check compares: a capture
+// of the base at the fork time matches, with the fork time capped at the
+// base's horizon as RunTo caps it, and a change to any compared field does
+// not.
+func TestPrefixMismatch(t *testing.T) {
+	base := testConfig(t)
+	sim, err := core.NewSim(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.RunTo(base.Duration)
+	st, err := sim.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []event.Time{base.Duration, 2 * base.Duration} {
+		if err := prefixMismatch(st, &ForkSpec{Base: base, At: at}); err != nil {
+			t.Fatalf("capture at %v does not match a fork at %v: %v", st.Time, at, err)
+		}
+	}
+	for name, mut := range map[string]func(s *snapshot.State){
+		"seed":      func(s *snapshot.State) { s.Seed++ },
+		"scheduler": func(s *snapshot.State) { s.SchedKind = core.EAS.String() },
+		"governor":  func(s *snapshot.State) { s.GovKind = core.Ondemand.String() },
+		"horizon":   func(s *snapshot.State) { s.Duration++ },
+		"thermal":   func(s *snapshot.State) { s.Thermal = &thermal.Snap{} },
+		"time":      func(s *snapshot.State) { s.Time-- },
+	} {
+		bad := *st
+		mut(&bad)
+		if prefixMismatch(&bad, &ForkSpec{Base: base, At: base.Duration}) == nil {
+			t.Errorf("%s: a prefix that differs from the spec's matches", name)
+		}
 	}
 }
 

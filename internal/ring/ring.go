@@ -1,8 +1,9 @@
-// Package ring is the bounded flight-recorder buffer behind telemetry's
-// event log and xray's span log. A Ring keeps the newest entries up to a
-// limit and overwrites the oldest beyond it. It grows in fixed-size blocks
-// allocated on demand, so filling it allocates about what it keeps, where
-// an append-grown slice would allocate several times that on the way.
+// Package ring is the block-grown buffer behind telemetry's event log,
+// xray's span log and the workload recorder's log tail. A Ring keeps the
+// newest entries up to a limit and overwrites the oldest beyond it; the
+// workload recorder sets no limit. It grows in fixed-size blocks allocated
+// on demand, so filling it allocates about what it keeps, where an
+// append-grown slice would allocate several times that on the way.
 package ring
 
 // A block holds 1024 entries.
@@ -72,3 +73,21 @@ func (r *Ring[T]) At(i int) *T {
 }
 
 func (r *Ring[T]) at(i int) *T { return &r.blocks[i>>blockShift][i&blockMask] }
+
+// AppendTo appends the entries held to dst, oldest first, a block at a
+// time, and returns the extended slice.
+func (r *Ring[T]) AppendTo(dst []T) []T {
+	dst = r.appendRange(dst, r.head, r.n)
+	return r.appendRange(dst, 0, r.head)
+}
+
+// appendRange appends the entries at physical indices [from, to).
+func (r *Ring[T]) appendRange(dst []T, from, to int) []T {
+	for from < to {
+		b, off := from>>blockShift, from&blockMask
+		end := off + min(blockLen-off, to-from)
+		dst = append(dst, r.blocks[b][off:end]...)
+		from += end - off
+	}
+	return dst
+}

@@ -110,3 +110,36 @@ func TestRingFillAllocatesWhatItKeeps(t *testing.T) {
 		t.Fatalf("oldest entry %d, want %d", r.At(0)[0], 2*max)
 	}
 }
+
+// AppendTo copies out what At reads, oldest first, after whatever dst
+// already holds: across full blocks, after a wrap that splits the entries
+// between the end and the start of the storage, and from a block cut short
+// at its bound.
+func TestRingAppendToMatchesAt(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		max, n int
+	}{
+		{"empty", -1, 0},
+		{"unbounded across blocks", -1, 3*blockLen + 5},
+		{"wrapped across blocks", blockLen + 3, 4*blockLen + 7},
+		{"short block", 10, 6},
+		{"short block wrapped", 10, 25},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var r Ring[int]
+			record(&r, tc.max, 0, tc.n)
+			dst := []int{-1, -2}
+			got := r.AppendTo(dst)
+			want := append([]int{-1, -2}, contents(&r)...)
+			if len(got) != len(want) {
+				t.Fatalf("AppendTo gave %d entries, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("entry %d = %d, want %d", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}

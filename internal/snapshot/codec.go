@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+
+	"biglittle/internal/workload"
 )
 
 // Wire format, all integers big-endian:
@@ -31,24 +33,32 @@ const headerLen = 6 + 2 + 8 + sha256.Size
 // huge allocation.
 const maxPayload = 1 << 30
 
-// Encode serializes st into a self-describing, checksummed blob.
+// Encode serializes st into a self-describing, checksummed blob. The
+// payload is the json.Marshal encoding of st, written once, behind a gap
+// the header fills in.
 func Encode(st *State) ([]byte, error) {
 	if st == nil {
 		return nil, fmt.Errorf("snapshot: encode nil state")
 	}
-	payload, err := json.Marshal(st)
-	if err != nil {
+	var buf bytes.Buffer
+	buf.Write(make([]byte, headerLen))
+	if err := json.NewEncoder(&buf).Encode(st); err != nil {
 		return nil, fmt.Errorf("snapshot: encode: %w", err)
 	}
-	out := make([]byte, headerLen+len(payload))
+	out := buf.Bytes()
+	out = out[:len(out)-1] // the newline Encoder.Encode adds and Marshal does not
+	payload := out[headerLen:]
 	copy(out[0:6], magic[:])
 	binary.BigEndian.PutUint16(out[6:8], Version)
 	binary.BigEndian.PutUint64(out[8:16], uint64(len(payload)))
 	sum := sha256.Sum256(payload)
 	copy(out[16:headerLen], sum[:])
-	copy(out[headerLen:], payload)
 	return out, nil
 }
+
+// recordOpen opens every workload.Record in a payload: Kind is its first
+// field and has no omitempty, and no other type in a State uses the key.
+var recordOpen = []byte(`{"k":`)
 
 // Decode parses a blob produced by Encode, verifying magic, version,
 // length, and checksum before unmarshalling. Any corruption, truncation,
@@ -76,6 +86,11 @@ func Decode(blob []byte) (*State, error) {
 		return nil, fmt.Errorf("snapshot: checksum mismatch — blob is corrupt")
 	}
 	st := &State{}
+	// Size the log once: encoding/json appends into existing capacity. The
+	// count is only a hint; a payload it misjudges decodes all the same.
+	if n := bytes.Count(payload, recordOpen); n > 0 {
+		st.Workload.Log = make([]workload.Record, 0, n)
+	}
 	dec := json.NewDecoder(bytes.NewReader(payload))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(st); err != nil {

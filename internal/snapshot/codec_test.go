@@ -1,8 +1,10 @@
 package snapshot
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -67,6 +69,54 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 	if string(a) != string(b) {
 		t.Fatal("two encodings of the same state differ")
+	}
+}
+
+// TestEncodeFramesMarshal pins the blob to the framing of json.Marshal's
+// payload byte for byte, HTML escaping included, though Encode writes the
+// payload through an Encoder and cuts its newline.
+func TestEncodeFramesMarshal(t *testing.T) {
+	st := sampleState()
+	st.App = "<a&b>"
+	payload, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := Encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := frame(payload); !bytes.Equal(blob, want) {
+		t.Fatalf("Encode gave %d bytes, header ++ json.Marshal gives %d (or they differ)", len(blob), len(want))
+	}
+}
+
+// TestDecodeSizesLogOnce pins that the decoded log is allocated once at its
+// length, and that the record count is only a hint: a payload whose records
+// the count misses decodes to the same State.
+func TestDecodeSizesLogOnce(t *testing.T) {
+	st := sampleState()
+	payload, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(frame(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if log := got.Workload.Log; len(log) != 3 || cap(log) != 3 {
+		t.Fatalf("decoded log has len %d cap %d, want 3 and 3", len(log), cap(log))
+	}
+	spaced := bytes.ReplaceAll(payload, recordOpen, []byte(`{ "k":`))
+	if bytes.Equal(spaced, payload) {
+		t.Fatal("payload has no record to hide from the count")
+	}
+	got, err = Decode(frame(spaced))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, st) {
+		t.Fatal("a payload the record count misses decodes to another State")
 	}
 }
 

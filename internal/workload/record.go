@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"biglittle/internal/event"
+	"biglittle/internal/ring"
 )
 
 // Whole-simulation snapshot needs the workload layer's state, but that state
@@ -89,6 +90,9 @@ type recMode uint8
 const (
 	modeRecord recMode = iota
 	modeReplay
+	// modeOff follows a Resched that keeps no log: the Recorder then acts
+	// as a nil one, and the continuation takes a plain run's paths.
+	modeOff
 )
 
 // Recorder captures (and later replays) a run's workload log. A nil *Recorder
@@ -98,12 +102,13 @@ const (
 // created from; it is shared with the snapshot (and with every other fork of
 // it) and never written. tail holds the records this run appended itself, so
 // a fork pays only for what its continuation records, not for a copy of the
-// prefix.
+// prefix. tail grows in fixed blocks, so recording allocates about the log
+// it keeps.
 type Recorder struct {
 	mode    recMode
-	prefix  []Record // replay source, shared read-only
-	tail    []Record // records appended by this run
-	cursor  int      // next prefix record to replay
+	prefix  []Record          // replay source, shared read-only
+	tail    ring.Ring[Record] // records appended by this run, unbounded
+	cursor  int               // next prefix record to replay
 	nextWid int
 	live    map[int]event.Handle         // record mode: pending wid → handle
 	fns     map[int]func(now event.Time) // replay mode: registered wid → fn
@@ -128,9 +133,12 @@ func (f *firing) onFire(now event.Time) {
 	f.fn = nil // release the callback for GC
 	r.free = append(r.free, f)
 	delete(r.live, wid)
-	r.tail = append(r.tail, Record{Kind: RecFire, Wid: wid, At: now})
+	r.record(Record{Kind: RecFire, Wid: wid, At: now})
 	fn(now)
 }
+
+// record appends rec to the tail.
+func (r *Recorder) record(rec Record) { *r.tail.Next(-1, 0) = rec }
 
 // NewRecorder returns a Recorder in record mode, for a fresh snapshot-enabled
 // run.
@@ -158,15 +166,16 @@ func (r *Recorder) Recording() bool { return r != nil && r.mode == modeRecord }
 func (r *Recorder) replaying() bool { return r != nil && r.mode == modeReplay }
 
 // Log returns the whole log, the replayed prefix followed by the records this
-// run appended, as a fresh slice the caller owns. An empty log is nil.
+// run appended, as a fresh slice of exactly that length which the caller
+// owns. An empty log is nil.
 func (r *Recorder) Log() []Record {
-	n := len(r.prefix) + len(r.tail)
+	n := len(r.prefix) + r.tail.Len()
 	if n == 0 {
 		return nil
 	}
 	out := make([]Record, 0, n)
 	out = append(out, r.prefix...)
-	return append(out, r.tail...)
+	return r.tail.AppendTo(out)
 }
 
 // PendingCount returns the number of workload events currently queued on the
@@ -203,15 +212,19 @@ func (r *Recorder) registerThread(th *Thread) int {
 // schedule is the record/replay interposition point for Ctx.At. In record
 // mode it schedules fn through a firing, which logs the firing; in replay
 // mode it only registers fn under the next id — the replay driver (or the
-// pending re-binding) invokes it later.
+// pending re-binding) invokes it later. Off, it schedules fn as a plain run
+// does.
 func (r *Recorder) schedule(eng *event.Engine, at event.Time, fn func(now event.Time)) {
-	wid := r.nextWid
-	r.nextWid++
-	if r.mode == modeReplay {
-		r.fns[wid] = fn
+	switch r.mode {
+	case modeOff:
+		eng.At(at, fn)
 		return
+	case modeReplay:
+		r.fns[r.nextWid] = fn
+	default:
+		r.live[r.nextWid] = eng.At(at, r.bind(r.nextWid, fn))
 	}
-	r.live[wid] = eng.At(at, r.bind(wid, fn))
+	r.nextWid++
 }
 
 // bind returns the engine handler that logs fn's firing under wid, drops it
@@ -233,16 +246,19 @@ func (r *Recorder) bind(wid int, fn func(now event.Time)) event.Handler {
 // invocations are driven from the log and must not re-log).
 func (r *Recorder) noteSeg(th int, now event.Time) {
 	if r.mode == modeRecord {
-		r.tail = append(r.tail, Record{Kind: RecSeg, Th: th, At: now})
+		r.record(Record{Kind: RecSeg, Th: th, At: now})
 	}
 }
 
 // observeBusy routes a DropIfBusy read through the log: recorded on capture,
 // served from the log on replay (the scheduler does not run during replay, so
-// the live read would be wrong).
+// the live read would be wrong), and passed through when off.
 func (r *Recorder) observeBusy(busy bool) bool {
-	if r.mode == modeRecord {
-		r.tail = append(r.tail, Record{Kind: RecBusy, Busy: busy})
+	switch r.mode {
+	case modeRecord:
+		r.record(Record{Kind: RecBusy, Busy: busy})
+		return busy
+	case modeOff:
 		return busy
 	}
 	rec := r.next()
@@ -269,7 +285,7 @@ func (r *Recorder) next() Record {
 // with *DivergenceError.
 func (r *Recorder) Replay(eng *event.Engine) {
 	if r.mode != modeReplay {
-		diverge("Replay called on a recording Recorder")
+		diverge("Replay called on a Recorder that is not replaying")
 	}
 	for r.cursor < len(r.prefix) {
 		rec := r.next()
@@ -299,11 +315,14 @@ func (r *Recorder) Replay(eng *event.Engine) {
 
 // Resched re-inserts the captured pending workload events onto the engine
 // (after the engine has been Reset to the capture point) under their original
-// (at, seq) keys, then switches the Recorder to record mode so the resumed
-// run extends the log exactly as an uninterrupted run would have.
-func (r *Recorder) Resched(eng *event.Engine, pending []PendingEvent) {
+// (at, seq) keys. With record set it switches the Recorder to record mode, so
+// the resumed run extends the log exactly as an uninterrupted run would have.
+// Without it the events go on as plain handlers and the Recorder turns off:
+// from the fork point on it logs nothing and the run takes a plain run's
+// paths, while Log still returns the replayed prefix.
+func (r *Recorder) Resched(eng *event.Engine, pending []PendingEvent, record bool) {
 	if r.mode != modeReplay {
-		diverge("Resched called on a recording Recorder")
+		diverge("Resched called on a Recorder that is not replaying")
 	}
 	for _, p := range pending {
 		fn := r.fns[p.Wid]
@@ -311,11 +330,19 @@ func (r *Recorder) Resched(eng *event.Engine, pending []PendingEvent) {
 			diverge("pending event %d was never registered during replay", p.Wid)
 		}
 		delete(r.fns, p.Wid)
-		r.live[p.Wid] = eng.ScheduleAt(p.At, p.Seq, r.bind(p.Wid, fn))
+		if record {
+			r.live[p.Wid] = eng.ScheduleAt(p.At, p.Seq, r.bind(p.Wid, fn))
+		} else {
+			eng.ScheduleAt(p.At, p.Seq, fn)
+		}
 	}
 	for wid := range r.fns {
 		diverge("event %d registered during replay but neither fired nor pending", wid)
 	}
-	r.mode = modeRecord
 	r.fns = nil
+	if record {
+		r.mode = modeRecord
+	} else {
+		r.mode, r.live = modeOff, nil
+	}
 }

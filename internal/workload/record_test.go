@@ -3,7 +3,9 @@ package workload
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"biglittle/internal/event"
 )
@@ -11,10 +13,14 @@ import (
 // timerBuild is a scheduler-free workload whose log carries both top-level
 // and nested records: a loop whose period depends on an RNG draw routed
 // through a busy gate, so replay has to consume RecFire and RecBusy records
-// and the RNG in lockstep.
-func timerBuild(ctx *Ctx) {
+// and the RNG in lockstep. When fired is non-nil, each tick appends its
+// time to it, replayed ticks included.
+func timerBuild(ctx *Ctx, fired *[]event.Time) {
 	var tick func(now event.Time)
 	tick = func(now event.Time) {
+		if fired != nil {
+			*fired = append(*fired, now)
+		}
 		d := 10 * event.Millisecond
 		if ctx.Rec.observeBusy(ctx.Rng.Intn(2) == 0) {
 			d += 3 * event.Millisecond
@@ -40,7 +46,7 @@ type timerCapture struct {
 // recordTimers runs timerBuild uninterrupted to t and captures it.
 func recordTimers(t event.Time) timerCapture {
 	ctx := timerCtx(NewRecorder())
-	timerBuild(ctx)
+	timerBuild(ctx, nil)
 	ctx.Eng.Run(t)
 	return timerCapture{
 		log: ctx.Rec.Log(), pending: ctx.Rec.Pending(),
@@ -48,17 +54,19 @@ func recordTimers(t event.Time) timerCapture {
 	}
 }
 
-// resumeTimers replays log under a fresh build and leaves the returned
-// context recording from the capture point, the way core.Resume does.
-func resumeTimers(t *testing.T, log []Record, c timerCapture) *Ctx {
+// resumeTimers replays log under a fresh build and re-binds the pending
+// events at the capture point, leaving the returned context recording from
+// there when record is set, the way core.Resume does, and not recording
+// otherwise, the way core.RunFrom does.
+func resumeTimers(t *testing.T, log []Record, c timerCapture, record bool, fired *[]event.Time) *Ctx {
 	t.Helper()
 	ctx := timerCtx(NewReplayer(log))
-	timerBuild(ctx)
+	timerBuild(ctx, fired)
 	ctx.Rec.Replay(ctx.Eng)
 	ctx.Eng.Reset(c.now, c.seq, c.fired)
-	ctx.Rec.Resched(ctx.Eng, c.pending)
-	if !ctx.Rec.Recording() {
-		t.Fatal("replayer did not switch to record mode after Resched")
+	ctx.Rec.Resched(ctx.Eng, c.pending, record)
+	if ctx.Rec.Recording() != record {
+		t.Fatalf("Recording() = %v after Resched(record=%v)", ctx.Rec.Recording(), record)
 	}
 	return ctx
 }
@@ -95,8 +103,8 @@ func TestReplayerSharesLog(t *testing.T) {
 
 	// Two continuations of one log, run to different horizons and
 	// interleaved, each must see only its own tail.
-	a := resumeTimers(t, shared, c)
-	b := resumeTimers(t, shared, c)
+	a := resumeTimers(t, shared, c, true, nil)
+	b := resumeTimers(t, shared, c, true, nil)
 	a.Eng.Run(400 * event.Millisecond)
 	b.Eng.Run(300 * event.Millisecond)
 	a.Eng.Run(600 * event.Millisecond)
@@ -144,5 +152,70 @@ func TestEmptyLogIsNil(t *testing.T) {
 	}
 	if log := NewReplayer(nil).Log(); log != nil {
 		t.Fatalf("empty replayer Log = %#v, want nil", log)
+	}
+}
+
+// TestNonRecordingResched pins the continuation core.RunFrom runs: after a
+// Resched that keeps no log, the pending events fire as plain handlers
+// under their captured (at, seq) keys, and the run fires the same callbacks
+// at the same times, schedules and fires the same engine events and leaves
+// the RNG at the same position as a recording continuation, while its log
+// stays exactly the replayed prefix.
+func TestNonRecordingResched(t *testing.T) {
+	const fork, end = 200 * event.Millisecond, 700 * event.Millisecond
+	c := recordTimers(fork)
+	var recFired, offFired []event.Time
+	rec := resumeTimers(t, c.log, c, true, &recFired)
+	off := resumeTimers(t, c.log, c, false, &offFired)
+	rec.Eng.Run(end)
+	off.Eng.Run(end)
+
+	if len(offFired) == 0 || offFired[len(offFired)-1] <= fork || !reflect.DeepEqual(offFired, recFired) {
+		t.Fatalf("non-recording continuation fired %d ticks, recording one %d (or at other times)", len(offFired), len(recFired))
+	}
+	if off.Eng.Fired() != rec.Eng.Fired() || off.Eng.Scheduled() != rec.Eng.Scheduled() {
+		t.Fatalf("engine fired/scheduled %d/%d, recording continuation %d/%d",
+			off.Eng.Fired(), off.Eng.Scheduled(), rec.Eng.Fired(), rec.Eng.Scheduled())
+	}
+	if a, b := off.Rng.Int63(), rec.Rng.Int63(); a != b {
+		t.Fatal("non-recording continuation left the RNG at another position")
+	}
+	if got := off.Rec.Log(); !reflect.DeepEqual(got, c.log) {
+		t.Fatalf("non-recording continuation's log has %d records, want the %d-record prefix", len(got), len(c.log))
+	}
+	if off.Rec.PendingCount() != 0 {
+		t.Fatalf("non-recording continuation tracks %d live events", off.Rec.PendingCount())
+	}
+	if got, want := rec.Rec.Log(), recordTimers(end).log; !reflect.DeepEqual(got, want) {
+		t.Fatal("recording continuation's log differs from an uninterrupted run's")
+	}
+}
+
+// TestRecordingAllocatesWhatItKeeps holds a recorder's tail to about the
+// log it keeps: blocks of records, plus at most one block of slack. A tail
+// grown by append allocates about five times what it keeps on the way.
+func TestRecordingAllocatesWhatItKeeps(t *testing.T) {
+	const n = 12_000
+	const block = 1024 // records per ring block
+	r := NewRecorder()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	for i := 0; i < n; i++ {
+		r.observeBusy(i%3 == 0)
+	}
+	runtime.ReadMemStats(&ms)
+	size := float64(unsafe.Sizeof(Record{}))
+	if got, limit := float64(ms.TotalAlloc-before), 1.1*n*size+block*size; got > limit {
+		t.Fatalf("recording %d records allocated %.0f B, limit %.0f B (%.2fx what they keep)", n, got, limit, got/(n*size))
+	}
+	log := r.Log()
+	if len(log) != n || cap(log) != n {
+		t.Fatalf("Log has len %d cap %d, want both %d", len(log), cap(log), n)
+	}
+	for i, rec := range log {
+		if rec != (Record{Kind: RecBusy, Busy: i%3 == 0}) {
+			t.Fatalf("record %d = %+v", i, rec)
+		}
 	}
 }

@@ -30,7 +30,8 @@ type Ctx struct {
 
 	// Rec, when non-nil, records (or replays) the workload's interaction
 	// with the simulator for whole-run snapshot/restore; see record.go.
-	// Plain runs leave it nil and pay nothing.
+	// Plain runs leave it nil and pay nothing, and after a Resched that
+	// keeps no log it acts as a nil one.
 	Rec *Recorder
 }
 
