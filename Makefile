@@ -128,6 +128,9 @@ fork-smoke:
 # exact frontier the exhaustive sweep finds (-verify-exhaustive exits 1
 # otherwise), (b) actually prune candidates along the way, and (c) replay
 # byte-identically from the cache the first run warmed, simulating nothing.
+# (d) On an unforkable cores space whose -min-rung floor gives rungs 0 and 1
+# the same fidelity, a cacheless run must take rung 1's points from rung 0
+# (its -v log shows simulated_ns=0) and still match the exhaustive sweep.
 explore-smoke:
 	go build -o /tmp/blexplore ./cmd/blexplore
 	dir=$$(mktemp -d); \
@@ -143,6 +146,12 @@ explore-smoke:
 		grep -Eq 'pruned [1-9]' /tmp/explore-cold.txt || { echo "explore-smoke: ladder pruned nothing" >&2; exit 1; }; \
 		grep -Eq ' 0 simulated' /tmp/explore-warm.log || { echo "explore-smoke: warm re-run still simulated" >&2; exit 1; }; \
 		cmp /tmp/explore-cold.txt /tmp/explore-warm.txt || { echo "explore-smoke: warm report differs from cold" >&2; exit 1; }; \
+		/tmp/blexplore -app fifa15 -duration 2s -objective edp -eta 2 -keep 3 -min-rung 500ms \
+			-dim 'cores=L4+B4,L4+B2,L4+B1,L4,L2+B2,L2+B1,L2,L1+B1' -dim 'governor=interactive,performance,powersave' \
+			-no-cache -v -verify-exhaustive >/tmp/explore-repeat.txt 2>/tmp/explore-repeat.log; \
+		grep 'rung complete' /tmp/explore-repeat.log; \
+		grep -q 'frontier matches exhaustive' /tmp/explore-repeat.txt || { echo "explore-smoke: repeated-rung frontier differs from exhaustive" >&2; exit 1; }; \
+		grep -Eq 'msg="rung complete" rung=1 .*duration=500.000ms .*simulated_ns=0$$' /tmp/explore-repeat.log || { echo "explore-smoke: repeated rung 1 still simulated" >&2; exit 1; }; \
 		echo "explore-smoke: OK"
 
 # End-to-end smoke of the causal decision tracer: record a golden-config

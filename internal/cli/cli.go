@@ -159,25 +159,25 @@ func PrintLabStats(w io.Writer, r *lab.Runner, elapsed time.Duration) {
 	}
 }
 
-// intOverride adapts a set-an-int field to the override table, wrapping
-// parse failures with the key and offending value.
-func intOverride(set func(*core.Config, int)) func(*core.Config, string, string) error {
-	return func(cfg *core.Config, k, v string) error {
+// intOverride adapts a set-an-int field to the override table: the value
+// parses once, and parse failures name the key and offending value.
+func intOverride(set func(*core.Config, int)) func(k, v string) (func(*core.Config), error) {
+	return func(k, v string) (func(*core.Config), error) {
 		n, err := strconv.Atoi(v)
 		if err != nil {
-			return fmt.Errorf("override %s: bad value %q: %v", k, v, err)
+			return nil, fmt.Errorf("override %s: bad value %q: %v", k, v, err)
 		}
-		set(cfg, n)
-		return nil
+		return func(c *core.Config) { set(c, n) }, nil
 	}
 }
 
 // overrides is the key=value vocabulary ApplyOverrides accepts, in the order
-// error messages list it. The "keys:" list in those messages is derived from
-// this table, so adding an override here is the whole change.
+// error messages list it. Each entry resolves a value into the setter that
+// writes it. The "keys:" list in those messages is derived from this table,
+// so adding an override here is the whole change.
 var overrides = []struct {
-	key   string
-	apply func(cfg *core.Config, k, v string) error
+	key     string
+	resolve func(k, v string) (func(*core.Config), error)
 }{
 	{"up", intOverride(func(c *core.Config, n int) { c.Sched.UpThreshold = n })},
 	{"down", intOverride(func(c *core.Config, n int) { c.Sched.DownThreshold = n })},
@@ -187,17 +187,17 @@ var overrides = []struct {
 	{"sample-ms", intOverride(func(c *core.Config, n int) { c.Gov.SampleMs = n })},
 	{"target-load", intOverride(func(c *core.Config, n int) { c.Gov.TargetLoad = n })},
 	{"gov-down", intOverride(func(c *core.Config, n int) { c.Gov.DownThreshold = n })},
-	{"governor", func(c *core.Config, _, v string) (err error) {
-		c.Governor, err = parseGovernor(v)
-		return
+	{"governor", func(_, v string) (func(*core.Config), error) {
+		g, err := parseGovernor(v)
+		return func(c *core.Config) { c.Governor = g }, err
 	}},
-	{"scheduler", func(c *core.Config, _, v string) (err error) {
-		c.Scheduler, err = parseScheduler(v)
-		return
+	{"scheduler", func(_, v string) (func(*core.Config), error) {
+		s, err := parseScheduler(v)
+		return func(c *core.Config) { c.Scheduler = s }, err
 	}},
-	{"cores", func(c *core.Config, _, v string) (err error) {
-		c.Cores, err = platform.ParseCoreConfig(v)
-		return
+	{"cores", func(_, v string) (func(*core.Config), error) {
+		cores, err := platform.ParseCoreConfig(v)
+		return func(c *core.Config) { c.Cores = cores }, err
 	}},
 	{"seed", intOverride(func(c *core.Config, n int) { c.Seed = int64(n) })},
 }
@@ -209,6 +209,24 @@ func overrideKeys() string {
 		keys[i] = o.key
 	}
 	return strings.Join(keys, ", ")
+}
+
+// ResolveOverride resolves one override, key k set to value v, into the
+// setter that writes it into a config. A caller applying the same value to
+// many configs (blexplore's dimension values) parses it once this way;
+// ApplyOverrides is this per key=value pair. Unknown keys and unparseable
+// values are the errors ApplyOverrides reports.
+func ResolveOverride(k, v string) (func(*core.Config), error) {
+	for _, o := range overrides {
+		if o.key == k {
+			set, err := o.resolve(k, v)
+			if err != nil {
+				return nil, err
+			}
+			return set, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown override key %q (keys: %s)", k, overrideKeys())
 }
 
 // ApplyOverrides applies a comma-separated key=value override list to a run
@@ -228,20 +246,11 @@ func ApplyOverrides(cfg *core.Config, spec string) error {
 		if !ok {
 			return fmt.Errorf("bad override %q (want key=value; keys: %s)", part, overrideKeys())
 		}
-		applied := false
-		for _, o := range overrides {
-			if o.key != k {
-				continue
-			}
-			if err := o.apply(cfg, k, v); err != nil {
-				return err
-			}
-			applied = true
-			break
+		set, err := ResolveOverride(k, v)
+		if err != nil {
+			return err
 		}
-		if !applied {
-			return fmt.Errorf("unknown override key %q (keys: %s)", k, overrideKeys())
-		}
+		set(cfg)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"flag"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -142,5 +143,72 @@ func TestApplyOverridesErrors(t *testing.T) {
 	cfg := core.DefaultConfig(app)
 	if err := ApplyOverrides(&cfg, "bogus=1"); err == nil || !strings.Contains(err.Error(), "governor") {
 		t.Errorf("unknown-key error should list the vocabulary: %v", err)
+	}
+}
+
+// TestOverrideVocabulary: ApplyOverrides is split + ResolveOverride + apply,
+// so for every key in the table a value resolved once and applied — to any
+// number of configs — writes what ApplyOverrides writes. Error text is part
+// of the commands' interface and is pinned byte for byte.
+func TestOverrideVocabulary(t *testing.T) {
+	app, err := apps.ByName("bbench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := map[string][]string{
+		"up": {"350", "0"}, "down": {"128"}, "halflife-ms": {"16"}, "tick-ms": {"2"},
+		"tiny-wake-load": {"300"}, "sample-ms": {"60", "-5"}, "target-load": {"85"},
+		"gov-down": {"40"}, "governor": {"ondemand", "userspace", "past"},
+		"scheduler": {"eas", "parallelism"}, "cores": {"L2+B4", "L4", "L4+B4+T2"}, "seed": {"7"},
+	}
+	bases := []core.Config{core.DefaultConfig(app), {App: app}}
+	bases[0].Governor, bases[0].Cores.Big = core.Powersave, 2
+	for _, o := range overrides {
+		vs := values[o.key]
+		if len(vs) == 0 {
+			t.Fatalf("override %q has no sample value in this test", o.key)
+		}
+		for _, v := range vs {
+			set, err := ResolveOverride(o.key, v)
+			if err != nil {
+				t.Fatalf("ResolveOverride(%q, %q): %v", o.key, v, err)
+			}
+			for bi, base := range bases {
+				got, want := base, base
+				set(&got)
+				if err := ApplyOverrides(&want, o.key+"="+v); err != nil {
+					t.Fatalf("ApplyOverrides(%s=%s): %v", o.key, v, err)
+				}
+				if !reflect.DeepEqual(got.Knobs, want.Knobs) || got.Seed != want.Seed || got.Duration != want.Duration {
+					t.Fatalf("%s=%s on base %d: resolved setter wrote %+v, ApplyOverrides %+v", o.key, v, bi, got.Knobs, want.Knobs)
+				}
+			}
+		}
+	}
+
+	keys := "up, down, halflife-ms, tick-ms, tiny-wake-load, sample-ms, target-load, gov-down, governor, scheduler, cores, seed"
+	for _, c := range []struct{ spec, err string }{
+		{"up=abc", `override up: bad value "abc": strconv.Atoi: parsing "abc": invalid syntax`},
+		{"down=", `override down: bad value "": strconv.Atoi: parsing "": invalid syntax`},
+		{"seed=1.5", `override seed: bad value "1.5": strconv.Atoi: parsing "1.5": invalid syntax`},
+		{"governor=warp", `unknown governor "warp" (want interactive, performance, powersave, userspace, ondemand, conservative, or past)`},
+		{"scheduler=warp", `unknown scheduler "warp" (want hmp, efficiency, parallelism, or eas)`},
+		{"cores=XYZ", `platform: bad core config part "XYZ": strconv.Atoi: parsing "YZ": invalid syntax`},
+		{"cores=L0", `platform: core config L0 out of range (1-4 little, 0-4 big, 0-2 tiny)`},
+		{"bogus=1", `unknown override key "bogus" (keys: ` + keys + `)`},
+		{"=1", `unknown override key "" (keys: ` + keys + `)`},
+		{"up", `bad override "up" (want key=value; keys: ` + keys + `)`},
+		{"up=1,bogus", `bad override "bogus" (want key=value; keys: ` + keys + `)`},
+	} {
+		cfg := core.DefaultConfig(app)
+		err := ApplyOverrides(&cfg, c.spec)
+		if err == nil || err.Error() != c.err {
+			t.Errorf("ApplyOverrides(%q) error:\n got  %v\n want %s", c.spec, err, c.err)
+		}
+		if k, v, ok := strings.Cut(c.spec, "="); ok && !strings.Contains(v, ",") {
+			if set, err := ResolveOverride(k, v); set != nil || err == nil || err.Error() != c.err {
+				t.Errorf("ResolveOverride(%q, %q) = setter %v, error %v; want no setter and %s", k, v, set != nil, err, c.err)
+			}
+		}
 	}
 }

@@ -125,7 +125,9 @@ type RungReport struct {
 	Pruned   int
 	// SimulatedNs is the simulated time actually executed for this rung —
 	// continuations, prefix builds, and remote runs included. Zero when the
-	// whole rung was served from the result cache.
+	// whole rung was served from the result cache, and for a rung that
+	// repeats its predecessor's (Duration, ForkAt): such a rung executes
+	// nothing, taking its candidates' points from the previous rung.
 	SimulatedNs int64
 }
 
@@ -134,6 +136,7 @@ type Point struct {
 	// Index is the point's position in the space's enumeration order.
 	Index int
 	// Desc is the override spec producing it ("sample-ms=60,target-load=85").
+	// It is rendered for the frontier points, and so the winner, only.
 	Desc string
 	// EnergyMJ and DelayS are the two Pareto objectives: total energy in
 	// millijoules and delay in seconds (inverse Result.Performance; +Inf
@@ -143,6 +146,15 @@ type Point struct {
 	// Score is the scalar objective value used for ranking.
 	Score  float64
 	Result core.Result
+}
+
+// rank is what a rung ranks a candidate by: its index and objectives. A
+// rung keeps ranks, and its Results beside them, and builds Points only
+// for the frontier.
+type rank struct {
+	index            int
+	energyMJ, delayS float64
+	score            float64
 }
 
 // Report is the outcome of one exploration.
@@ -164,7 +176,9 @@ type Report struct {
 	Winner Point
 	// PlannedNs is the ladder's simulated-time plan — an upper bound on
 	// what a cold cache executes, since points whose effective knobs
-	// coincide share one simulation. SimulatedNs is what this run actually
+	// coincide share one simulation, and a rung repeating its predecessor's
+	// fidelity executes nothing yet still counts, so the rendered plan does
+	// not depend on it. SimulatedNs is what this run actually
 	// executed (0 when fully warm). ExhaustiveNs is the cost of the
 	// full-fidelity exhaustive sweep the ladder replaces: SpaceSize x
 	// Base.Duration.
@@ -252,33 +266,36 @@ func (o Objective) score(energyMJ, delayS float64) float64 {
 	}
 }
 
-// paretoFront returns the non-dominated subset of pts: no other point is
-// at least as good on both objectives and strictly better on one.
-// Duplicate (energy, delay) pairs all survive. Output is sorted by
-// ascending energy, ties by index, for deterministic reports.
-func paretoFront(pts []Point) []Point {
-	var front []Point
-	for i, p := range pts {
+// paretoFront returns the positions in ranks of its non-dominated
+// candidates: no other is at least as good on both objectives and strictly
+// better on one. Duplicate (energy, delay) pairs all survive. Positions are
+// sorted by ascending energy, ties by index, for deterministic reports.
+func paretoFront(ranks []rank) []int {
+	var front []int
+	for i := range ranks {
+		p := &ranks[i]
 		dominated := false
-		for j, q := range pts {
+		for j := range ranks {
+			q := &ranks[j]
 			if i == j {
 				continue
 			}
-			if q.EnergyMJ <= p.EnergyMJ && q.DelayS <= p.DelayS &&
-				(q.EnergyMJ < p.EnergyMJ || q.DelayS < p.DelayS) {
+			if q.energyMJ <= p.energyMJ && q.delayS <= p.delayS &&
+				(q.energyMJ < p.energyMJ || q.delayS < p.delayS) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
-			front = append(front, p)
+			front = append(front, i)
 		}
 	}
-	sort.Slice(front, func(i, j int) bool {
-		if front[i].EnergyMJ != front[j].EnergyMJ {
-			return front[i].EnergyMJ < front[j].EnergyMJ
+	sort.Slice(front, func(a, b int) bool {
+		p, q := &ranks[front[a]], &ranks[front[b]]
+		if p.energyMJ != q.energyMJ {
+			return p.energyMJ < q.energyMJ
 		}
-		return front[i].Index < front[j].Index
+		return p.index < q.index
 	})
 	return front
 }
@@ -289,33 +306,33 @@ func paretoFront(pts []Point) []Point {
 // is not pruned by a middling scalar rank. The front bonus is capped
 // because low-fidelity ties can put most of a large rung on the front,
 // and an uncapped union would promote it wholesale and erase the ladder's
-// savings; capped promotion keeps every rung within 2x its plan. Returned
-// indices are sorted ascending so the next rung's job order is
+// savings; capped promotion keeps every rung within 2x its plan. It
+// returns positions in ranks, ascending; ranks are in ascending index
+// order, so the next rung's job order is the index order, and
 // deterministic.
-func survivors(pts []Point, want int) []int {
-	// byScore orders positions in pts, not copies of the points (each
-	// carries its whole Result); (Score, Index) is a total order.
-	byScore := make([]int, len(pts))
+func survivors(ranks []rank, want int) []int {
+	// byScore orders positions in ranks; (score, index) is a total order.
+	byScore := make([]int, len(ranks))
 	for i := range byScore {
 		byScore[i] = i
 	}
 	sort.Slice(byScore, func(i, j int) bool {
-		p, q := &pts[byScore[i]], &pts[byScore[j]]
-		if p.Score != q.Score {
-			return p.Score < q.Score
+		p, q := &ranks[byScore[i]], &ranks[byScore[j]]
+		if p.score != q.score {
+			return p.score < q.score
 		}
-		return p.Index < q.Index
+		return p.index < q.index
 	})
 	if want > len(byScore) {
 		want = len(byScore)
 	}
-	keep := make(map[int]bool, 2*want)
+	keep := make([]bool, len(ranks))
 	for _, i := range byScore[:want] {
-		keep[pts[i].Index] = true
+		keep[i] = true
 	}
-	onFront := make(map[int]bool)
-	for _, p := range paretoFront(pts) {
-		onFront[p.Index] = true
+	onFront := make([]bool, len(ranks))
+	for _, i := range paretoFront(ranks) {
+		onFront[i] = true
 	}
 	// Front members join in score order until the bonus budget is spent —
 	// deterministic, and biased toward frontier points that are also good
@@ -325,16 +342,17 @@ func survivors(pts []Point, want int) []int {
 		if bonus == 0 {
 			break
 		}
-		if idx := pts[i].Index; onFront[idx] && !keep[idx] {
-			keep[idx] = true
+		if onFront[i] {
+			keep[i] = true
 			bonus--
 		}
 	}
-	out := make([]int, 0, len(keep))
-	for idx := range keep {
-		out = append(out, idx)
+	out := make([]int, 0, 2*want)
+	for i, k := range keep {
+		if k {
+			out = append(out, i)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -387,7 +405,7 @@ func run(space Space, opts Options, exhaustive bool) (*Report, error) {
 		return nil, fmt.Errorf("explore: Options.Runner is required")
 	}
 	space.Base = space.Base.Normalized()
-	forkable, err := space.check()
+	rs, forkable, err := space.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -452,61 +470,58 @@ func run(space Space, opts Options, exhaustive bool) (*Report, error) {
 			"forkable", forkable)
 	}
 
-	var finalPts []Point
+	// ranks and results are a rung's candidates, in ascending index order.
+	// Between rungs they hold the survivors only when the next rung repeats
+	// the fidelity and so reuses them; otherwise cands names the survivors.
+	var ranks []rank
+	var results []core.Result
 	for ri, rg := range rungs {
 		final := ri == len(rungs)-1
-		var spec *lab.ForkSpec
-		if rg.ForkAt > 0 {
-			base := space.Base
-			base.Duration = rg.Duration
-			spec = &lab.ForkSpec{Base: base, At: rg.ForkAt}
-		}
-		jobs := make([]lab.Job, len(cands))
-		for j, idx := range cands {
-			cfg, err := space.Config(idx)
-			if err != nil {
-				return nil, err
+		rr := RungReport{Duration: rg.Duration, ForkAt: rg.ForkAt}
+		if !repeats(rungs, ri, opts.Check) {
+			before := r.Stats()
+			if ranks, results, err = evaluate(r, &rs, cands, rg, opts.Objective, final && opts.Check); err != nil {
+				return nil, fmt.Errorf("explore: rung %d: %w", ri, err)
 			}
-			cfg.Duration = rg.Duration
-			jobs[j] = lab.Job{Config: cfg, Fork: spec}
+			rr.SimulatedNs = rungSimNs(before, r.Stats(), rg)
 		}
-
-		before := r.Stats()
-		results, err := runRung(r, jobs, final && opts.Check)
-		if err != nil {
-			return nil, fmt.Errorf("explore: rung %d: %w", ri, err)
-		}
-		after := r.Stats()
-
-		pts := make([]Point, len(cands))
-		for j, res := range results {
-			e, d := measure(res)
-			pts[j] = Point{
-				Index:    cands[j],
-				Desc:     space.Desc(cands[j]),
-				EnergyMJ: e,
-				DelayS:   d,
-				Score:    opts.Objective.score(e, d),
-				Result:   res,
-			}
-		}
-
-		rr := RungReport{
-			Candidates:  len(cands),
-			Duration:    rg.Duration,
-			ForkAt:      rg.ForkAt,
-			SimulatedNs: rungSimNs(before, after, rg),
-		}
+		rr.Candidates = len(ranks)
 		if final {
-			finalPts = pts
-			rep.Frontier = paretoFront(pts)
-			rr.Promoted = len(rep.Frontier)
+			front := paretoFront(ranks)
+			rep.Frontier = make([]Point, len(front))
+			for i, p := range front {
+				k := &ranks[p]
+				rep.Frontier[i] = Point{
+					Index:    k.index,
+					Desc:     space.Desc(k.index),
+					EnergyMJ: k.energyMJ,
+					DelayS:   k.delayS,
+					Score:    k.score,
+					Result:   results[p],
+				}
+			}
+			rr.Promoted = len(front)
 		} else {
-			cands = survivors(pts, rungs[ri+1].Candidates)
-			rr.Promoted = len(cands)
+			promoted := survivors(ranks, rungs[ri+1].Candidates)
+			if repeats(rungs, ri+1, opts.Check) {
+				// Compacted in place: positions ascend, so each survivor
+				// moves before its slot is overwritten.
+				for i, p := range promoted {
+					ranks[i], results[i] = ranks[p], results[p]
+				}
+				ranks, results = ranks[:len(promoted)], results[:len(promoted)]
+			} else {
+				cands = make([]int, len(promoted))
+				for i, p := range promoted {
+					cands[i] = ranks[p].index
+				}
+				ranks, results = nil, nil
+			}
+			rr.Promoted = len(promoted)
 		}
 		rr.Pruned = rr.Candidates - rr.Promoted
 		rep.Rungs = append(rep.Rungs, rr)
+		rep.SimulatedNs += rr.SimulatedNs
 		if opts.Log != nil {
 			opts.Log.Info("rung complete", "rung", ri, "candidates", rr.Candidates,
 				"duration", rg.Duration.String(), "fork_at", rg.ForkAt.String(),
@@ -515,19 +530,11 @@ func run(space Space, opts Options, exhaustive bool) (*Report, error) {
 		}
 	}
 
-	for _, rr := range rep.Rungs {
-		rep.SimulatedNs += rr.SimulatedNs
-	}
-
 	// Winner: the frontier point minimizing the scalar objective (the
-	// frontier always contains it, since it is non-dominated).
+	// frontier always contains it, since it is non-dominated, and the front
+	// of a non-empty set is non-empty).
 	if len(rep.Frontier) == 0 {
-		// Every final point dominated is impossible (the front of a
-		// non-empty set is non-empty); guard anyway.
-		if len(finalPts) == 0 {
-			return nil, fmt.Errorf("explore: no final candidates")
-		}
-		rep.Frontier = finalPts
+		return nil, fmt.Errorf("explore: no final candidates")
 	}
 	rep.Winner = rep.Frontier[0]
 	for _, p := range rep.Frontier[1:] {
@@ -537,6 +544,46 @@ func run(space Space, opts Options, exhaustive bool) (*Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// repeats reports whether rung ri repeats its predecessor's fidelity — the
+// same (Duration, ForkAt), so the same jobs for any candidate both rungs
+// share — and so takes its candidates' ranks and results from that rung
+// instead of submitting jobs. A final rung under Options.Check never does: the audit must see
+// its runs.
+func repeats(rungs []Rung, ri int, check bool) bool {
+	if ri == 0 || (check && ri == len(rungs)-1) {
+		return false
+	}
+	return rungs[ri].Duration == rungs[ri-1].Duration && rungs[ri].ForkAt == rungs[ri-1].ForkAt
+}
+
+// evaluate runs one rung: one job per candidate at the rung's fidelity,
+// each point's config written straight into its job slot. It returns the
+// results, and their ranks, in candidate order.
+func evaluate(r *lab.Runner, rs *resolved, cands []int, rg Rung, obj Objective, audit bool) ([]rank, []core.Result, error) {
+	var spec *lab.ForkSpec
+	if rg.ForkAt > 0 {
+		base := rs.base
+		base.Duration = rg.Duration
+		spec = &lab.ForkSpec{Base: base, At: rg.ForkAt}
+	}
+	jobs := make([]lab.Job, len(cands))
+	for j, idx := range cands {
+		rs.write(&jobs[j].Config, idx)
+		jobs[j].Config.Duration = rg.Duration
+		jobs[j].Fork = spec
+	}
+	results, err := runRung(r, jobs, audit)
+	if err != nil {
+		return nil, nil, err
+	}
+	ranks := make([]rank, len(cands))
+	for j := range results {
+		e, d := measure(results[j])
+		ranks[j] = rank{index: cands[j], energyMJ: e, delayS: d, score: obj.score(e, d)}
+	}
+	return ranks, results, nil
 }
 
 // runRung executes one rung's jobs, flipping the runner's auditor on for

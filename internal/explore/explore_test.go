@@ -2,6 +2,7 @@ package explore
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -54,7 +55,7 @@ func TestSpaceEnumeration(t *testing.T) {
 	if cfg.Gov.SampleMs != 60 || cfg.Gov.TargetLoad != 80 {
 		t.Fatalf("Config(6): SampleMs=%d TargetLoad=%d, want 60 and 80", cfg.Gov.SampleMs, cfg.Gov.TargetLoad)
 	}
-	if forkable, err := s.check(); err != nil || !forkable {
+	if _, forkable, err := s.resolve(); err != nil || !forkable {
 		t.Fatalf("governor-tunable space must be forkable (err %v)", err)
 	}
 
@@ -166,11 +167,11 @@ func TestSurvivorsKeepParetoFront(t *testing.T) {
 	// Point 3 has the worst score but the lowest energy: pruning it would
 	// lose a frontier point forever. Point 2 is dominated by point 1 and
 	// outside the top-2, so it is the one pruned.
-	pts := []Point{
-		{Index: 0, EnergyMJ: 10, DelayS: 1, Score: 1},
-		{Index: 1, EnergyMJ: 9, DelayS: 2, Score: 2},
-		{Index: 2, EnergyMJ: 9.5, DelayS: 2.5, Score: 3},
-		{Index: 3, EnergyMJ: 1, DelayS: 9, Score: 9},
+	pts := []rank{
+		{index: 0, energyMJ: 10, delayS: 1, score: 1},
+		{index: 1, energyMJ: 9, delayS: 2, score: 2},
+		{index: 2, energyMJ: 9.5, delayS: 2.5, score: 3},
+		{index: 3, energyMJ: 1, delayS: 9, score: 9},
 	}
 	got := survivors(pts, 2)
 	if !reflect.DeepEqual(got, []int{0, 1, 3}) {
@@ -179,9 +180,9 @@ func TestSurvivorsKeepParetoFront(t *testing.T) {
 
 	// The front bonus is capped at `want`: with every point non-dominated,
 	// promotion tops out at 2*want, taking front members in score order.
-	chain := make([]Point, 8)
+	chain := make([]rank, 8)
 	for i := range chain {
-		chain[i] = Point{Index: i, EnergyMJ: float64(10 - i), DelayS: float64(1 + i), Score: float64(1 + i)}
+		chain[i] = rank{index: i, energyMJ: float64(10 - i), delayS: float64(1 + i), score: float64(1 + i)}
 	}
 	got = survivors(chain, 2)
 	if !reflect.DeepEqual(got, []int{0, 1, 2, 3}) {
@@ -334,13 +335,13 @@ func TestExploreDeterministicAcrossWorkers(t *testing.T) {
 // exhaustive.
 func TestExploreIdentityDimDisablesFork(t *testing.T) {
 	seedSpace := Space{Dims: []Dim{{Key: "seed", Values: []string{"1", "2"}}}}
-	if forkable, err := seedSpace.check(); err != nil || forkable {
+	if _, forkable, err := seedSpace.resolve(); err != nil || forkable {
 		t.Fatalf("seed dimension must make the space unforkable (err %v)", err)
 	}
 	// Identity is what core compares, not a list of keys: a dimension whose
 	// every value keeps Base's identity still forks.
 	seedSpace.Dims[0].Values = []string{"0"}
-	if forkable, err := seedSpace.check(); err != nil || !forkable {
+	if _, forkable, err := seedSpace.resolve(); err != nil || !forkable {
 		t.Fatalf("a seed dimension that keeps Base's seed must stay forkable (err %v)", err)
 	}
 
@@ -349,7 +350,7 @@ func TestExploreIdentityDimDisablesFork(t *testing.T) {
 		{Key: "cores", Values: []string{"L4+B4", "L4+B2", "L4", "L2+B2", "L2"}},
 		{Key: "governor", Values: []string{"interactive", "performance", "powersave"}},
 	}
-	if forkable, err := space.check(); err != nil || forkable {
+	if _, forkable, err := space.resolve(); err != nil || forkable {
 		t.Fatalf("cores dimension must make the space unforkable (err %v)", err)
 	}
 	r := &lab.Runner{Workers: 4}
@@ -426,5 +427,119 @@ func TestExploreBudgetSampling(t *testing.T) {
 	}
 	if !reflect.DeepEqual(indices(rep.Frontier), indices(rep2.Frontier)) {
 		t.Fatal("same seed, same budget: sampling must be deterministic")
+	}
+}
+
+// TestRepeatedRungSubmitsNothing: a rung whose (Duration, ForkAt) repeats
+// its predecessor's takes its candidates' points from that rung, so on a
+// cacheless runner the jobs submitted are exactly the candidates of the
+// rungs that changed fidelity, and a repeated rung simulates nothing. The
+// points it carries are the results a fresh run of its jobs gives; a final
+// rung under Check still runs, so the audit sees every finalist.
+func TestRepeatedRungSubmitsNothing(t *testing.T) {
+	var cases []goldenCase
+	for _, c := range goldenCases(t) {
+		if c.name == "cores-repeat" || c.name == "flat" || c.name == "flat-check" {
+			cases = append(cases, c)
+		}
+	}
+	if len(cases) != 3 {
+		t.Fatalf("found %d of the 3 repeating golden cases", len(cases))
+	}
+	for _, c := range cases {
+		r := &lab.Runner{Workers: 2}
+		opts := c.opts
+		opts.Runner = r
+		rep, err := Run(c.space, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jobs int64
+		repeated := 0
+		for ri, rg := range rep.Rungs {
+			final := ri == len(rep.Rungs)-1
+			if ri > 0 && rg.Duration == rep.Rungs[ri-1].Duration && rg.ForkAt == rep.Rungs[ri-1].ForkAt &&
+				!(final && opts.Check) {
+				repeated++
+				if rg.SimulatedNs != 0 {
+					t.Errorf("%s: repeated rung %d simulated %d ns, want 0", c.name, ri, rg.SimulatedNs)
+				}
+				continue
+			}
+			jobs += int64(rg.Candidates)
+		}
+		if repeated == 0 {
+			t.Fatalf("%s: no rung repeats its predecessor's fidelity: %+v", c.name, rep.Rungs)
+		}
+		s := r.Stats()
+		if s.Jobs != jobs {
+			t.Errorf("%s: Stats.Jobs=%d, want %d, the candidates of the rungs that ran", c.name, s.Jobs, jobs)
+		}
+		final := rep.Rungs[len(rep.Rungs)-1]
+		if opts.Check && s.Audited != int64(final.Candidates) {
+			t.Errorf("%s: Audited=%d, want the %d finalists", c.name, s.Audited, final.Candidates)
+		}
+
+		// The frontier's points, carried from rung 0 when the final rung
+		// repeats it, are what a fresh run of the final jobs gives.
+		fresh := make([]lab.Job, len(rep.Frontier))
+		for i, p := range rep.Frontier {
+			cfg, err := c.space.Config(p.Index)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Duration = final.Duration
+			fresh[i] = lab.Job{Config: cfg}
+		}
+		results, err := (&lab.Runner{Workers: 2}).RunAll(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range rep.Frontier {
+			got, _ := json.Marshal(p.Result)
+			want, _ := json.Marshal(results[i])
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s: frontier point %d's result differs from a fresh run of its job", c.name, p.Index)
+			}
+		}
+	}
+}
+
+// TestResolvedWriteAllocatesNothing: with every dimension value resolved
+// once, writing a point's config into a job slot is a copy and a setter
+// call per dimension, and agrees with Config for every point.
+func TestResolvedWriteAllocatesNothing(t *testing.T) {
+	app, err := apps.ByName("fifa15")
+	if err != nil {
+		t.Fatal(err)
+	}
+	space := Space{Base: core.DefaultConfig(app), Dims: []Dim{
+		{Key: "cores", Values: []string{"L4+B4", "L4+B2", "L4", "L1+B1"}},
+		{Key: "governor", Values: []string{"interactive", "performance", "past"}},
+		{Key: "scheduler", Values: []string{"hmp", "eas"}},
+		{Key: "sample-ms", Values: []string{"10", "60"}},
+		{Key: "seed", Values: []string{"1", "9"}},
+	}}
+	rs, _, err := space.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job lab.Job
+	for i := 0; i < space.Size(); i++ {
+		rs.write(&job.Config, i)
+		want, err := space.Config(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(job.Config.Knobs, want.Knobs) || job.Config.Seed != want.Seed {
+			t.Fatalf("point %d (%s): written config differs from Config", i, space.Desc(i))
+		}
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		rs.write(&job.Config, i%space.Size())
+		i++
+	}); allocs != 0 {
+		t.Fatalf("writing a point allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -56,40 +56,63 @@ func (s *Space) Size() int {
 // cleanly to the base config — so a typo fails before any simulation, not
 // at rung three.
 func (s *Space) Validate() error {
-	_, err := s.check()
+	_, _, err := s.resolve()
 	return err
 }
 
-// check is Validate plus forkability in one pass: it applies every
-// dimension value to Base once, for both the error and the identity
-// comparison. Points of the space can resume from a shared snapshot prefix
-// of Base unless some dimension value, applied to Base, changes Base's
-// snapshot identity (core.Identity); a space that cannot fork is screened
-// with short from-scratch runs instead. run normalizes Base before calling
-// it, so a zero field and its default compare equal.
-func (s *Space) check() (forkable bool, err error) {
-	if len(s.Dims) == 0 {
-		return false, fmt.Errorf("explore: empty space (no dimensions)")
+// resolved is a space whose dimension values have each been resolved once
+// into the setter that writes it: writing a point is a copy of Base and one
+// setter call per dimension, with nothing to parse or allocate.
+type resolved struct {
+	base core.Config
+	sets [][]func(*core.Config) // sets[d][v] writes Dims[d].Values[v]
+}
+
+// write writes point i of the space into cfg.
+func (rs *resolved) write(cfg *core.Config, i int) {
+	*cfg = rs.base
+	for _, set := range rs.sets {
+		set[i%len(set)](cfg)
+		i /= len(set)
 	}
+}
+
+// resolve is Validate, value resolution and forkability in one pass: it
+// resolves every dimension value through cli.ResolveOverride once, for the
+// error, the setter and the identity comparison. Points of the space can
+// resume from a shared snapshot prefix of Base unless some dimension value,
+// applied to Base, changes Base's snapshot identity (core.Identity); a space
+// that cannot fork is screened with short from-scratch runs instead. run
+// normalizes Base before calling it, so a zero field and its default
+// compare equal.
+func (s *Space) resolve() (rs resolved, forkable bool, err error) {
+	if len(s.Dims) == 0 {
+		return rs, false, fmt.Errorf("explore: empty space (no dimensions)")
+	}
+	rs = resolved{base: s.Base, sets: make([][]func(*core.Config), len(s.Dims))}
 	forkable = true
 	seen := make(map[string]bool, len(s.Dims))
-	for _, d := range s.Dims {
+	for di, d := range s.Dims {
 		if len(d.Values) == 0 {
-			return false, fmt.Errorf("explore: dimension %q has no values", d.Key)
+			return rs, false, fmt.Errorf("explore: dimension %q has no values", d.Key)
 		}
 		if seen[d.Key] {
-			return false, fmt.Errorf("explore: dimension %q declared twice", d.Key)
+			return rs, false, fmt.Errorf("explore: dimension %q declared twice", d.Key)
 		}
 		seen[d.Key] = true
-		for _, v := range d.Values {
-			cfg := s.Base
-			if err := cli.ApplyOverrides(&cfg, d.Key+"="+v); err != nil {
-				return false, fmt.Errorf("explore: dimension %q: %w", d.Key, err)
+		rs.sets[di] = make([]func(*core.Config), len(d.Values))
+		for vi, v := range d.Values {
+			set, err := cli.ResolveOverride(d.Key, v)
+			if err != nil {
+				return rs, false, fmt.Errorf("explore: dimension %q: %w", d.Key, err)
 			}
+			rs.sets[di][vi] = set
+			cfg := s.Base
+			set(&cfg)
 			forkable = forkable && cfg.Identity() == s.Base.Identity()
 		}
 	}
-	return forkable, nil
+	return rs, forkable, nil
 }
 
 // Config materializes point i of the space.
@@ -99,11 +122,12 @@ func (s *Space) Config(i int) (core.Config, error) {
 	}
 	cfg := s.Base
 	for _, d := range s.Dims {
-		v := d.Values[i%len(d.Values)]
-		i /= len(d.Values)
-		if err := cli.ApplyOverrides(&cfg, d.Key+"="+v); err != nil {
+		set, err := cli.ResolveOverride(d.Key, d.Values[i%len(d.Values)])
+		if err != nil {
 			return core.Config{}, err
 		}
+		set(&cfg)
+		i /= len(d.Values)
 	}
 	return cfg, nil
 }

@@ -115,38 +115,44 @@ func (c *Cache) path(fp string) string {
 }
 
 // Get loads the result stored for fp, reporting whether a valid entry was
-// found. Invalid entries are removed so the follow-up Put replaces them.
+// found. The blob is read into a pooled codec, so only the decoded Result
+// allocates. Invalid entries are removed so the follow-up Put replaces them.
 func (c *Cache) Get(fp string) (core.Result, bool) {
 	if c == nil {
 		return core.Result{}, false
 	}
 	p := c.path(fp)
-	data, err := os.ReadFile(p)
+	cd := getCodec()
+	defer cd.put()
+	data, err := cd.read(p)
 	if err != nil {
 		return core.Result{}, false
 	}
-	var b blob
-	if err := json.Unmarshal(data, &b); err != nil || b.Fingerprint != fp {
+	if err := json.Unmarshal(data, &cd.blob); err != nil || cd.blob.Fingerprint != fp {
 		os.Remove(p)
 		return core.Result{}, false
 	}
-	return b.Result, true
+	return cd.blob.Result, true
 }
 
-// Put stores res under fp. A result that cannot be marshaled (NaN metrics,
+// Put stores res under fp, as json.Marshal's bytes for its blob encoded in
+// a pooled codec. A result that cannot be marshaled (NaN metrics,
 // say) is not an error worth failing the experiment over; the caller treats
 // a Put failure as "this run stays uncached".
 func (c *Cache) Put(fp, app, salt string, res core.Result) error {
 	if c == nil {
 		return nil
 	}
-	data, err := json.Marshal(blob{
+	cd := getCodec()
+	defer cd.put()
+	cd.blob = blob{
 		Fingerprint: fp,
 		App:         app,
 		Salt:        salt,
 		SavedAt:     time.Now().UTC(),
 		Result:      res,
-	})
+	}
+	data, err := cd.encode(&cd.blob)
 	if err != nil {
 		return fmt.Errorf("lab: marshal result: %w", err)
 	}

@@ -1,10 +1,6 @@
 package lab
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-
 	"biglittle/internal/apps"
 	"biglittle/internal/core"
 	"biglittle/internal/event"
@@ -12,7 +8,9 @@ import (
 
 // print is the canonical, serializable view of a resolved job config. It is
 // marshaled with encoding/json — which sorts map keys — and hashed, so the
-// fingerprint is stable across processes. Embedding core.Knobs puts every
+// fingerprint is stable across processes. The bytes hashed are exactly
+// json.Marshal's, written into a pooled codec that also holds the print, so
+// a fingerprint allocates only its string. Embedding core.Knobs puts every
 // knob in the hash by construction; it holds the knobs' Effective view, so
 // configs that differ only in knobs their governor never reads share one
 // fingerprint. Field order is part of the hash, which is why Seed and
@@ -54,7 +52,9 @@ func Fingerprint(job Job) (string, bool) {
 	if cfg.OnSystem != nil || cfg.Telemetry != nil || cfg.Profiler != nil || cfg.Xray != nil || cfg.Check != nil || cfg.Digest != nil {
 		return "", false
 	}
-	p := print{
+	c := getCodec()
+	defer c.put()
+	c.print = print{
 		App:      cfg.App.Name,
 		Desc:     cfg.App.Desc,
 		Metric:   cfg.App.Metric,
@@ -68,13 +68,12 @@ func Fingerprint(job Job) (string, bool) {
 		if !ok {
 			return "", false
 		}
-		p.ForkBase = baseFp
-		p.ForkAt = job.Fork.At
+		c.print.ForkBase = baseFp
+		c.print.ForkAt = job.Fork.At
 	}
-	blob, err := json.Marshal(p)
+	data, err := c.encode(&c.print)
 	if err != nil {
 		return "", false
 	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:]), true
+	return c.sum(data), true
 }

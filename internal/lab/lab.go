@@ -485,8 +485,8 @@ func (f *fanOut) call(i int) {
 
 // runOne resolves one job: cache lookup, then bounded simulation attempts.
 // fp is the job's fingerprint, or "" when it has none or the runner has
-// neither a cache nor a remote executor to use it with: a fingerprint costs
-// a config marshal (two for fork jobs).
+// neither a cache nor a remote executor to use it with, so a runner with
+// neither never encodes or hashes a config.
 func (r *Runner) runOne(job Job, fp string) (core.Result, error) {
 	r.count(func(s *Stats) { s.Jobs++ }, "lab_jobs")
 

@@ -2,8 +2,6 @@ package lab
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -28,14 +26,16 @@ type memoBlob[V any] struct {
 	Value       V         `json:"value"`
 }
 
-// memoFingerprint hashes a derived result's identity.
+// memoFingerprint hashes a derived result's identity: json.Marshal's bytes
+// for it, encoded in a pooled codec.
 func memoFingerprint[K any](kind string, key K) (string, error) {
-	data, err := json.Marshal(memoPrint[K]{Schema: schemaVersion, Kind: kind, Key: key})
+	c := getCodec()
+	defer c.put()
+	data, err := c.encode(&memoPrint[K]{Schema: schemaVersion, Kind: kind, Key: key})
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	return c.sum(data), nil
 }
 
 // Memo returns fn(), memoized in the runner's cache as a derived result: a
@@ -72,17 +72,22 @@ func Memo[K, V any](r *Runner, kind string, key K, fn func() V) V {
 	}
 	r.count(func(s *Stats) { s.MemoMisses++ }, "lab_memo_misses")
 	v := fn()
-	if data, err := json.Marshal(memoBlob[V]{Fingerprint: fp, App: kind, SavedAt: time.Now().UTC(), Value: v}); err == nil {
+	c := getCodec()
+	if data, err := c.encode(&memoBlob[V]{Fingerprint: fp, App: kind, SavedAt: time.Now().UTC(), Value: v}); err == nil {
 		_ = writeAtomic(p, data) // a failed write leaves the value uncached
 	}
+	c.put()
 	return v
 }
 
-// loadMemo reads the derived result stored at p for fp, returning the value
-// and its stored JSON. A blob that does not decode, or whose fingerprint
-// does not match, is removed.
+// loadMemo reads the derived result stored at p for fp, through a pooled
+// codec, returning the value and its stored JSON (a copy: decoding a
+// RawMessage copies it out of the codec's buffer). A blob that does not
+// decode, or whose fingerprint does not match, is removed.
 func loadMemo[V any](p, fp string) (v V, stored json.RawMessage, ok bool) {
-	data, err := os.ReadFile(p)
+	c := getCodec()
+	defer c.put()
+	data, err := c.read(p)
 	if err != nil {
 		return v, nil, false
 	}
