@@ -209,12 +209,12 @@ report-par:
 
 # Line-coverage floors for the simulation kernel packages, the governors, the
 # workload generators and their snapshot recorder, the ring buffer, the
-# microarchitecture layer behind Figures 2-3, and the lab and explore
-# orchestration above them. The profile can contain one
-# copy of each block per test binary, so blocks are deduplicated by location
-# before aggregating per package.
+# microarchitecture layer behind Figures 2-3, the lab and explore
+# orchestration above them, and the session stepper. The profile can contain
+# one copy of each block per test binary, so blocks are deduplicated by
+# location before aggregating per package.
 cover:
-	go test -coverpkg=./internal/core,./internal/sched,./internal/platform,./internal/snapshot,./internal/governor,./internal/uarch,./internal/cache,./internal/bpred,./internal/lab,./internal/explore,./internal/workload,./internal/ring \
+	go test -coverpkg=./internal/core,./internal/sched,./internal/platform,./internal/snapshot,./internal/governor,./internal/uarch,./internal/cache,./internal/bpred,./internal/lab,./internal/explore,./internal/workload,./internal/ring,./internal/session \
 		-coverprofile=/tmp/biglittle-cover.out ./... > /dev/null
 	awk 'NR>1 {key=$$1; stmts[key]=$$2; if ($$3>0) hit[key]=1} \
 		END { \
@@ -230,6 +230,7 @@ cover:
 			floors["biglittle/internal/explore"]=89; \
 			floors["biglittle/internal/workload"]=90; \
 			floors["biglittle/internal/ring"]=95; \
+			floors["biglittle/internal/session"]=90; \
 			bad=0; \
 			for (k in stmts) {p=k; sub(/:.*/, "", p); sub(/\/[^\/]*$$/, "", p); total[p]+=stmts[k]; if (hit[k]) cov[p]+=stmts[k]} \
 			for (p in floors) { \

@@ -119,9 +119,10 @@ func CustomApp(name string, metric Metric, build func(ctx *Ctx)) App {
 	return App{Name: name, Desc: "custom workload", Metric: metric, Build: build}
 }
 
-// Config describes one simulation run: app, seed and duration, plus the
-// platform and policy knobs it shares with SessionConfig (Platform names a
-// SoC preset: "exynos5422", "exynos5422-tiny" or "snapdragon810").
+// Config describes one simulation run: app, seed and duration, or with
+// Phases a multi-app session (see NewSession), plus the platform and policy
+// knobs (Platform names a SoC preset: "exynos5422", "exynos5422-tiny" or
+// "snapdragon810").
 type Config = core.Config
 
 // Result holds every metric collected from one run.
@@ -235,9 +236,9 @@ func NewTelemetry() *Telemetry { return telemetry.NewCollector() }
 // wake placement, migration, governor frequency step, thermal throttle, and
 // hotplug decision, each with the candidate set considered, the thresholds
 // compared, and per-alternative rejection reasons, causally linked into
-// chains walkable in both directions. Set one as Config.Xray (or
-// SessionConfig.Xray); a nil *Xray disables tracing at the cost of one
-// pointer check per decision. Query dumps with cmd/blxray.
+// chains walkable in both directions. Set one as Config.Xray; a nil *Xray
+// disables tracing at the cost of one pointer check per decision. Query
+// dumps with cmd/blxray.
 type Xray = xray.Tracer
 
 // XraySpan is one recorded decision with its provenance.
@@ -268,10 +269,10 @@ func NewXray() *Xray { return xray.New() }
 func ParseXrayDump(data []byte) (*XrayDump, error) { return xray.ParseDump(data) }
 
 // Profiler is the streaming per-task attribution profiler. Set one as
-// Config.Profiler (or SessionConfig.Profiler) to attribute run/wait time by
-// core type, frequency residency, system energy, and migrations to
-// individual tasks. A nil *Profiler disables attribution at the cost of one
-// pointer check per scheduler event.
+// Config.Profiler to attribute run/wait time by core type, frequency
+// residency, system energy, and migrations to individual tasks. A nil
+// *Profiler disables attribution at the cost of one pointer check per
+// scheduler event.
 type Profiler = profile.Profiler
 
 // ProfileSnapshot is a consistent point-in-time view of the profiler's
@@ -305,21 +306,20 @@ func Stress(n int) App { return apps.Stress(n) }
 func LoadSpec(data []byte) (App, error) { return spec.Parse(data) }
 
 // SessionPhase is one app segment of a multi-app usage session.
-type SessionPhase = session.Phase
-
-// SessionConfig describes a session run: phases and seed on the same
-// platform and policy knobs as Config. Battery drain is the Galaxy S5's.
-type SessionConfig = session.Config
+type SessionPhase = core.Phase
 
 // SessionResult summarizes a session with per-phase metrics.
 type SessionResult = session.Result
 
-// NewSession returns a session on the paper's baseline platform.
-func NewSession(phases ...SessionPhase) SessionConfig { return session.DefaultConfig(phases...) }
+// NewSession returns a session on the paper's baseline platform: a Config
+// whose Phases are phases. Battery drain is the Galaxy S5's.
+func NewSession(phases ...SessionPhase) Config {
+	return Config{Seed: 1, Phases: phases, Knobs: core.DefaultKnobs()}
+}
 
 // RunSession executes a multi-app session: phases run back to back on one
 // platform, with governor and load-tracker state carried across switches.
-func RunSession(cfg SessionConfig) SessionResult { return session.Run(cfg) }
+func RunSession(cfg Config) SessionResult { return session.Run(cfg) }
 
 // RenderSession formats a session result.
 func RenderSession(r SessionResult) string { return session.Render(r) }
@@ -331,19 +331,19 @@ func RenderSession(r SessionResult) string { return session.Render(r) }
 type LiveSession = session.Live
 
 // NewLiveSession assembles a session ready to Advance.
-func NewLiveSession(cfg SessionConfig) *LiveSession { return session.NewLive(cfg) }
+func NewLiveSession(cfg Config) *LiveSession { return session.NewLive(cfg) }
 
 // GalaxyS5Pack returns the paper device's battery.
 func GalaxyS5Pack() battery.Pack { return battery.GalaxyS5() }
 
-// Auditor is the runtime invariant checker. Set one as Config.Check (or
-// SessionConfig.Check) to continuously verify the simulator's conservation
-// laws during a run — legal cluster frequencies, the "one little core always
-// online" hotplug constraint, monotone virtual time, per-core time
-// accounting, and energy as the integral of modeled power — and reconcile
-// end-of-run totals. The auditor is a pure observer: an audited run produces
-// byte-identical results. A nil *Auditor disables auditing at the cost of
-// one pointer check per hook site.
+// Auditor is the runtime invariant checker. Set one as Config.Check to
+// continuously verify the simulator's conservation laws during a run —
+// legal cluster frequencies, the "one little core always online" hotplug
+// constraint, monotone virtual time, per-core time accounting, and energy
+// as the integral of modeled power — and reconcile end-of-run totals. The
+// auditor is a pure observer: an audited run produces byte-identical
+// results. A nil *Auditor disables auditing at the cost of one pointer check
+// per hook site.
 type Auditor = check.Auditor
 
 // CheckViolation is one invariant violation (timestamp, invariant name,

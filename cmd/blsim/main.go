@@ -16,6 +16,7 @@
 //	blsim -app eternity_warrior -duration 6s -trace 5s:300ms -chrome trace.json
 //	blsim -app youtube -telemetry -prom -
 //	blsim -phases browser:20s,pdf_reader:15s,eternity_warrior:20s -check
+//	blsim -phases browser:2s,fifa15:2s -trace 1500ms:1s
 //	blsim -list
 package main
 
@@ -89,9 +90,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	given := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
 	if *phases != "" {
-		// A session has no single Result to draw a matrix from and no
-		// OnSystem hook to attach a timeline recorder to.
-		for _, name := range []string{"app", "spec", "duration", "matrix", "trace"} {
+		// A session takes its apps and its length from the phases, and
+		// reports per-phase rows rather than one app's characterization.
+		for _, name := range []string{"app", "spec", "duration", "matrix"} {
 			if given[name] {
 				return usage("-%s does not apply to a session (-phases)", name)
 			}
@@ -127,14 +128,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sr  biglittle.SessionResult
 		rec *biglittle.TraceRecorder
 	)
+	if *window != "" {
+		from, to, err := parseWindow(*window)
+		if err != nil {
+			return usage("%v", err)
+		}
+		cfg.OnSystem = func(sys *biglittle.SchedSystem) {
+			rec = biglittle.AttachTrace(sys, from, to)
+		}
+	}
 	if *phases != "" {
 		ph, err := cli.ParsePhases(*phases)
 		if err != nil {
 			return fail(err)
 		}
-		sc := biglittle.NewSession(ph...)
-		sc.Seed, sc.Knobs, sc.Observers = cfg.Seed, cfg.Knobs, cfg.Observers
-		sr = biglittle.RunSession(sc)
+		cfg.Phases = ph
+		sr = biglittle.RunSession(cfg)
 		cfg.Duration = sr.Duration
 	} else {
 		var err error
@@ -151,20 +160,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		cfg.Duration = biglittle.Time(duration.Nanoseconds())
-		if *window != "" {
-			from, to, err := parseWindow(*window)
-			if err != nil {
-				return usage("%v", err)
-			}
-			cfg.OnSystem = func(sys *biglittle.SchedSystem) {
-				rec = biglittle.AttachTrace(sys, from, to)
-			}
-		}
 		r = biglittle.Run(cfg)
-		if rec != nil && len(rec.Samples) == 0 {
-			return usage("no timeline samples: the -trace window %s lies beyond the run duration %v; lower it or raise -duration",
-				*window, *duration)
-		}
+	}
+	if rec != nil && len(rec.Samples) == 0 {
+		return usage("no timeline samples: the -trace window %s lies beyond the run duration %v; lower it or lengthen the run",
+			*window, time.Duration(cfg.Duration))
 	}
 
 	if xr := cfg.Xray; xr != nil {

@@ -129,3 +129,27 @@ func TestFoldedCommands(t *testing.T) {
 		})
 	}
 }
+
+// TestSessionTrace pins that a session takes the observers a run takes:
+// -trace draws the window's timeline after the session table, which reads
+// byte for byte as it does without -trace. -matrix stays a run-only flag.
+func TestSessionTrace(t *testing.T) {
+	session := []string{"-phases", "browser:1s,fifa15:1s"}
+	var plain, traced, errb bytes.Buffer
+	if code := run(session, &plain, &errb); code != 0 {
+		t.Fatalf("blsim %s: exit %d, stderr:\n%s", strings.Join(session, " "), code, errb.String())
+	}
+	if code := run(append(session, "-trace", "500ms:300ms"), &traced, &errb); code != 0 {
+		t.Fatalf("blsim -trace on a session: exit %d, stderr:\n%s", code, errb.String())
+	}
+	table, timeline, ok := strings.Cut(traced.String(), "\ntrace: ")
+	if !ok || !strings.Contains(timeline, "cpu0 little |") {
+		t.Fatalf("blsim -trace on a session drew no timeline:\n%s", traced.String())
+	}
+	if table != plain.String() {
+		t.Errorf("-trace changed the session table:\nwith:\n%s\nwithout:\n%s", table, plain.String())
+	}
+	if code := run(append(session, "-matrix"), &plain, &errb); code != 2 {
+		t.Errorf("-matrix on a session: exit %d, want 2", code)
+	}
+}

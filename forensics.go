@@ -12,9 +12,9 @@ import (
 
 // DigestRecorder folds a rolling hash of simulator state into chained
 // per-window digests — the run's fingerprint and the substrate cross-run
-// diffing bisects. Set one as Config.Digest (or SessionConfig.Digest). Like
-// the other observers it is pure: a digested run produces byte-identical
-// results, and nil disables recording at zero cost.
+// diffing bisects. Set one as Config.Digest. Like the other observers it is
+// pure: a digested run produces byte-identical results, and nil disables
+// recording at zero cost.
 type DigestRecorder = delta.Recorder
 
 // DigestChain is a sealed digest chain: one cumulative digest per window.

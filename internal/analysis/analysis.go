@@ -312,11 +312,6 @@ func Fig6(o Options) []Fig6Row {
 // ---------------------------------------------------------------------------
 // Tables III and IV, Figures 9/10, Table V: default-configuration runs.
 
-// AppCharacterization bundles all per-app default-run metrics.
-type AppCharacterization struct {
-	Result core.Result
-}
-
 // Characterize runs every app on the baseline configuration; it backs
 // Table III (TLP), Table IV (matrix), Table V (efficiency states), and
 // Figures 9/10 (frequency residency).

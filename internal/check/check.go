@@ -97,8 +97,8 @@ func (r Report) String() string {
 }
 
 // Auditor is the runtime invariant checker. Create with New, pass as
-// core.Config.Check (or session.Config.Check), and read Report or Err after
-// the run. All methods are safe on a nil receiver.
+// core.Config.Check, and read Report or Err after the run or session. All
+// methods are safe on a nil receiver.
 //
 // Per scheduler tick it verifies: virtual time monotone, every cluster's
 // frequency in its table and under its thermal cap, at least one little core

@@ -278,6 +278,55 @@ func TestCheckResult(t *testing.T) {
 	}
 }
 
+// TestCheckResultSession checks a real session's rows against its whole-run
+// fields, then tampers one row per identity CheckResult holds them to.
+func TestCheckResultSession(t *testing.T) {
+	var phases []core.Phase
+	for _, name := range []string{"browser", "eternity_warrior", "video_player"} {
+		app, err := apps.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phases = append(phases, core.Phase{App: app, Duration: 2 * event.Second})
+	}
+	res := core.Run(core.Config{Seed: 1, Phases: phases, Knobs: core.DefaultKnobs()})
+	if len(res.Phases) != len(phases) {
+		t.Fatalf("%d rows for %d phases", len(res.Phases), len(phases))
+	}
+	if vs := CheckResult(res); len(vs) != 0 {
+		t.Fatalf("clean session reported violations: %v", vs)
+	}
+
+	tamper := []struct {
+		name      string
+		invariant string
+		mutate    func(*core.PhaseResult)
+	}{
+		// Row 1 keeps its own power identity, so only the sum breaks.
+		{"duration sum", "result-phase-duration", func(p *core.PhaseResult) {
+			p.Duration += event.Millisecond
+			p.AvgPowerMW = p.EnergyJ * 1000 / p.Duration.Seconds()
+		}},
+		{"energy sum", "result-phase-energy", func(p *core.PhaseResult) { p.EnergyJ *= 1.01; p.AvgPowerMW *= 1.01 }},
+		{"row power", "result-phase-power", func(p *core.PhaseResult) { p.AvgPowerMW *= 1.000001 }},
+		{"big share above 100", "result-phase-range", func(p *core.PhaseResult) { p.BigPct = 100.5 }},
+		{"negative big share", "result-phase-range", func(p *core.PhaseResult) { p.BigPct = -0.5 }},
+		{"negative drain", "result-phase-range", func(p *core.PhaseResult) { p.DrainPct = -0.01 }},
+	}
+	for _, tc := range tamper {
+		r := res
+		r.Phases = append([]core.PhaseResult(nil), res.Phases...)
+		tc.mutate(&r.Phases[1])
+		var got []string
+		for _, v := range CheckResult(r) {
+			got = append(got, v.Invariant)
+		}
+		if len(got) != 1 || got[0] != tc.invariant {
+			t.Errorf("%s: want exactly a %s violation, got %v", tc.name, tc.invariant, got)
+		}
+	}
+}
+
 // BenchmarkAuditorOff/On quantify the auditor's cost: Off is the one
 // pointer-check-per-site disabled path (the "no measurable overhead"
 // acceptance bar), On the full invariant sweep.

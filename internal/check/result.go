@@ -127,5 +127,37 @@ func CheckResult(res core.Result) []Violation {
 	if res.MaxTempC < 0 {
 		add("result-thermal", "negative max temperature %v", res.MaxTempC)
 	}
+
+	// A session's rows partition it: their durations sum to its Duration,
+	// and their energies, which are meter deltas and so telescope, to its
+	// EnergyMJ.
+	if len(res.Phases) == 0 {
+		return out
+	}
+	var dur event.Time
+	var rowsMJ float64
+	for _, p := range res.Phases {
+		dur += p.Duration
+		mj := p.EnergyJ * 1000
+		rowsMJ += mj
+		if pw := p.AvgPowerMW * p.Duration.Seconds(); !nearRel(pw, mj) {
+			add("result-phase-power", "phase %s: AvgPowerMW %v × %v is %v mJ, its energy %v mJ",
+				p.App, p.AvgPowerMW, p.Duration, pw, mj)
+		}
+		if p.BigPct < 0 || p.BigPct > 100 || p.DrainPct < 0 {
+			add("result-phase-range", "phase %s: big share %v%% outside [0, 100] or drain %v%% negative", p.App, p.BigPct, p.DrainPct)
+		}
+	}
+	if dur != res.Duration {
+		add("result-phase-duration", "phase durations sum to %v, Duration is %v", dur, res.Duration)
+	}
+	if !nearRel(rowsMJ, res.EnergyMJ) {
+		add("result-phase-energy", "phase energies sum to %v mJ, EnergyMJ is %v", rowsMJ, res.EnergyMJ)
+	}
 	return out
+}
+
+// nearRel reports whether a and b agree within 1e-9 of the larger.
+func nearRel(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }

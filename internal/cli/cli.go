@@ -2,8 +2,8 @@
 // -seed/-duration pair and the -workers/-cache-dir/-no-cache orchestration
 // flags of the experiment commands (blreport, blsweep, blexplore), app-list
 // resolution, the key=value override vocabulary (blsim -set, blsweep -param,
-// bldiff -a/-b, blexplore -dim), and the app:duration phase lists of blserve
-// and blsim -phases.
+// bldiff -a/-b, blexplore -dim), and the app:duration phase lists
+// (core.Config's Phases) of blserve and blsim -phases.
 package cli
 
 import (
@@ -23,7 +23,6 @@ import (
 	"biglittle/internal/fleet"
 	"biglittle/internal/lab"
 	"biglittle/internal/platform"
-	"biglittle/internal/session"
 )
 
 // Experiment bundles the flag values shared by the experiment commands.
@@ -112,8 +111,8 @@ func ResolveApps(name string) ([]apps.App, error) {
 // ParsePhases parses a comma-separated app:duration session list
 // ("browser:20s,video_player:10s"). Every phase needs a known app and a
 // positive duration, so an empty list is an error too.
-func ParsePhases(arg string) ([]session.Phase, error) {
-	var phases []session.Phase
+func ParsePhases(arg string) ([]core.Phase, error) {
+	var phases []core.Phase
 	for _, part := range strings.Split(arg, ",") {
 		name, dur, ok := strings.Cut(strings.TrimSpace(part), ":")
 		if !ok {
@@ -130,7 +129,7 @@ func ParsePhases(arg string) ([]session.Phase, error) {
 		if d <= 0 {
 			return nil, fmt.Errorf("phase %q: duration must be positive", part)
 		}
-		phases = append(phases, session.Phase{App: app, Duration: event.Time(d.Nanoseconds())})
+		phases = append(phases, core.Phase{App: app, Duration: event.Time(d.Nanoseconds())})
 	}
 	return phases, nil
 }

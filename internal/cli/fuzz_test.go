@@ -7,7 +7,6 @@ import (
 
 	"biglittle/internal/apps"
 	"biglittle/internal/core"
-	"biglittle/internal/session"
 )
 
 // docSpecs are override specs the commands' docs and smoke targets use; each
@@ -53,7 +52,7 @@ func FuzzApplyOverrides(f *testing.F) {
 }
 
 // renderPhases writes phases back in the ParsePhases format.
-func renderPhases(phases []session.Phase) string {
+func renderPhases(phases []core.Phase) string {
 	parts := make([]string, len(phases))
 	for i, p := range phases {
 		parts[i] = p.App.Name + ":" + time.Duration(p.Duration).String()

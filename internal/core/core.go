@@ -99,6 +99,11 @@ type Config struct {
 	Seed     int64
 	Duration event.Time
 
+	// Phases, when set, makes the run a session: the phases' apps run in
+	// turn on the one platform, and Result.Phases reports a row per phase.
+	// Normalized sets Duration to their sum, and App is unused.
+	Phases []Phase
+
 	Knobs
 
 	// Observers are the run's pure observers, all nil by default (see
@@ -112,11 +117,17 @@ type Config struct {
 	OnSystem func(sys *sched.System)
 }
 
+// Phase is one app segment of a session's schedule.
+type Phase struct {
+	App      apps.App
+	Duration event.Time
+}
+
 // Knobs are a run's platform and policy knobs: the hotplug configuration
 // (§V-C), HMP thresholds and governor tunables (§VI-C) the paper sweeps, and
-// the policies, power model, SoC and thermal envelope. Config,
-// session.Config, the lab fingerprint and the fleet wire spec all embed
-// them, so a new knob reaches the cache key and the wire by construction.
+// the policies, power model, SoC and thermal envelope. Config, the lab
+// fingerprint and the fleet wire spec all embed them, so a new knob reaches
+// the cache key and the wire by construction.
 // The JSON names and the field order are part of every fingerprint.
 type Knobs struct {
 	// Cores is the hotplug configuration (default L4+B4).
@@ -145,16 +156,17 @@ type Knobs struct {
 	Thermal *thermal.Params `json:"thermal,omitempty"`
 }
 
-// Observers are the pure observers a run or a session can carry. Each is
-// nil by default, which disables it at the cost of a pointer check per hook
-// site; an observed run produces byte-identical results. Assemble sets
-// Telemetry, Profiler and Xray once, on the scheduler system before it
-// starts; the governor, the metrics sampler, the thermal model and any trace
-// recorder read them from the system when they emit. Check attaches right
-// after the metrics sampler starts and Digest last, so they subscribe to the
-// scheduler tick in that order, ahead of any OnSystem hook. A Check on a run
-// without Telemetry installs its own one-event collector on the system, so
-// every subsystem's events then reach the auditor's event hook.
+// Observers are the pure observers a run can carry. Each is nil by default,
+// which disables it at the cost of a pointer check per hook site; an
+// observed run produces byte-identical results. Assemble sets Telemetry,
+// Profiler and Xray once, on the scheduler system before it starts; the
+// governor, the metrics sampler, the thermal model and any trace recorder
+// read them from the system when they emit. Check attaches right after the
+// metrics sampler starts and Digest last, so they subscribe to the scheduler
+// tick in that order, ahead of any OnSystem hook. A Check on a run without
+// Telemetry installs its own one-event collector on the system, so every
+// subsystem's events then reach the auditor's event hook. On a session they
+// span every phase.
 type Observers struct {
 	// Telemetry, when non-nil, is attached to every subsystem: the scheduler
 	// emits migration/wake/preempt/boost events, the governor its frequency
@@ -284,6 +296,24 @@ type Result struct {
 	// Profile is the per-task attribution snapshot (nil unless
 	// Config.Profiler was set).
 	Profile *profile.Snapshot
+
+	// Phases holds a session's rows in schedule order (nil for one app). A
+	// session leaves App and the per-app performance fields zero.
+	Phases []PhaseResult `json:",omitempty"`
+}
+
+// PhaseResult is one session phase's row: its energy and Galaxy S5 battery
+// drain, its app's performance, and the big cores' share of its activity.
+type PhaseResult struct {
+	App          string
+	Duration     event.Time
+	AvgPowerMW   float64
+	EnergyJ      float64
+	DrainPct     float64
+	AvgFPS       float64
+	Interactions int
+	MeanLatency  event.Time
+	BigPct       float64
 }
 
 // TaskStat is one thread's share of a run.
@@ -298,11 +328,16 @@ type TaskStat struct {
 
 // Normalized returns cfg with every zero-valued field resolved to the same
 // default Run would apply, so a sparse config and its resolved twin compare
-// (and fingerprint) identically. Knobs the governor never reads are left as
-// they are; Knobs.Effective resets those, and the lab fingerprint applies
-// both.
+// (and fingerprint) identically; a session's Duration becomes its phases'
+// sum. Knobs the governor never reads are left as they are; Knobs.Effective
+// resets those, and the lab fingerprint applies both.
 func (c Config) Normalized() Config {
-	if c.Duration <= 0 {
+	if len(c.Phases) > 0 {
+		c.Duration = 0
+		for _, ph := range c.Phases {
+			c.Duration += ph.Duration
+		}
+	} else if c.Duration <= 0 {
 		c.Duration = 30 * event.Second
 	}
 	if c.Cores == (platform.CoreConfig{}) {
@@ -323,7 +358,7 @@ func Run(cfg Config) Result {
 	cfg = cfg.Normalized()
 	rng := seededRand(cfg.Seed)
 	sim := newSim(cfg, nil, rng)
-	sim.eng.Run(cfg.Duration)
+	sim.RunTo(cfg.Duration)
 	res := sim.Finish()
 	releaseRand(rng)
 	return res

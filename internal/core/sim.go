@@ -10,6 +10,7 @@ import (
 
 	"biglittle/internal/altsched"
 	"biglittle/internal/apps"
+	"biglittle/internal/battery"
 	"biglittle/internal/event"
 	"biglittle/internal/governor"
 	"biglittle/internal/metrics"
@@ -30,10 +31,10 @@ type gov interface {
 
 // Sim is one assembled simulation with explicit control over its clock: run
 // it forward in steps with RunTo, capture a whole-simulation snapshot
-// between steps, and Finish to collect the Result. Run is assembly plus
-// run-to-end; NewSim/Resume expose the stepping for snapshot/fork
-// (DESIGN.md §9), and Assemble/Build let a session build one app after
-// another on the same platform.
+// between steps, and Finish to collect the Result. RunTo sequences the
+// config's phases on the one platform. Run is assembly plus run-to-end;
+// NewSim/Resume expose the stepping for snapshot/fork (DESIGN.md §9), and
+// Assemble for a live session.
 type Sim struct {
 	cfg      Config
 	eng      *event.Engine
@@ -43,25 +44,45 @@ type Sim struct {
 	gov      gov
 	sampler  *metrics.Sampler
 	therm    *thermal.Model
-	rng      *rand.Rand         // the run's one random source, shared by every Build
+	rng      *rand.Rand         // the run's one random source, shared by every build
 	rec      *workload.Recorder // nil unless recording or replaying
-	ctx      *workload.Ctx      // the workload Build made last
+	ctx      *workload.Ctx      // the workload of phase `phase`, the one built last
+	phase    int
+	end      event.Time   // when phase `phase` ends
+	acct     *sessionAcct // a session's per-phase accounting; nil for a one-app run
+	closed   bool         // phase `phase` has ended and been accounted
 	finished bool
 }
 
-// Assemble builds cfg's platform, scheduler, policies and observers, with no
-// workload yet: call Build for each app to run on it. cfg.App is not used.
-func Assemble(cfg Config) *Sim {
-	return assemble(cfg.Normalized(), nil, nil)
+// sessionAcct is a session's rows so far, and the meter reading and matrix
+// counts at the last boundary, which the next row's deltas start from.
+type sessionAcct struct {
+	rows       []PhaseResult
+	prevEnergy float64
+	prevBig    int
+	prevActive int
 }
 
-// newSim assembles cfg and builds its app over the whole run. rec, when
-// non-nil, interposes workload recording for snapshot capture (or replay,
-// when resuming). rng, when non-nil, is the run's random source, already
-// seeded with cfg.Seed; nil seeds a fresh one.
+// Assemble builds cfg's platform, scheduler, policies and observers, and
+// its first phase's app, recording nothing: step it with RunTo.
+func Assemble(cfg Config) *Sim {
+	return newSim(cfg.Normalized(), nil, nil)
+}
+
+// newSim assembles cfg and builds its first phase; a config without Phases
+// is the one phase {App, Duration}. rec, when non-nil, interposes workload
+// recording for snapshot capture (or replay, when resuming). rng, when
+// non-nil, is the run's random source, already seeded with cfg.Seed; nil
+// seeds a fresh one.
 func newSim(cfg Config, rec *workload.Recorder, rng *rand.Rand) *Sim {
 	s := assemble(cfg, rec, rng)
-	s.Build(cfg.App, cfg.Duration)
+	app := cfg.App
+	s.end = cfg.Duration
+	if len(cfg.Phases) > 0 {
+		s.acct = &sessionAcct{}
+		app, s.end = cfg.Phases[0].App, cfg.Phases[0].Duration
+	}
+	s.build(app)
 	return s
 }
 
@@ -213,17 +234,15 @@ func (k Knobs) Effective() Knobs {
 	return k
 }
 
-// Build builds app's workload on the assembled platform, generating work
-// until the absolute time until. Every Build draws from the run's one random
-// source, so apps built one after another continue a single stream. It
-// returns the workload's context, whose trackers hold the app's frames and
-// latencies.
-func (s *Sim) Build(app apps.App, until event.Time) *workload.Ctx {
+// build builds app's workload on the assembled platform, generating work
+// until the end of the phase. Every build draws from the run's one random
+// source, so apps built one after another continue a single stream.
+func (s *Sim) build(app apps.App) {
 	ctx := &workload.Ctx{
 		Eng:      s.eng,
 		Sys:      s.sys,
 		Rng:      s.rng,
-		Duration: until,
+		Duration: s.end,
 		FPS:      &metrics.FPSTracker{},
 		Lat:      &metrics.LatencyTracker{},
 		Rec:      s.rec,
@@ -233,22 +252,67 @@ func (s *Sim) Build(app apps.App, until event.Time) *workload.Ctx {
 		ctx.Lat.Observe = func(d event.Time) { lat.Observe(d.Milliseconds()) }
 	}
 	app.Build(ctx)
-	s.ctx = ctx
-	return ctx
+	s.ctx, s.closed = ctx, false
 }
 
-// ObserveFrames records the gaps between fps's frames in the telemetry
-// "frame_time_ms" histogram, when telemetry is attached.
-func (s *Sim) ObserveFrames(fps *metrics.FPSTracker) {
-	tel := s.cfg.Telemetry
-	if tel == nil {
+// closePhase ends the running phase: its frame gaps go to the telemetry
+// "frame_time_ms" histogram, and a session appends the phase's row.
+func (s *Sim) closePhase() {
+	s.closed = true
+	ctx := s.ctx
+	if tel := s.cfg.Telemetry; tel != nil {
+		ft := tel.Histogram("frame_time_ms")
+		times := ctx.FPS.Times()
+		for i := 1; i < len(times); i++ {
+			ft.Observe((times[i] - times[i-1]).Milliseconds())
+		}
+	}
+	a := s.acct
+	if a == nil {
 		return
 	}
-	ft := tel.Histogram("frame_time_ms")
-	times := fps.Times()
-	for i := 1; i < len(times); i++ {
-		ft.Observe((times[i] - times[i-1]).Milliseconds())
+	ph := s.cfg.Phases[s.phase]
+	energy := s.sampler.EnergyMJ()
+	dE := (energy - a.prevEnergy) / 1000
+	a.prevEnergy = energy
+
+	// The phase's big-core share, from the growth of the matrix's active
+	// (not all-idle) samples.
+	big, active := 0, -s.sampler.Matrix[0][0]
+	for b, row := range s.sampler.Matrix {
+		for _, n := range row {
+			active += n
+			if b > 0 {
+				big += n
+			}
+		}
 	}
+	bigPct := 0.0
+	if active > a.prevActive {
+		bigPct = 100 * float64(big-a.prevBig) / float64(active-a.prevActive)
+	}
+	a.prevBig, a.prevActive = big, active
+
+	a.rows = append(a.rows, PhaseResult{
+		App:          ph.App.Name,
+		Duration:     ph.Duration,
+		AvgPowerMW:   dE * 1000 / ph.Duration.Seconds(),
+		EnergyJ:      dE,
+		DrainPct:     battery.GalaxyS5().DrainPct(dE * 1000),
+		AvgFPS:       ctx.FPS.Avg(ph.Duration),
+		Interactions: ctx.Lat.N,
+		MeanLatency:  ctx.Lat.Mean(),
+		BigPct:       bigPct,
+	})
+}
+
+// Phases returns the rows of the session phases closed so far (nil for a
+// one-app run).
+func (s *Sim) Phases() []PhaseResult {
+	if s.acct == nil {
+		return nil
+	}
+	return s.acct.rows
 }
 
 // Sys returns the scheduler system.
@@ -276,6 +340,8 @@ func NewSim(cfg Config) (*Sim, error) {
 // or a resume cannot reconstruct.
 func snapshotCompat(cfg Config) error {
 	switch {
+	case len(cfg.Phases) > 0:
+		return errors.New("core: snapshot runs cannot carry Phases — BLSNAP does not record the phase position")
 	case cfg.Check != nil:
 		return errors.New("core: snapshot runs cannot carry a Check auditor — it schedules engine events the snapshot cannot re-bind")
 	case cfg.Telemetry != nil:
@@ -291,12 +357,28 @@ func snapshotCompat(cfg Config) error {
 }
 
 // RunTo advances the simulation to t (capped at the configured Duration).
-// It may be called repeatedly; the clock never moves backwards.
+// It may be called repeatedly; the clock never moves backwards. A phase
+// closes when the clock reaches its end, and the next phase's app is built
+// by the next call that moves past that end, after every event due then (a
+// build event would fire ahead of them), so any steps fire the same events.
 func (s *Sim) RunTo(t event.Time) {
-	if t > s.cfg.Duration {
-		t = s.cfg.Duration
+	t = min(t, s.cfg.Duration)
+	for {
+		if s.closed {
+			if t <= s.end {
+				return
+			}
+			s.phase++
+			ph := s.cfg.Phases[s.phase]
+			s.end += ph.Duration
+			s.build(ph.App)
+		}
+		s.eng.Run(min(t, s.end))
+		if t < s.end {
+			return
+		}
+		s.closePhase()
 	}
-	s.eng.Run(t)
 }
 
 // Now returns the simulation clock.
@@ -421,7 +503,7 @@ func RunFrom(cfg Config, st *snapshot.State) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	sim.eng.Run(cfg.Duration)
+	sim.RunTo(cfg.Duration)
 	return sim.Finish(), nil
 }
 
@@ -525,18 +607,17 @@ func checkTrackers(ctx *workload.Ctx, st *snapshot.State) error {
 }
 
 // Finish assembles the Result. It must be called exactly once, after the
-// clock has reached the configured Duration.
+// clock has reached the configured Duration. A session's whole-run fields
+// cover every phase, its App and per-app performance fields stay zero, and
+// Phases holds its rows.
 func (s *Sim) Finish() Result {
 	if s.finished {
 		panic("core: Finish called twice")
 	}
 	s.finished = true
 	cfg, ctx, sampler, soc, sys, therm := s.cfg, s.ctx, s.sampler, s.soc, s.sys, s.therm
-	s.ObserveFrames(ctx.FPS)
 
 	res := Result{
-		App:       cfg.App.Name,
-		Metric:    cfg.App.Metric,
 		Duration:  cfg.Duration,
 		Cores:     cfg.Cores,
 		Scheduler: cfg.Scheduler,
@@ -546,15 +627,21 @@ func (s *Sim) Finish() Result {
 
 		AvgPowerMW: sampler.AvgPowerMW(),
 		EnergyMJ:   sampler.EnergyMJ(),
-
-		Interactions: ctx.Lat.N,
-		MeanLatency:  ctx.Lat.Mean(),
-		TotalLatency: ctx.Lat.Total,
-		WorstLatency: ctx.Lat.Max,
-
-		Frames: ctx.FPS.Count(),
-		AvgFPS: ctx.FPS.Avg(cfg.Duration),
-		MinFPS: ctx.FPS.Min(cfg.Duration),
+	}
+	if s.acct != nil {
+		res.Phases = s.acct.rows
+	} else {
+		res.App, res.Metric = cfg.App.Name, cfg.App.Metric
+		res.Interactions = ctx.Lat.N
+		res.MeanLatency = ctx.Lat.Mean()
+		res.TotalLatency = ctx.Lat.Total
+		res.WorstLatency = ctx.Lat.Max
+		res.Frames = ctx.FPS.Count()
+		res.AvgFPS = ctx.FPS.Avg(cfg.Duration)
+		res.MinFPS = ctx.FPS.Min(cfg.Duration)
+		half := cfg.Duration / 2
+		res.FPSFirstHalf = float64(ctx.FPS.CountIn(0, half)) / half.Seconds()
+		res.FPSSecondHalf = float64(ctx.FPS.CountIn(half, cfg.Duration)) / (cfg.Duration - half).Seconds()
 	}
 	res.Eff = sampler.EffPct()
 	res.TinyActivePct = sampler.TinyActivePct()
@@ -583,9 +670,6 @@ func (s *Sim) Finish() Result {
 	sort.Slice(res.TaskStats, func(i, j int) bool {
 		return res.TaskStats[i].EnergyJ > res.TaskStats[j].EnergyJ
 	})
-	half := cfg.Duration / 2
-	res.FPSFirstHalf = float64(ctx.FPS.CountIn(0, half)) / half.Seconds()
-	res.FPSSecondHalf = float64(ctx.FPS.CountIn(half, cfg.Duration)) / (cfg.Duration - half).Seconds()
 	if therm != nil {
 		res.MaxTempC = therm.MaxTempC
 		res.ThrottledPct = therm.ThrottledPct(cfg.Duration)

@@ -64,7 +64,7 @@ func SpecFromJob(job lab.Job) (JobSpec, error) {
 	}
 	fp, ok := lab.Fingerprint(job)
 	if !ok {
-		return JobSpec{}, fmt.Errorf("fleet: job %q carries live observers or hooks and cannot be fingerprinted", job.Config.App.Name)
+		return JobSpec{}, fmt.Errorf("fleet: job %q carries live observers, hooks or session phases and cannot be fingerprinted", job.Config.App.Name)
 	}
 	cfg := job.Config.Normalized()
 	s := JobSpec{App: cfg.App.Name, Seed: cfg.Seed, Duration: cfg.Duration, Knobs: cfg.Knobs}

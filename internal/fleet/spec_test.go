@@ -68,6 +68,9 @@ func TestSpecRejectsNonRemotable(t *testing.T) {
 		"live observer": {func(j *lab.Job) {
 			j.Config.Telemetry = telemetry.NewCollector()
 		}, "observers"},
+		"session": {func(j *lab.Job) {
+			j.Config.Phases = []core.Phase{{App: j.Config.App, Duration: j.Config.Duration}}
+		}, "phases"},
 	}
 	for name, tc := range cases {
 		job := testJob(t, 1)

@@ -149,3 +149,44 @@ func TestRunAllDedupsFingerprints(t *testing.T) {
 		}
 	})
 }
+
+// TestUnloggedJobsLogForFree holds the per-job log calls of a runner with no
+// logger to allocating nothing: a warm-cache Run allocates exactly what its
+// Fingerprint and Cache.Get allocate, and a warm RunAll of 65 identical jobs
+// allocates about one object per duplicate, its fingerprint string, beyond
+// a one-job batch. Boxing each call's fields would cost two per duplicate.
+func TestUnloggedJobsLogForFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled codecs at random")
+	}
+	c, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := Job{Config: testConfig(t)}
+	r := &Runner{Workers: 1, Cache: c}
+	if _, err := r.Run(job); err != nil {
+		t.Fatal(err)
+	}
+	fp, _ := Fingerprint(job)
+	parts := testing.AllocsPerRun(50, func() {
+		Fingerprint(job)
+		if _, ok := c.Get(fp); !ok {
+			t.Fatal("cache miss")
+		}
+	})
+	if run := testing.AllocsPerRun(50, func() { r.Run(job) }); run != parts {
+		t.Errorf("a warm Run allocates %.0f objects, its Fingerprint and Cache.Get %.0f", run, parts)
+	}
+
+	batch := make([]Job, 65)
+	for i := range batch {
+		batch[i] = job
+	}
+	one := testing.AllocsPerRun(20, func() { r.RunAll(batch[:1]) })
+	all := testing.AllocsPerRun(20, func() { r.RunAll(batch) })
+	if dups := len(batch) - 1; all-one > 1.25*float64(dups) {
+		t.Errorf("RunAll of %d identical jobs allocates %.0f objects beyond one job's: %.2f per duplicate",
+			len(batch), all-one, (all-one)/float64(dups))
+	}
+}

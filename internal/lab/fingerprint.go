@@ -42,14 +42,16 @@ type print struct {
 //   - Telemetry, Profiler, and Xray side effects (events, attribution,
 //     decision spans) would be silently skipped if the result came from disk;
 //   - a caller-supplied Check auditor must observe a live run to report
-//     anything.
+//     anything;
+//   - a session's phase list is not part of the print (see core.Config's
+//     Phases), so two sessions would share a key.
 //
 // Such jobs still run through the worker pool; they just always simulate.
 // (The runner's own Check mode attaches its auditor after fingerprinting, so
 // it does not affect cacheability.)
 func Fingerprint(job Job) (string, bool) {
 	cfg := job.Config.Normalized()
-	if cfg.OnSystem != nil || cfg.Telemetry != nil || cfg.Profiler != nil || cfg.Xray != nil || cfg.Check != nil || cfg.Digest != nil {
+	if cfg.OnSystem != nil || cfg.Telemetry != nil || cfg.Profiler != nil || cfg.Xray != nil || cfg.Check != nil || cfg.Digest != nil || len(cfg.Phases) > 0 {
 		return "", false
 	}
 	c := getCodec()

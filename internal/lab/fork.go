@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"log/slog"
 	"strconv"
 	"sync"
 
@@ -52,7 +53,7 @@ func (r *Runner) prefixState(spec *ForkSpec) (*snapshot.State, error) {
 		baseFp, printable := Fingerprint(Job{Config: spec.Base})
 		if !printable {
 			r.prefixMu.Unlock()
-			return nil, fmt.Errorf("lab: fork base config for %q is not fingerprintable (it carries observers, hooks, a digest recorder, or an unnamed platform); fork acceleration needs a shareable prefix", spec.Base.App.Name)
+			return nil, fmt.Errorf("lab: fork base config for %q is not fingerprintable (it carries observers, hooks, a digest recorder, session phases, or an unnamed platform); fork acceleration needs a shareable prefix", spec.Base.App.Name)
 		}
 		key = prefixKey(baseFp, spec.At)
 		if r.prefixKeys == nil {
@@ -84,15 +85,15 @@ func (r *Runner) prefixState(spec *ForkSpec) (*snapshot.State, error) {
 	if evicted := r.prefixTouch(key, e); evicted > 0 {
 		n := int64(evicted)
 		r.countAdd(func(s *Stats) { s.PrefixEvictions += n }, "lab_prefix_evictions", n)
-		r.logJob("prefix evicted", spec.Base.App.Name, "evicted", evicted, "budget", r.budget())
+		r.logJob("prefix evicted", spec.Base.App.Name, slog.Int("evicted", evicted), slog.Int64("budget", r.budget()))
 	}
 	switch {
 	case built && e.simulated:
 		r.count(func(s *Stats) { s.PrefixMisses++ }, "lab_prefix_misses")
-		r.logJob("prefix simulated", spec.Base.App.Name, "at", spec.At, "key", key[:12])
+		r.logJob("prefix simulated", spec.Base.App.Name, logAt(spec.At), slog.String("key", key[:12]))
 	default:
 		r.count(func(s *Stats) { s.PrefixHits++ }, "lab_prefix_hits")
-		r.logJob("prefix reused", spec.Base.App.Name, "at", spec.At, "key", key[:12])
+		r.logJob("prefix reused", spec.Base.App.Name, logAt(spec.At), slog.String("key", key[:12]))
 	}
 	return e.state, nil
 }
@@ -112,7 +113,7 @@ func (r *Runner) loadOrBuildPrefix(spec *ForkSpec, key string) (st *snapshot.Sta
 		if err == nil {
 			return st, false, nil
 		}
-		r.logJob("prefix mismatch", spec.Base.App.Name, "key", key[:12], "err", err)
+		r.logJob("prefix mismatch", spec.Base.App.Name, slog.String("key", key[:12]), slog.Any("err", err))
 		r.Cache.removePrefix(key)
 	}
 	defer func() {

@@ -343,11 +343,16 @@ func TestForkRejections(t *testing.T) {
 	if _, err := plain.Run(Job{Config: base, Fork: &ForkSpec{Base: dirty, At: forkAt}}); err == nil || !strings.Contains(err.Error(), "not fingerprintable") {
 		t.Fatalf("unfingerprintable fork base must fail loudly, got %v", err)
 	}
+	session := base
+	session.Phases = []core.Phase{{App: base.App, Duration: base.Duration}}
+	if _, err := plain.Run(Job{Config: base, Fork: &ForkSpec{Base: session, At: forkAt}}); err == nil || !strings.Contains(err.Error(), "session phases") {
+		t.Fatalf("a session as fork base must fail loudly, got %v", err)
+	}
 	if _, err := plain.Run(Job{Config: base, Fork: &ForkSpec{Base: base, At: 0}}); err == nil || !strings.Contains(err.Error(), "positive") {
 		t.Fatalf("zero fork time must fail loudly, got %v", err)
 	}
-	if s := plain.Stats(); s.Failures != 2 {
-		t.Fatalf("Failures=%d, want 2", s.Failures)
+	if s := plain.Stats(); s.Failures != 3 {
+		t.Fatalf("Failures=%d, want 3", s.Failures)
 	}
 }
 

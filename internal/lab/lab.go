@@ -22,6 +22,7 @@ package lab
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -64,7 +65,8 @@ type Job struct {
 // ForkSpec names the shared prefix of a fork-accelerated job: the base
 // config to warm — typically the sweep's config with the swept knob at its
 // baseline value — and the fork time. Base must be fingerprintable (no
-// observers, hooks, or digest recorder), or the job fails loudly.
+// observers, hooks, digest recorder or session phases), or the job fails
+// loudly.
 type ForkSpec struct {
 	Base core.Config
 	At   event.Time
@@ -301,10 +303,10 @@ func (r *Runner) RunAll(jobs []Job) ([]core.Result, error) {
 		results[i], errs[i] = results[j], errs[j]
 		if errs[i] != nil {
 			r.count(func(s *Stats) { s.Jobs++; s.Failures++ }, "lab_jobs", "lab_failures")
-			r.logJob("job failed", jobs[i].Config.App.Name, "err", errs[i], "duplicate_of", j)
+			r.logJob("job failed", jobs[i].Config.App.Name, slog.Any("err", errs[i]), slog.Int("duplicate_of", j))
 		} else {
 			r.count(func(s *Stats) { s.Jobs++; s.Hits++ }, "lab_jobs", "lab_cache_hits")
-			r.logJob("batch duplicate", jobs[i].Config.App.Name, "fingerprint", fp, "duplicate_of", j)
+			r.logJob("batch duplicate", jobs[i].Config.App.Name, slog.String("fingerprint", fp), slog.Int("duplicate_of", j))
 		}
 		prog.step()
 	}
@@ -405,13 +407,18 @@ func (p *progress) finish() {
 	)
 }
 
-// logJob emits one per-job Debug transition when a logger is attached.
-func (r *Runner) logJob(msg, app string, args ...any) {
+// logJob emits one per-job Debug transition when a logger is attached. Its
+// fields are slog.Attrs, which box nothing, so without a logger the call
+// costs no allocation.
+func (r *Runner) logJob(msg, app string, attrs ...slog.Attr) {
 	if r.Log == nil {
 		return
 	}
-	r.Log.Debug(msg, append([]any{"app", app}, args...)...)
+	r.Log.LogAttrs(context.Background(), slog.LevelDebug, msg, append([]slog.Attr{slog.String("app", app)}, attrs...)...)
 }
+
+// logAt is a log field for the simulated time t, printed as a duration.
+func logAt(t event.Time) slog.Attr { return slog.Duration("at", time.Duration(t)) }
 
 // Run executes a single job (still counted, cached, and recovered).
 func (r *Runner) Run(job Job) (core.Result, error) {
@@ -498,7 +505,7 @@ func (r *Runner) runOne(job Job, fp string) (core.Result, error) {
 		// would flag correct results as corrupt.
 		err := fmt.Errorf("lab: job %q: fork acceleration and Check auditing are mutually exclusive — an audit re-simulates from scratch, which a variant fork legitimately diverges from", cfg.App.Name)
 		r.count(func(s *Stats) { s.Failures++ }, "lab_failures")
-		r.logJob("job failed", cfg.App.Name, "err", err)
+		r.logJob("job failed", cfg.App.Name, slog.Any("err", err))
 		return core.Result{}, err
 	}
 	printable := fp != ""
@@ -508,18 +515,18 @@ func (r *Runner) runOne(job Job, fp string) (core.Result, error) {
 			if r.Check {
 				if aerr := r.auditCached(cfg, res); aerr != nil {
 					r.count(func(s *Stats) { s.AuditFailures++ }, "lab_audit_failures")
-					r.logJob("audit failure", cfg.App.Name, "err", aerr)
+					r.logJob("audit failure", cfg.App.Name, slog.Any("err", aerr))
 					return core.Result{}, aerr
 				}
 				r.count(func(s *Stats) { s.Audited++ }, "lab_audited")
-				r.logJob("audited", cfg.App.Name, "source", "cache")
+				r.logJob("audited", cfg.App.Name, slog.String("source", "cache"))
 			}
 			r.count(func(s *Stats) { s.Hits++ }, "lab_cache_hits")
-			r.logJob("cache hit", cfg.App.Name, "fingerprint", fp)
+			r.logJob("cache hit", cfg.App.Name, slog.String("fingerprint", fp))
 			return res, nil
 		}
 		r.count(func(s *Stats) { s.Misses++ }, "lab_cache_misses")
-		r.logJob("cache miss", cfg.App.Name, "fingerprint", fp)
+		r.logJob("cache miss", cfg.App.Name, slog.String("fingerprint", fp))
 	}
 
 	// Remote execution: ship fingerprintable jobs to the fleet. The executor
@@ -531,25 +538,25 @@ func (r *Runner) runOne(job Job, fp string) (core.Result, error) {
 		switch {
 		case rerr != nil:
 			r.count(func(s *Stats) { s.RemoteErrors++ }, "lab_remote_errors")
-			r.logJob("remote error", cfg.App.Name, "err", rerr)
+			r.logJob("remote error", cfg.App.Name, slog.Any("err", rerr))
 		case ok:
 			if r.Check {
 				// A remote result is audited exactly like a cache hit: re-simulate
 				// locally with the auditor attached and require byte equality.
 				if aerr := r.auditCached(cfg, res); aerr != nil {
 					r.count(func(s *Stats) { s.AuditFailures++ }, "lab_audit_failures")
-					r.logJob("audit failure", cfg.App.Name, "err", aerr)
+					r.logJob("audit failure", cfg.App.Name, slog.Any("err", aerr))
 					return core.Result{}, aerr
 				}
 				r.count(func(s *Stats) { s.Audited++ }, "lab_audited")
-				r.logJob("audited", cfg.App.Name, "source", "remote")
+				r.logJob("audited", cfg.App.Name, slog.String("source", "remote"))
 			}
 			r.count(func(s *Stats) { s.Remote++ }, "lab_remote")
-			r.logJob("remote", cfg.App.Name, "fingerprint", fp)
+			r.logJob("remote", cfg.App.Name, slog.String("fingerprint", fp))
 			if cacheable {
 				if perr := r.Cache.Put(fp, cfg.App.Name, job.Salt, res); perr == nil {
 					r.count(func(s *Stats) { s.Stored++ }, "lab_stored")
-					r.logJob("stored", cfg.App.Name, "fingerprint", fp)
+					r.logJob("stored", cfg.App.Name, slog.String("fingerprint", fp))
 				}
 			}
 			return res, nil
@@ -565,7 +572,7 @@ func (r *Runner) runOne(job Job, fp string) (core.Result, error) {
 		st, ferr := r.prefixState(job.Fork)
 		if ferr != nil {
 			r.count(func(s *Stats) { s.Failures++ }, "lab_failures")
-			r.logJob("job failed", cfg.App.Name, "err", ferr)
+			r.logJob("job failed", cfg.App.Name, slog.Any("err", ferr))
 			return core.Result{}, ferr
 		}
 		run = forkRun(st)
@@ -575,7 +582,7 @@ func (r *Runner) runOne(job Job, fp string) (core.Result, error) {
 	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
 			r.count(func(s *Stats) { s.Retries++ }, "lab_retries")
-			r.logJob("retry", cfg.App.Name, "attempt", attempt, "err", err)
+			r.logJob("retry", cfg.App.Name, slog.Int("attempt", attempt), slog.Any("err", err))
 		}
 		// A fresh auditor per attempt: one auditor instance observes one run.
 		acfg := cfg
@@ -593,28 +600,28 @@ func (r *Runner) runOne(job Job, fp string) (core.Result, error) {
 			if aerr := aud.Err(); aerr != nil {
 				// Violations are deterministic, so retrying cannot help.
 				r.count(func(s *Stats) { s.AuditFailures++ }, "lab_audit_failures")
-				r.logJob("audit failure", cfg.App.Name, "err", aerr)
+				r.logJob("audit failure", cfg.App.Name, slog.Any("err", aerr))
 				return core.Result{}, fmt.Errorf("lab: job %q failed audit: %w", cfg.App.Name, aerr)
 			}
 			r.count(func(s *Stats) { s.Audited++ }, "lab_audited")
-			r.logJob("audited", cfg.App.Name, "source", "fresh")
+			r.logJob("audited", cfg.App.Name, slog.String("source", "fresh"))
 		}
 		if job.Fork != nil {
 			r.count(func(s *Stats) { s.Forks++ }, "lab_forks")
-			r.logJob("forked", cfg.App.Name, "at", job.Fork.At)
+			r.logJob("forked", cfg.App.Name, logAt(job.Fork.At))
 		}
 		r.count(func(s *Stats) { s.Simulated++ }, "lab_simulations")
-		r.logJob("simulated", cfg.App.Name, "attempt", attempt+1)
+		r.logJob("simulated", cfg.App.Name, slog.Int("attempt", attempt+1))
 		if cacheable {
 			if perr := r.Cache.Put(fp, cfg.App.Name, job.Salt, res); perr == nil {
 				r.count(func(s *Stats) { s.Stored++ }, "lab_stored")
-				r.logJob("stored", cfg.App.Name, "fingerprint", fp)
+				r.logJob("stored", cfg.App.Name, slog.String("fingerprint", fp))
 			}
 		}
 		return res, nil
 	}
 	r.count(func(s *Stats) { s.Failures++ }, "lab_failures")
-	r.logJob("job failed", cfg.App.Name, "err", err)
+	r.logJob("job failed", cfg.App.Name, slog.Any("err", err))
 	return core.Result{}, err
 }
 

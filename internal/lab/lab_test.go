@@ -94,6 +94,12 @@ func TestFingerprintUncacheable(t *testing.T) {
 		t.Fatal("config with a digest recorder must not be cacheable")
 	}
 
+	session := base
+	session.Phases = []core.Phase{{App: base.App, Duration: base.Duration}}
+	if _, ok := Fingerprint(Job{Config: session}); ok {
+		t.Fatal("a session's config must not be cacheable")
+	}
+
 	named := base
 	named.Platform = "snapdragon810"
 	if _, ok := Fingerprint(Job{Config: named}); !ok {

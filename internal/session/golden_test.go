@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"biglittle/internal/check"
+	"biglittle/internal/core"
 	"biglittle/internal/delta"
 	"biglittle/internal/event"
 	"biglittle/internal/platform"
@@ -41,7 +42,7 @@ var goldenSteps = []event.Time{
 
 // goldenSession runs cfg with all five observers attached, advancing in
 // goldenSteps, and renders everything it reports.
-func goldenSession(t *testing.T, name string, cfg Config) string {
+func goldenSession(t *testing.T, name string, cfg core.Config) string {
 	t.Helper()
 	tel, prof, xr := telemetry.NewCollector(), profile.New(), xray.New()
 	aud, dig := check.New(), &delta.Recorder{}
@@ -83,16 +84,16 @@ func goldenSession(t *testing.T, name string, cfg Config) string {
 
 func TestSessionGolden(t *testing.T) {
 	therm := thermal.Default()
-	hot := DefaultConfig(
-		Phase{App: mustApp(t, "browser"), Duration: 3 * event.Second},
-		Phase{App: mustApp(t, "eternity_warrior"), Duration: 3 * event.Second},
-		Phase{App: mustApp(t, "video_player"), Duration: 3 * event.Second},
+	hot := phased(
+		core.Phase{App: mustApp(t, "browser"), Duration: 3 * event.Second},
+		core.Phase{App: mustApp(t, "eternity_warrior"), Duration: 3 * event.Second},
+		core.Phase{App: mustApp(t, "video_player"), Duration: 3 * event.Second},
 	)
 	hot.Thermal = &therm
 
-	tiny := DefaultConfig(
-		Phase{App: mustApp(t, "pdf_reader"), Duration: 2 * event.Second},
-		Phase{App: mustApp(t, "angry_bird"), Duration: 2 * event.Second},
+	tiny := phased(
+		core.Phase{App: mustApp(t, "pdf_reader"), Duration: 2 * event.Second},
+		core.Phase{App: mustApp(t, "angry_bird"), Duration: 2 * event.Second},
 	)
 	tiny.Cores = platform.CoreConfig{Little: 4, Big: 4, Tiny: 2}
 

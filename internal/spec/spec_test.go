@@ -7,7 +7,6 @@ import (
 	"biglittle/internal/apps"
 	"biglittle/internal/core"
 	"biglittle/internal/event"
-	"biglittle/internal/session"
 )
 
 const chatApp = `{
@@ -87,9 +86,9 @@ func TestHumInLaterSessionPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := session.Run(session.DefaultConfig(
-		session.Phase{App: browser, Duration: 2 * event.Second},
-		session.Phase{App: app, Duration: 2 * event.Second}))
+	r := core.Run(core.Config{Seed: 1, Knobs: core.DefaultKnobs(), Phases: []core.Phase{
+		{App: browser, Duration: 2 * event.Second},
+		{App: app, Duration: 2 * event.Second}}})
 	if len(r.Phases) != 2 || r.Phases[1].App != "chat_app" || r.Phases[1].Interactions == 0 {
 		t.Fatalf("session did not run chat_app as its second phase: %+v", r.Phases)
 	}

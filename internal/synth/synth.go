@@ -102,7 +102,6 @@ type Stream struct {
 	pc        uint64
 	loopBase  uint64
 	streamPtr uint64
-	emitted   int
 
 	// Cumulative mix thresholds: a uniform draw r selects Load below loadT,
 	// Store below storeT, Branch below branchT, else ALU. Precomputed with
@@ -163,12 +162,6 @@ func (s *Stream) i63n(n int64) int64 {
 	return v % n
 }
 
-// Profile returns the stream's profile.
-func (s *Stream) Profile() Profile { return s.p }
-
-// Emitted returns the number of instructions generated so far.
-func (s *Stream) Emitted() int { return s.emitted }
-
 // PC returns the current fetch address (for instruction-cache modeling).
 func (s *Stream) PC() uint64 { return s.pc }
 
@@ -185,7 +178,6 @@ func (s *Stream) Next() Instr {
 // stream's state loads are amortized over the batch.
 func (s *Stream) NextBatch(buf []Instr) {
 	p := &s.p
-	s.emitted += len(buf)
 	for i := range buf {
 		var in Instr
 		r := s.f64()
