@@ -247,8 +247,8 @@ cover:
 # time). FuzzJobSpec's seeds are whole 2 KB wire specs, and minimizing each
 # new input under the default 60 s budget would eat the whole smoke pass, so
 # its minimization is capped at 100 runs; FuzzCacheBlob writes two files per
-# input and finds new inputs often, so its minimization is capped the same
-# way.
+# input and finds new inputs often, and FuzzWorkerBodies' seeds are whole
+# worker bodies, so their minimization is capped the same way.
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/spec/
 	go test -run '^$$' -fuzz '^FuzzParseCoreConfig$$' -fuzztime 30s ./internal/platform/
@@ -257,6 +257,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 30s ./internal/explore/
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/snapshot/
 	go test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/fleet/
+	go test -run '^$$' -fuzz '^FuzzWorkerBodies$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/fleet/
 	go test -run '^$$' -fuzz '^FuzzCacheBlob$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/lab/
 	go test -run '^$$' -fuzz '^FuzzParseDump$$' -fuzztime 30s ./internal/xray/
 

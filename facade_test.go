@@ -1,6 +1,7 @@
 package biglittle_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -105,5 +106,48 @@ func TestFacadeTraceAttach(t *testing.T) {
 	}
 	if data, err := rec.ChromeTrace(); err != nil || len(data) == 0 {
 		t.Fatalf("chrome trace: %v", err)
+	}
+}
+
+// TestSessionPhaseMustLastLongerThanZero pins that a session phase of zero
+// or negative length, first, middle or last, panics at assembly with a
+// message that names the phase, through every way to run a session, and
+// that the lab reports the panic as the job's error.
+func TestSessionPhaseMustLastLongerThanZero(t *testing.T) {
+	browser, err := biglittle.AppByName("browser")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPanic := func(t *testing.T, want string, run func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if p := recover(); p == nil {
+				t.Errorf("no panic, want one naming %q", want)
+			} else if msg := fmt.Sprint(p); !strings.Contains(msg, want) {
+				t.Errorf("panic %q does not name %q", msg, want)
+			}
+		}()
+		run()
+	}
+	for _, d := range []biglittle.Time{0, -biglittle.Second} {
+		for i := 0; i < 3; i++ {
+			phases := []biglittle.SessionPhase{
+				{App: browser, Duration: biglittle.Second},
+				{App: browser, Duration: biglittle.Second},
+				{App: browser, Duration: biglittle.Second},
+			}
+			phases[i].Duration = d
+			cfg := biglittle.NewSession(phases...)
+			want := fmt.Sprintf("phase %d (browser) lasts %v", i, d)
+			t.Run(want, func(t *testing.T) {
+				mustPanic(t, want, func() { biglittle.Run(cfg) })
+				mustPanic(t, want, func() { biglittle.RunSession(cfg) })
+				mustPanic(t, want, func() { biglittle.NewLiveSession(cfg) })
+				if _, err := biglittle.NewLabRunner(1, nil).Run(biglittle.LabJob{Config: cfg}); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("lab error %v does not name %q", err, want)
+				}
+			})
+		}
 	}
 }

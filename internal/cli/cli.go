@@ -147,8 +147,8 @@ func PrintLabStats(w io.Writer, r *lab.Runner, elapsed time.Duration) {
 	fmt.Fprintf(w, "lab: %d jobs: %d cache hits, %d misses, %d simulated, %d remote, %d retried, %d failed in %s (cache %s)\n",
 		s.Jobs, s.Hits, s.Misses, s.Simulated, s.Remote, s.Retries, s.Failures, elapsed.Round(time.Millisecond), cache)
 	if s.Forks > 0 || s.PrefixMisses > 0 {
-		fmt.Fprintf(w, "lab: fork: %d continuations: %d prefixes simulated, %d reused, %d evicted\n",
-			s.Forks, s.PrefixMisses, s.PrefixHits, s.PrefixEvictions)
+		fmt.Fprintf(w, "lab: fork: %d continuations: %d prefixes simulated, %d reused\n",
+			s.Forks, s.PrefixMisses, s.PrefixHits)
 	}
 	if s.MemoHits+s.MemoMisses > 0 {
 		fmt.Fprintf(w, "lab: memo: %d derived results reused, %d computed\n", s.MemoHits, s.MemoMisses)

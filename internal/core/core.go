@@ -117,7 +117,8 @@ type Config struct {
 	OnSystem func(sys *sched.System)
 }
 
-// Phase is one app segment of a session's schedule.
+// Phase is one app segment of a session's schedule. Its Duration must be
+// positive; assembling a session with any other panics.
 type Phase struct {
 	App      apps.App
 	Duration event.Time

@@ -127,6 +127,11 @@ func releaseRand(rng *rand.Rand) {
 // governor, metrics sampler, auditor, thermal model, digest recorder, then
 // OnSystem. The observers attach along the way, as Observers documents.
 func assemble(cfg Config, rec *workload.Recorder, rng *rand.Rand) *Sim {
+	for i, ph := range cfg.Phases {
+		if ph.Duration <= 0 {
+			panic(fmt.Errorf("core: session phase %d (%s) lasts %v; a phase must last longer than zero", i, ph.App.Name, ph.Duration))
+		}
+	}
 	eng := event.New()
 	var soc *platform.SoC
 	var err error

@@ -45,6 +45,10 @@ var (
 	// ErrUnknownJob: completion or query for a job id the coordinator does
 	// not hold (404).
 	ErrUnknownJob = errors.New("fleet: unknown job")
+	// ErrNotLeased: a completion or failure whose active lease names another
+	// job, or a completion for a job no lease was ever granted for (409).
+	// The coordinator's state is left as it was.
+	ErrNotLeased = errors.New("fleet: lease does not hold this job")
 )
 
 // Options configures a Coordinator; the zero value gets sane defaults.
@@ -463,13 +467,21 @@ func (c *Coordinator) Renew(leaseID, worker string) error {
 // Complete publishes a finished job's result. It is idempotent against
 // expired leases and duplicate completions: the first result a job sees
 // wins (results are deterministic, so any duplicate is byte-identical) and
-// later arrivals are counted and discarded.
+// later arrivals are counted and discarded. A result for a job that was
+// never leased, or under a lease that holds another job, is refused with
+// ErrNotLeased.
 func (c *Coordinator) Complete(leaseID, jobID, worker string, res core.Result) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.touchLocked(worker)
-	c.releaseLocked(leaseID, &jobID)
+	if err := c.claimLocked(leaseID, &jobID); err != nil {
+		return err
+	}
 	job := c.jobs[jobID]
+	if job != nil && job.attempts == 0 {
+		return ErrNotLeased
+	}
+	c.touchLocked(worker)
+	c.releaseLocked(leaseID)
 	if job == nil {
 		return ErrUnknownJob
 	}
@@ -506,12 +518,17 @@ func (c *Coordinator) Complete(leaseID, jobID, worker string, res core.Result) e
 }
 
 // Fail reports that a worker could not execute its leased job. The job is
-// requeued for another attempt, or failed once its attempts are spent.
+// requeued for another attempt, or failed once its attempts are spent. A
+// failure under a lease that holds another job is refused with
+// ErrNotLeased.
 func (c *Coordinator) Fail(leaseID, jobID, worker, msg string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.claimLocked(leaseID, &jobID); err != nil {
+		return err
+	}
 	c.touchLocked(worker)
-	c.releaseLocked(leaseID, &jobID)
+	c.releaseLocked(leaseID)
 	job := c.jobs[jobID]
 	if job == nil {
 		return ErrUnknownJob
@@ -527,15 +544,27 @@ func (c *Coordinator) Fail(leaseID, jobID, worker, msg string) error {
 	return nil
 }
 
-// releaseLocked drops an active lease and back-fills jobID from it when the
-// caller sent only the lease. Caller holds c.mu.
-func (c *Coordinator) releaseLocked(leaseID string, jobID *string) {
+// claimLocked checks a completion or failure against its lease: it
+// back-fills jobID from an active lease when the caller sent only the lease,
+// and refuses a jobID the active lease does not hold. Caller holds c.mu.
+func (c *Coordinator) claimLocked(leaseID string, jobID *string) error {
+	l, ok := c.leases[leaseID]
+	switch {
+	case !ok:
+		return nil
+	case *jobID == "":
+		*jobID = l.jobID
+	case *jobID != l.jobID:
+		return ErrNotLeased
+	}
+	return nil
+}
+
+// releaseLocked drops an active lease. Caller holds c.mu.
+func (c *Coordinator) releaseLocked(leaseID string) {
 	l, ok := c.leases[leaseID]
 	if !ok {
 		return
-	}
-	if *jobID == "" {
-		*jobID = l.jobID
 	}
 	delete(c.leases, leaseID)
 	if w := c.workers[l.worker]; w != nil && w.active > 0 {

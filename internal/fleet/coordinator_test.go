@@ -1,7 +1,12 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -38,13 +43,22 @@ func newTestCoordinator(t *testing.T, opt Options) *Coordinator {
 	return c
 }
 
-func testSpec(t *testing.T, seed int64) JobSpec {
+func testSpec(t testing.TB, seed int64) JobSpec {
 	t.Helper()
 	spec, err := SpecFromJob(testJob(t, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return spec
+}
+
+func mustMarshal(t testing.TB, v any) []byte {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 func TestSubmitLeaseComplete(t *testing.T) {
@@ -206,6 +220,73 @@ func TestLateCompletionBeatsRequeue(t *testing.T) {
 	}
 }
 
+// TestPublishUnderAnotherJobsLease pins that a completion or failure must
+// name the job its lease holds: with A leased as l1 and B pending,
+// completing or failing B under l1, or completing B with no lease at all,
+// is refused with 409 and changes nothing. B is not done, nothing is cached
+// under its fingerprint, and l1 still holds A, so A is requeued when l1
+// expires.
+func TestPublishUnderAnotherJobsLease(t *testing.T) {
+	clock := newFakeClock()
+	cache, err := lab.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTestCoordinator(t, Options{LeaseTTL: 30 * time.Second, Cache: cache, Now: clock.now})
+	a, b := testSpec(t, 1), testSpec(t, 2)
+	for _, spec := range []JobSpec{a, b} {
+		if _, err := c.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := c.Lease(context.Background(), "w1", 0)
+	if err != nil || g == nil || g.Job != a.Fingerprint {
+		t.Fatalf("lease = %+v, %v, want job A", g, err)
+	}
+	mux := http.NewServeMux()
+	c.Mount(mux)
+	post := func(path string, body any) int {
+		t.Helper()
+		data := mustMarshal(t, body)
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data)))
+		return rec.Code
+	}
+	res := core.Result{EnergyMJ: 42}
+	for name, code := range map[string]int{
+		"complete B under A's lease": post("/fleet/complete", completeRequest{Lease: g.Lease, Job: b.Fingerprint, Worker: "w1", Result: res}),
+		"fail B under A's lease":     post("/fleet/fail", failRequest{Lease: g.Lease, Job: b.Fingerprint, Worker: "w1", Error: "boom"}),
+		"complete B with no lease":   post("/fleet/complete", completeRequest{Job: b.Fingerprint, Worker: "w1", Result: res}),
+	} {
+		if code != http.StatusConflict {
+			t.Errorf("%s: status %d, want 409", name, code)
+		}
+	}
+	if err := c.Complete(g.Lease, b.Fingerprint, "w1", res); err != ErrNotLeased {
+		t.Errorf("Complete(B) under A's lease = %v, want ErrNotLeased", err)
+	}
+	if err := c.Fail(g.Lease, b.Fingerprint, "w1", "boom"); err != ErrNotLeased {
+		t.Errorf("Fail(B) under A's lease = %v, want ErrNotLeased", err)
+	}
+
+	if st, _ := c.Job(context.Background(), b.Fingerprint, 0); st.State != StatePending || st.Attempts != 0 {
+		t.Errorf("B after the refusals: %+v, want pending and never leased", st)
+	}
+	if _, ok := cache.Get(b.Fingerprint); ok {
+		t.Error("the refused result was cached under B's fingerprint")
+	}
+	if s := c.Stats(); s.Completed != 0 || len(s.Leases) != 1 || s.Leases[0].Lease != g.Lease || s.QueueDepth != 1 {
+		t.Fatalf("stats after the refusals: completed %d, leases %+v, depth %d; want 0, A's lease alone, 1", s.Completed, s.Leases, s.QueueDepth)
+	}
+	clock.advance(time.Hour)
+	if n := c.ExpireLeases(); n != 1 {
+		t.Fatalf("ExpireLeases = %d, want A's lease", n)
+	}
+	if st, _ := c.Job(context.Background(), a.Fingerprint, 0); st.State != StatePending {
+		t.Fatalf("A after its lease expired: %+v, want pending again", st)
+	}
+}
+
 func TestAttemptsExhaustedFailsJob(t *testing.T) {
 	clock := newFakeClock()
 	c := newTestCoordinator(t, Options{LeaseTTL: time.Second, MaxAttempts: 2, Now: clock.now})
@@ -349,4 +430,78 @@ func TestCoordinatorCacheShortCircuits(t *testing.T) {
 	if err != nil || st.Result == nil || st.Result.EnergyMJ != 9 {
 		t.Fatalf("cached status = %+v, %v", st, err)
 	}
+}
+
+// workerRoutes are the routes a worker posts to, with the statuses each
+// documents (server.go).
+var workerRoutes = []struct {
+	path   string
+	status []int
+}{
+	{"/fleet/lease", []int{http.StatusOK, http.StatusNoContent, http.StatusBadRequest, http.StatusServiceUnavailable}},
+	{"/fleet/renew", []int{http.StatusNoContent, http.StatusBadRequest, http.StatusGone}},
+	{"/fleet/complete", []int{http.StatusNoContent, http.StatusBadRequest, http.StatusNotFound, http.StatusConflict}},
+	{"/fleet/fail", []int{http.StatusNoContent, http.StatusBadRequest, http.StatusNotFound, http.StatusConflict}},
+}
+
+// FuzzWorkerBodies posts arbitrary bodies to the worker routes of a fresh
+// coordinator that holds job A under lease l1 and job B pending. Whatever
+// the body, the reply must be a status the route documents, and the
+// bookkeeping must hold: every leased job is held by an active lease, the
+// pending count is the number of pending jobs, and no job is done that was
+// never leased.
+func FuzzWorkerBodies(f *testing.F) {
+	a, b := testSpec(f, 1), testSpec(f, 2)
+	body := func(v any) []byte { return mustMarshal(f, v) }
+	res := core.Result{EnergyMJ: 1}
+	f.Add(uint8(0), body(leaseRequest{Worker: "w2", WaitMs: 50}))
+	f.Add(uint8(1), body(renewRequest{Lease: "l1", Worker: "w1"}))
+	f.Add(uint8(2), body(completeRequest{Lease: "l1", Job: a.Fingerprint, Worker: "w1", Result: res}))
+	f.Add(uint8(3), body(failRequest{Lease: "l1", Job: a.Fingerprint, Worker: "w1", Error: "boom"}))
+	f.Add(uint8(2), body(completeRequest{Lease: "l1", Job: b.Fingerprint, Worker: "w1", Result: res}))
+	f.Add(uint8(3), body(failRequest{Lease: "l1", Job: b.Fingerprint, Worker: "w1", Error: "boom"}))
+	f.Fuzz(func(t *testing.T, route uint8, data []byte) {
+		c := NewCoordinator(Options{Now: newFakeClock().now})
+		defer c.Close()
+		for _, spec := range []JobSpec{a, b} {
+			if _, err := c.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if g, err := c.Lease(context.Background(), "w1", 0); err != nil || g == nil || g.Lease != "l1" || g.Job != a.Fingerprint {
+			t.Fatalf("lease = %+v, %v, want A as l1", g, err)
+		}
+		mux := http.NewServeMux()
+		c.Mount(mux)
+		rt := workerRoutes[int(route)%len(workerRoutes)]
+		// A lease body may ask to long-poll for up to a minute.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+		defer cancel()
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, rt.path, bytes.NewReader(data)).WithContext(ctx))
+		if !slices.Contains(rt.status, rec.Code) {
+			t.Errorf("%s: status %d, not one of %v: %s", rt.path, rec.Code, rt.status, rec.Body)
+		}
+
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		held := map[string]bool{}
+		for _, l := range c.leases {
+			held[l.jobID] = true
+		}
+		pending := 0
+		for id, job := range c.jobs {
+			switch {
+			case job.state == StateLeased && !held[id]:
+				t.Errorf("%s: job %s is leased, but no active lease holds it", rt.path, short(id))
+			case job.state == StateDone && job.attempts == 0 && !job.cached:
+				t.Errorf("%s: job %s is done, but was never leased", rt.path, short(id))
+			case job.state == StatePending:
+				pending++
+			}
+		}
+		if pending != c.pending {
+			t.Errorf("%s: pending count %d, but %d jobs are pending", rt.path, c.pending, pending)
+		}
+	})
 }

@@ -15,10 +15,10 @@ import (
 //
 //	POST /fleet/jobs          202 queued/done | 400 bad spec | 429 full (Retry-After) | 503 draining
 //	GET  /fleet/jobs/{id}     200 status (?wait=5s long-polls for terminal) | 404
-//	POST /fleet/lease         200 grant | 204 no work | 503 draining
-//	POST /fleet/renew         204 | 410 lease gone
-//	POST /fleet/complete      204 (idempotent) | 404 unknown job
-//	POST /fleet/fail          204 | 404 unknown job
+//	POST /fleet/lease         200 grant | 204 no work | 400 bad body | 503 draining
+//	POST /fleet/renew         204 | 400 bad body | 410 lease gone
+//	POST /fleet/complete      204 (idempotent) | 400 bad body | 404 unknown job | 409 not leased
+//	POST /fleet/fail          204 | 400 bad body | 404 unknown job | 409 not leased
 //	GET  /fleet/stats         200 queue/lease/worker snapshot
 //	GET  /healthz             200 while the process lives
 //	GET  /readyz              200 serving | 503 draining
@@ -165,7 +165,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := c.Complete(req.Lease, req.Job, req.Worker, req.Result); err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		http.Error(w, err.Error(), publishStatus(err))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -177,10 +177,18 @@ func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := c.Fail(req.Lease, req.Job, req.Worker, req.Error); err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		http.Error(w, err.Error(), publishStatus(err))
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// publishStatus maps a refused completion or failure to its status code.
+func publishStatus(err error) int {
+	if errors.Is(err, ErrNotLeased) {
+		return http.StatusConflict
+	}
+	return http.StatusNotFound
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -14,7 +14,7 @@ import (
 
 // testJob builds a small, fully remotable job; seeds vary the fingerprint so
 // tests can mint distinct jobs cheaply.
-func testJob(t *testing.T, seed int64) lab.Job {
+func testJob(t testing.TB, seed int64) lab.Job {
 	t.Helper()
 	app, err := apps.ByName("bbench")
 	if err != nil {

@@ -13,18 +13,22 @@ import (
 	"biglittle/internal/snapshot"
 )
 
-// prefixEntry is one singleflight slot of the in-process prefix tier. The
-// state is the snapshot decoded from its wire form exactly once:
-// core.RunFrom treats a State as read-only (every Restore copies, and the
-// replayer reads the log in place and records nothing past the fork), so
-// concurrent continuations can share it. Decoding per fork would cost more
-// than the continuation itself on short runs.
-type prefixEntry struct {
+// prefixSlot is one warmed prefix of a batch: the snapshot of spec.Base run
+// to spec.At, shared by every job of the batch whose spec names the same
+// (Base, At), and dropped with the batch. The state is built or loaded at
+// most once, under once, and handed out decoded: core.RunFrom treats a
+// State as read-only (every Restore copies, and the replayer reads the log
+// in place and records nothing past the fork), so concurrent continuations
+// can share it. Decoding per fork would cost more than the continuation
+// itself on short runs. err is a bad spec's error, set before the batch fans
+// out, or the build's, set under once; it is read only inside or after
+// once.Do, which orders the build's write before every read.
+type prefixSlot struct {
+	spec      *ForkSpec
+	key       string
 	once      sync.Once
 	state     *snapshot.State
-	simulated bool  // the prefix was built by simulation, not loaded
-	size      int64 // estimated decoded footprint, for the byte budget
-	tracked   bool  // accounted in prefixLRU/prefixBytes (under prefixMu)
+	simulated bool // the prefix was built by simulation, not loaded
 	err       error
 }
 
@@ -35,67 +39,80 @@ func prefixKey(baseFp string, at event.Time) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// prefixState returns the decoded snapshot of spec.Base run to spec.At,
-// building it at most once per (Base, At) across all workers and caching its
-// encoded form in the Cache's prefix tier for later processes. Every path
-// out of here is counted: a simulated prefix is a PrefixMiss, a reused one a
-// PrefixHit. The key (a base-config fingerprint, one config marshal) is
-// memoized per *ForkSpec, so jobs sharing one spec pointer — the natural way
-// to build a fork sweep — fingerprint the base once, not once per job.
-func (r *Runner) prefixState(spec *ForkSpec) (*snapshot.State, error) {
+// newPrefixSlot keys spec's prefix, or records why spec cannot have one.
+func newPrefixSlot(spec *ForkSpec) *prefixSlot {
+	p := &prefixSlot{spec: spec}
 	if spec.At <= 0 {
-		return nil, fmt.Errorf("lab: fork for %q: fork time must be positive, got %v", spec.Base.App.Name, spec.At)
+		p.err = fmt.Errorf("lab: fork for %q: fork time must be positive, got %v", spec.Base.App.Name, spec.At)
+		return p
 	}
-
-	r.prefixMu.Lock()
-	key, ok := r.prefixKeys[spec]
+	baseFp, ok := Fingerprint(Job{Config: spec.Base})
 	if !ok {
-		baseFp, printable := Fingerprint(Job{Config: spec.Base})
-		if !printable {
-			r.prefixMu.Unlock()
-			return nil, fmt.Errorf("lab: fork base config for %q is not fingerprintable (it carries observers, hooks, a digest recorder, session phases, or an unnamed platform); fork acceleration needs a shareable prefix", spec.Base.App.Name)
-		}
-		key = prefixKey(baseFp, spec.At)
-		if r.prefixKeys == nil {
-			r.prefixKeys = make(map[*ForkSpec]string)
-		}
-		r.prefixKeys[spec] = key
+		p.err = fmt.Errorf("lab: fork base config for %q is not fingerprintable (it carries observers, hooks, a digest recorder, session phases, or an unnamed platform); fork acceleration needs a shareable prefix", spec.Base.App.Name)
+		return p
 	}
-	if r.prefixes == nil {
-		r.prefixes = make(map[string]*prefixEntry)
-	}
-	e := r.prefixes[key]
-	if e == nil {
-		e = &prefixEntry{}
-		r.prefixes[key] = e
-	}
-	r.prefixMu.Unlock()
+	p.key = prefixKey(baseFp, spec.At)
+	return p
+}
 
+// prefixSlots gives each fork job of a batch its prefix slot, or returns
+// nil when no job forks. A spec is keyed once however many jobs share its
+// pointer — the natural way to build a fork sweep, and one config marshal
+// per spec — and specs with equal keys share one slot.
+func prefixSlots(jobs []Job) []*prefixSlot {
+	var slots []*prefixSlot
+	var bySpec map[*ForkSpec]*prefixSlot
+	var byKey map[string]*prefixSlot
+	for i := range jobs {
+		spec := jobs[i].Fork
+		if spec == nil {
+			continue
+		}
+		if slots == nil {
+			slots = make([]*prefixSlot, len(jobs))
+			bySpec, byKey = make(map[*ForkSpec]*prefixSlot), make(map[string]*prefixSlot)
+		}
+		p := bySpec[spec]
+		if p == nil {
+			p = newPrefixSlot(spec)
+			if p.err == nil {
+				if shared := byKey[p.key]; shared != nil {
+					p = shared
+				} else {
+					byKey[p.key] = p
+				}
+			}
+			bySpec[spec] = p
+		}
+		slots[i] = p
+	}
+	return slots
+}
+
+// prefixState returns p's decoded snapshot, building it on the first call
+// and caching its encoded form in the Cache's prefix tier for later
+// processes. Every call that returns a state is counted: the one that
+// simulated the prefix as a PrefixMiss, every other as a PrefixHit.
+func (r *Runner) prefixState(p *prefixSlot) (*snapshot.State, error) {
 	built := false
-	e.once.Do(func() {
-		built = true
-		e.state, e.simulated, e.err = r.loadOrBuildPrefix(spec, key)
-		if e.err == nil {
-			e.size = e.state.ApproxBytes()
+	p.once.Do(func() {
+		if p.err == nil {
+			built = true
+			p.state, p.simulated, p.err = r.loadOrBuildPrefix(p.spec, p.key)
 		}
 	})
-	if e.err != nil {
-		return nil, e.err
+	if p.err != nil {
+		return nil, p.err
 	}
-	if evicted := r.prefixTouch(key, e); evicted > 0 {
-		n := int64(evicted)
-		r.countAdd(func(s *Stats) { s.PrefixEvictions += n }, "lab_prefix_evictions", n)
-		r.logJob("prefix evicted", spec.Base.App.Name, slog.Int("evicted", evicted), slog.Int64("budget", r.budget()))
-	}
-	switch {
-	case built && e.simulated:
+	app := p.spec.Base.App.Name
+	if built && p.simulated {
 		r.count(func(s *Stats) { s.PrefixMisses++ }, "lab_prefix_misses")
-		r.logJob("prefix simulated", spec.Base.App.Name, logAt(spec.At), slog.String("key", key[:12]))
-	default:
+		r.logJob("prefix simulated", app, logAt(p.spec.At), slog.String("key", p.key[:12]))
+	} else {
 		r.count(func(s *Stats) { s.PrefixHits++ }, "lab_prefix_hits")
-		r.logJob("prefix reused", spec.Base.App.Name, logAt(spec.At), slog.String("key", key[:12]))
+		r.logJob("prefix reused", app, logAt(p.spec.At), slog.String("key", p.key[:12]))
 	}
-	return e.state, nil
+	return p.state, nil
 }
 
 // loadOrBuildPrefix tries the cache's prefix tier, then simulates the base
@@ -162,64 +179,6 @@ func prefixMismatch(st *snapshot.State, spec *ForkSpec) error {
 		return fmt.Errorf("captured at %v, fork is at %v", st.Time, at)
 	}
 	return nil
-}
-
-// budget resolves the prefix tier's byte budget: DefaultPrefixBudget unless
-// a test overrides it, 0 meaning unlimited.
-func (r *Runner) budget() int64 {
-	switch {
-	case r.prefixBudget == 0:
-		return DefaultPrefixBudget
-	case r.prefixBudget < 0:
-		return 0
-	default:
-		return r.prefixBudget
-	}
-}
-
-// prefixTouch marks key as the most recently handed-out prefix and evicts
-// least-recently-used entries until the tier fits the byte budget again,
-// returning how many were dropped. The entry just handed out is never a
-// victim — a single prefix larger than the whole budget still serves the
-// sweep that warmed it — and an entry already evicted by a concurrent
-// handout is left untracked rather than resurrected, so the byte tally
-// only ever counts states reachable from the map.
-func (r *Runner) prefixTouch(key string, e *prefixEntry) (evicted int) {
-	r.prefixMu.Lock()
-	defer r.prefixMu.Unlock()
-	if r.prefixes[key] != e {
-		return 0
-	}
-	if !e.tracked {
-		e.tracked = true
-		r.prefixBytes += e.size
-		r.prefixLRU = append(r.prefixLRU, key)
-	} else if n := len(r.prefixLRU); n > 0 && r.prefixLRU[n-1] != key {
-		for i, k := range r.prefixLRU {
-			if k == key {
-				copy(r.prefixLRU[i:], r.prefixLRU[i+1:])
-				r.prefixLRU[n-1] = key
-				break
-			}
-		}
-	}
-	budget := r.budget()
-	if budget <= 0 {
-		return 0
-	}
-	for r.prefixBytes > budget && len(r.prefixLRU) > 1 {
-		victim := r.prefixLRU[0]
-		if victim == key {
-			break
-		}
-		r.prefixLRU = r.prefixLRU[1:]
-		if ve := r.prefixes[victim]; ve != nil {
-			r.prefixBytes -= ve.size
-			delete(r.prefixes, victim)
-		}
-		evicted++
-	}
-	return evicted
 }
 
 // forkRun is the attempt body of a fork-accelerated job: run the job's

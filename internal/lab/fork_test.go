@@ -18,7 +18,9 @@ import (
 const forkAt = 250 * event.Millisecond
 
 // forkSweepJobs is a governor-tunable sweep sharing one prefix: job 0 is the
-// base config itself, the rest vary a post-fork knob.
+// base config itself, the rest vary a post-fork knob. Each job carries its
+// own *ForkSpec, equal to the others, so the runner must share the prefix
+// by content, not by pointer.
 func forkSweepJobs(t *testing.T, n int) (core.Config, []Job) {
 	t.Helper()
 	base := testConfig(t)
@@ -287,45 +289,52 @@ func TestPrefixMismatch(t *testing.T) {
 	}
 }
 
-// TestForkPrefixBudgetEviction pins the in-process tier's byte budget: with
-// a budget too small for two decoded prefixes, the older one is evicted when
-// the newer is handed out, a revisit rebuilds it (another PrefixMiss), and
-// results are unaffected — eviction only trades memory for rebuild time.
-func TestForkPrefixBudgetEviction(t *testing.T) {
-	base := testConfig(t)
-	jobA := Job{Config: base, Fork: &ForkSpec{Base: base, At: forkAt}}
-	jobB := Job{Config: base, Fork: &ForkSpec{Base: base, At: 2 * forkAt}}
-	want := core.Run(base)
+// TestForkPrefixLivesOneBatch pins that a batch's prefixes die with it: a
+// cacheless runner that runs the same fork batch twice simulates the prefix
+// once per batch, and both batches return the same results.
+func TestForkPrefixLivesOneBatch(t *testing.T) {
+	_, jobs := forkSweepJobs(t, 3)
+	r := New(2, nil)
+	first, err := r.RunAll(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := r.RunAll(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("the second batch's results differ from the first's")
+	}
+	if s := r.Stats(); s.PrefixMisses != 2 || s.PrefixHits != 4 {
+		t.Fatalf("PrefixMisses=%d PrefixHits=%d, want one prefix simulation and 2 reuses per batch", s.PrefixMisses, s.PrefixHits)
+	}
+}
 
-	r := &Runner{Workers: 1, prefixBudget: 1} // at most one resident prefix
-	for i, job := range []Job{jobA, jobB, jobA} {
-		res, err := r.Run(job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Every job forks the unchanged base, so each result must equal the
-		// from-scratch run regardless of which prefixes were evicted.
-		if !reflect.DeepEqual(res, want) {
-			t.Fatalf("job %d: result differs from the from-scratch run after eviction", i)
-		}
+// TestForkBadSpecFailsOnlyItsJobs pins that a spec that cannot have a
+// prefix fails the jobs that name it, with Run's error, and no other job of
+// the batch.
+func TestForkBadSpecFailsOnlyItsJobs(t *testing.T) {
+	base, jobs := forkSweepJobs(t, 2)
+	bad := &ForkSpec{Base: base, At: 0}
+	jobs = append(jobs, Job{Config: base, Fork: bad}, Job{Config: jobs[1].Config, Fork: bad})
+	r := New(2, nil)
+	results, err := r.RunAll(jobs)
+	if err == nil || !strings.Contains(err.Error(), "fork time must be positive") {
+		t.Fatalf("RunAll error = %v, want the bad spec's", err)
 	}
-	s := r.Stats()
-	if s.PrefixMisses != 3 || s.PrefixHits != 0 {
-		t.Fatalf("PrefixMisses=%d PrefixHits=%d, want 3 rebuilds and no reuse under a one-byte budget", s.PrefixMisses, s.PrefixHits)
-	}
-	if s.PrefixEvictions != 2 {
-		t.Fatalf("PrefixEvictions=%d, want 2 (A evicted by B, then B by A)", s.PrefixEvictions)
-	}
-
-	// Unlimited budget: the same sequence keeps both prefixes resident.
-	un := &Runner{Workers: 1, prefixBudget: -1}
-	for _, job := range []Job{jobA, jobB, jobA} {
-		if _, err := un.Run(job); err != nil {
-			t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if results[i].Duration == 0 {
+			t.Errorf("job %d, which names a good spec, got no result", i)
 		}
 	}
-	if s := un.Stats(); s.PrefixMisses != 2 || s.PrefixHits != 1 || s.PrefixEvictions != 0 {
-		t.Fatalf("unlimited budget: PrefixMisses=%d PrefixHits=%d PrefixEvictions=%d, want 2, 1, 0", s.PrefixMisses, s.PrefixHits, s.PrefixEvictions)
+	for i := 2; i < 4; i++ {
+		if results[i].Duration != 0 {
+			t.Errorf("job %d, which names the bad spec, got a result", i)
+		}
+	}
+	if s := r.Stats(); s.Failures != 2 || s.Forks != 2 || s.PrefixMisses != 1 || s.PrefixHits != 1 {
+		t.Fatalf("Failures=%d Forks=%d PrefixMisses=%d PrefixHits=%d, want 2, 2, 1, 1", s.Failures, s.Forks, s.PrefixMisses, s.PrefixHits)
 	}
 }
 

@@ -54,9 +54,10 @@ type Job struct {
 	// Fork, when non-nil, accelerates the job with a shared snapshot prefix:
 	// instead of simulating Config from scratch, the runner warms (or
 	// reuses) one prefix of Fork.Base run to Fork.At and resumes it under
-	// Config — whose knobs take effect at the fork point. Jobs with an
-	// identical (Base, At) share a single prefix simulation, in memory and
-	// in the cache's prefix tier. Fork jobs never ship to the remote fleet
+	// Config — whose knobs take effect at the fork point. The jobs of one
+	// batch with an identical (Base, At) share a single prefix, held in
+	// memory until the batch returns; the cache's prefix tier keeps it for
+	// later batches and processes. Fork jobs never ship to the remote fleet
 	// (snapshots mirror process-local closure state) and are mutually
 	// exclusive with Runner.Check.
 	Fork *ForkSpec
@@ -109,17 +110,13 @@ type Stats struct {
 
 	// Forks counts fork-accelerated continuations resumed from a prefix
 	// snapshot. PrefixHits counts fork jobs served by an already-warm prefix
-	// (built earlier in this process, or found in the cache's prefix tier);
+	// (built earlier in this batch, or found in the cache's prefix tier);
 	// PrefixMisses counts prefix simulations actually executed — on a sweep
 	// of N variants sharing one (Base, At), PrefixMisses is 1 and PrefixHits
-	// is N-1. PrefixEvictions counts decoded prefixes dropped from the
-	// in-process tier to stay under DefaultPrefixBudget; an evicted prefix
-	// re-requested later is rebuilt (or reloaded from the disk tier) and
-	// counted again.
-	Forks           int64
-	PrefixHits      int64
-	PrefixMisses    int64
-	PrefixEvictions int64
+	// is N-1.
+	Forks        int64
+	PrefixHits   int64
+	PrefixMisses int64
 
 	// MemoHits counts derived results (Memo) read back from the cache;
 	// MemoMisses counts those computed because the cache held no valid
@@ -146,13 +143,12 @@ type Runner struct {
 	// "lab_simulations", "lab_stored", "lab_retries", "lab_failures",
 	// "lab_remote", "lab_remote_errors", "lab_audited",
 	// "lab_audit_failures", "lab_forks", "lab_prefix_hits",
-	// "lab_prefix_misses", "lab_prefix_evictions", "lab_memo_hits",
-	// "lab_memo_misses". The runner updates them under its
-	// own mutex so Stats and the mirrored counters stay in lockstep; the
-	// registry itself is goroutine-safe, so exporting this collector (e.g.
-	// WritePrometheus) while a sweep runs is fine. Do not share it with
-	// concurrently running jobs' event emission — the event bus is still
-	// single-threaded.
+	// "lab_prefix_misses", "lab_memo_hits", "lab_memo_misses". The runner
+	// updates them under its own mutex so Stats and the mirrored counters
+	// stay in lockstep; the registry itself is goroutine-safe, so exporting
+	// this collector (e.g. WritePrometheus) while a sweep runs is fine. Do
+	// not share it with concurrently running jobs' event emission — the
+	// event bus is still single-threaded.
 	Tel *telemetry.Collector
 	// Log, when non-nil, receives structured sweep observability: per-job
 	// state transitions (cache hit/miss, simulated, stored, retry, failure,
@@ -170,34 +166,7 @@ type Runner struct {
 
 	mu    sync.Mutex
 	stats Stats
-
-	// prefixBudget overrides DefaultPrefixBudget for the fork tests: 0
-	// means the default, negative means unlimited.
-	prefixBudget int64
-
-	// prefixes is the in-process tier of the fork-prefix cache: one decoded
-	// read-only snapshot per (base fingerprint, fork time), built at most
-	// once per runner under singleflight. The on-disk tier lives in the
-	// Cache's prefix/ area and survives across processes. prefixKeys
-	// memoizes the fingerprint-derived key per spec pointer, so a sweep
-	// sharing one *ForkSpec marshals the base config once. prefixLRU orders
-	// the tracked keys least-recently-handed-out first and prefixBytes sums
-	// their estimated sizes, for byte-budget eviction.
-	prefixMu    sync.Mutex
-	prefixes    map[string]*prefixEntry
-	prefixKeys  map[*ForkSpec]string
-	prefixLRU   []string
-	prefixBytes int64
 }
-
-// DefaultPrefixBudget bounds the bytes of decoded prefix snapshots the
-// in-process fork tier keeps alive at once (estimated via
-// snapshot.State.ApproxBytes): enough for tens of typical decoded
-// snapshots, small enough that a hundred-app fork matrix cannot hold every
-// prefix alive at once. Least recently handed-out prefixes are evicted
-// first (Stats.PrefixEvictions); the entry just handed out is never
-// evicted, so a single oversized prefix still serves its sweep.
-const DefaultPrefixBudget int64 = 1 << 30
 
 // retries is how many extra attempts a panicking job gets.
 const retries = 1
@@ -246,15 +215,6 @@ func (r *Runner) count(fn func(*Stats), counters ...string) {
 	}
 }
 
-// countAdd is count for increments larger than one: it applies fn to the
-// stats and adds n to the single mirrored counter, under the same lock.
-func (r *Runner) countAdd(fn func(*Stats), counter string, n int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	fn(&r.stats)
-	r.Tel.Counter(counter).Add(n)
-}
-
 // RunAll executes every job and returns the results in submission order.
 // The first error (by submission order) is returned after all jobs finish;
 // its result slot is the zero Result. Configs are values: the caller's jobs
@@ -265,10 +225,14 @@ func (r *Runner) countAdd(fn func(*Stats), counter string, n int64) {
 // same fingerprint takes the first one's result and error, and counts as a
 // cache hit, or as a failure when the first one failed. Such jobs share
 // their Result's slices, so the results are read-only.
+//
+// Fork jobs whose specs name the same (Base, At) share one prefix, warmed
+// at most once; the batch's prefixes are dropped when RunAll returns.
 func (r *Runner) RunAll(jobs []Job) ([]core.Result, error) {
 	results := make([]core.Result, len(jobs))
 	errs := make([]error, len(jobs))
 	prog := r.newProgress(len(jobs))
+	slots := prefixSlots(jobs)
 	// fps[i] is job i's fingerprint ("" when it has none), and first maps
 	// each fingerprint to the first job carrying it. Both stay nil when the
 	// runner has no use for fingerprints.
@@ -292,7 +256,11 @@ func (r *Runner) RunAll(jobs []Job) ([]core.Result, error) {
 				return // a duplicate: filled in below
 			}
 		}
-		results[i], errs[i] = r.runOne(jobs[i], fp)
+		var slot *prefixSlot
+		if slots != nil {
+			slot = slots[i]
+		}
+		results[i], errs[i] = r.runOne(jobs[i], fp, slot)
 		prog.step()
 	})
 	for i, fp := range fps {
@@ -376,9 +344,6 @@ func (p *progress) step() {
 			"forks", s.Forks,
 			"prefix_hit_pct", math.Round(hitPct*10)/10,
 		)
-		if s.PrefixEvictions > 0 {
-			args = append(args, "prefix_evictions", s.PrefixEvictions)
-		}
 	}
 	p.r.Log.Info("sweep progress", args...)
 }
@@ -397,7 +362,6 @@ func (p *progress) finish() {
 		"simulated", s.Simulated,
 		"forks", s.Forks,
 		"prefix_hits", s.PrefixHits,
-		"prefix_evictions", s.PrefixEvictions,
 		"remote", s.Remote,
 		"stored", s.Stored,
 		"retries", s.Retries,
@@ -420,13 +384,18 @@ func (r *Runner) logJob(msg, app string, attrs ...slog.Attr) {
 // logAt is a log field for the simulated time t, printed as a duration.
 func logAt(t event.Time) slog.Attr { return slog.Duration("at", time.Duration(t)) }
 
-// Run executes a single job (still counted, cached, and recovered).
+// Run executes a single job (still counted, cached, and recovered). A fork
+// job warms a prefix of its own.
 func (r *Runner) Run(job Job) (core.Result, error) {
 	var fp string
 	if r.Cache != nil || r.Remote != nil {
 		fp, _ = Fingerprint(job)
 	}
-	return r.runOne(job, fp)
+	var slot *prefixSlot
+	if job.Fork != nil {
+		slot = newPrefixSlot(job.Fork)
+	}
+	return r.runOne(job, fp, slot)
 }
 
 // ForEach runs fn(i) for i in [0, n) on the worker pool, for fan-out work
@@ -493,8 +462,8 @@ func (f *fanOut) call(i int) {
 // runOne resolves one job: cache lookup, then bounded simulation attempts.
 // fp is the job's fingerprint, or "" when it has none or the runner has
 // neither a cache nor a remote executor to use it with, so a runner with
-// neither never encodes or hashes a config.
-func (r *Runner) runOne(job Job, fp string) (core.Result, error) {
+// neither never encodes or hashes a config. slot is a fork job's prefix.
+func (r *Runner) runOne(job Job, fp string, slot *prefixSlot) (core.Result, error) {
 	r.count(func(s *Stats) { s.Jobs++ }, "lab_jobs")
 
 	cfg := job.Config
@@ -565,11 +534,11 @@ func (r *Runner) runOne(job Job, fp string) (core.Result, error) {
 
 	// A fork-accelerated job simulates its continuation from the shared
 	// prefix snapshot instead of from time zero. The prefix is acquired once
-	// (singleflight across workers) before the attempt loop, so a retry
+	// (once per slot across workers) before the attempt loop, so a retry
 	// re-runs only the cheap continuation.
 	run := runScratch
 	if job.Fork != nil {
-		st, ferr := r.prefixState(job.Fork)
+		st, ferr := r.prefixState(slot)
 		if ferr != nil {
 			r.count(func(s *Stats) { s.Failures++ }, "lab_failures")
 			r.logJob("job failed", cfg.App.Name, slog.Any("err", ferr))

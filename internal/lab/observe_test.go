@@ -19,23 +19,22 @@ import (
 // statCounters is the contract between lab.Stats and the telemetry
 // registry: every Stats field mirrors into exactly this counter.
 var statCounters = map[string]string{
-	"Jobs":            "lab_jobs",
-	"Hits":            "lab_cache_hits",
-	"Misses":          "lab_cache_misses",
-	"Simulated":       "lab_simulations",
-	"Stored":          "lab_stored",
-	"Retries":         "lab_retries",
-	"Failures":        "lab_failures",
-	"Remote":          "lab_remote",
-	"RemoteErrors":    "lab_remote_errors",
-	"Audited":         "lab_audited",
-	"AuditFailures":   "lab_audit_failures",
-	"Forks":           "lab_forks",
-	"PrefixHits":      "lab_prefix_hits",
-	"PrefixMisses":    "lab_prefix_misses",
-	"PrefixEvictions": "lab_prefix_evictions",
-	"MemoHits":        "lab_memo_hits",
-	"MemoMisses":      "lab_memo_misses",
+	"Jobs":          "lab_jobs",
+	"Hits":          "lab_cache_hits",
+	"Misses":        "lab_cache_misses",
+	"Simulated":     "lab_simulations",
+	"Stored":        "lab_stored",
+	"Retries":       "lab_retries",
+	"Failures":      "lab_failures",
+	"Remote":        "lab_remote",
+	"RemoteErrors":  "lab_remote_errors",
+	"Audited":       "lab_audited",
+	"AuditFailures": "lab_audit_failures",
+	"Forks":         "lab_forks",
+	"PrefixHits":    "lab_prefix_hits",
+	"PrefixMisses":  "lab_prefix_misses",
+	"MemoHits":      "lab_memo_hits",
+	"MemoMisses":    "lab_memo_misses",
 }
 
 // TestStatsCountersMirrored pins two things: every field of Stats has a
