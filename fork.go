@@ -15,7 +15,8 @@ import (
 type Snapshot = snapshot.State
 
 // Sim is a simulation with explicit clock control: RunTo advances it,
-// Snapshot captures it, Finish collects the Result.
+// Snapshot captures it, Finish collects the Result. Only a Sim built by
+// NewSim records what a snapshot needs, so only it can be snapshotted.
 type Sim = core.Sim
 
 // NewSim assembles a snapshot-capable simulation for cfg.
@@ -23,7 +24,9 @@ func NewSim(cfg Config) (*Sim, error) { return core.NewSim(cfg) }
 
 // Resume reconstructs a running simulation from a captured snapshot. cfg
 // must match the snapshot's identity (app, seed, topology); policy knobs
-// may differ and take effect at the fork point.
+// may differ and take effect at the fork point. The resumed run records
+// nothing, so its Snapshot is an error: capture from a NewSim. A snapshot
+// whose pending events cannot be re-bound is an error too.
 func Resume(cfg Config, st *Snapshot) (*Sim, error) { return core.Resume(cfg, st) }
 
 // EncodeSnapshot serializes a snapshot into its versioned, checksummed

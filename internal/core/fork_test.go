@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -170,9 +171,11 @@ func TestForkVariants(t *testing.T) {
 	}
 }
 
-// TestSnapshotOfRestoredRun pins idempotence: resume a snapshot, run a bit,
-// snapshot again, resume THAT, and the final result still matches the
-// from-scratch run — forks of forks stay byte-identical.
+// TestSnapshotOfRestoredRun pins that every capture comes from a NewSim: a
+// resumed run records nothing, so its Snapshot refuses with an error naming
+// NewSim, at the fork point and later, as a plain run's does. The refusal
+// perturbs nothing: the resumed run still finishes equal to the from-scratch
+// run, and the snapshot it came from resumes again to the same Result.
 func TestSnapshotOfRestoredRun(t *testing.T) {
 	cfg := shortCfg(apps.Youtube())
 	want := Run(cfg)
@@ -182,39 +185,41 @@ func TestSnapshotOfRestoredRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.RunTo(cfg.Duration / 4)
-	st1, err := sim.Snapshot()
+	st, err := sim.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	mid, err := Resume(cfg, st1)
+	refuses := func(what string, s *Sim) {
+		t.Helper()
+		if _, err := s.Snapshot(); err == nil || !strings.Contains(err.Error(), "NewSim") {
+			t.Fatalf("Snapshot of %s: err = %v, want a refusal naming NewSim", what, err)
+		}
+	}
+	mid, err := Resume(cfg, st)
 	if err != nil {
 		t.Fatal(err)
 	}
+	refuses("a resumed run at its fork point", mid)
 	mid.RunTo(cfg.Duration / 2)
-	st2, err := mid.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	refuses("a resumed run past its fork point", mid)
+	mid.RunTo(cfg.Duration)
+	if got := mid.Finish(); !reflect.DeepEqual(want, got) {
+		t.Fatal("a resumed run whose Snapshot refused diverged from the from-scratch run")
 	}
+	plain := Assemble(cfg)
+	plain.RunTo(cfg.Duration / 4)
+	refuses("a plain run", plain)
 
-	// The first snapshot must be reusable after the second was taken (the
-	// lab resumes one shared prefix many times).
-	again, err := Resume(cfg, st1)
+	// The snapshot must be reusable after its continuation ran (the lab
+	// resumes one shared prefix many times).
+	again, err := Resume(cfg, st)
 	if err != nil {
-		t.Fatalf("re-resume of first snapshot: %v", err)
+		t.Fatalf("re-resume of the snapshot: %v", err)
 	}
 	again.RunTo(cfg.Duration)
 	if got := again.Finish(); !reflect.DeepEqual(want, got) {
 		t.Fatal("second resume of the same snapshot diverged")
-	}
-
-	final, err := Resume(cfg, st2)
-	if err != nil {
-		t.Fatalf("resume of re-snapshot: %v", err)
-	}
-	final.RunTo(cfg.Duration)
-	if got := final.Finish(); !reflect.DeepEqual(want, got) {
-		t.Fatal("fork-of-fork diverged from the from-scratch run")
 	}
 }
 
@@ -299,6 +304,50 @@ func TestResumeCompat(t *testing.T) {
 	cfgHook.OnSystem = func(sys *sched.System) {}
 	if _, err := NewSim(cfgHook); err == nil {
 		t.Error("NewSim accepted an OnSystem hook")
+	}
+}
+
+// TestResumeRefusesUnbindableEvents pins that a snapshot whose pending
+// events cannot be re-bound under their captured keys is an error from
+// Resume and RunFrom, not a panic: a workload event before the capture
+// clock, a workload event at or past the sequence counter, a counter below
+// every subsystem's pending events, and a clock past every one of them.
+func TestResumeRefusesUnbindableEvents(t *testing.T) {
+	cfg := shortCfg(apps.Browser())
+	sim, err := NewSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.RunTo(cfg.Duration / 2)
+	st, err := sim.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Workload.Pending) == 0 {
+		t.Fatal("capture has no pending workload event to doctor")
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*snapshot.State)
+	}{
+		{"workload event before the clock", func(s *snapshot.State) { s.Workload.Pending[0].At = 0 }},
+		{"workload seq past the counter", func(s *snapshot.State) { s.Workload.Pending[0].Seq = s.Engine.Seq + 5 }},
+		{"counter at 1", func(s *snapshot.State) { s.Engine.Seq = 1 }},
+		{"clock 10 s forward", func(s *snapshot.State) { s.Engine.Now += 10 * event.Second }},
+	} {
+		bad := *st
+		bad.Workload.Pending = append([]workload.PendingEvent(nil), st.Workload.Pending...)
+		tc.mut(&bad)
+		var be *event.BindError
+		if _, err := Resume(cfg, &bad); !errors.As(err, &be) {
+			t.Errorf("%s: Resume err = %v, want an *event.BindError", tc.name, err)
+		}
+		if _, err := RunFrom(cfg, &bad); !errors.As(err, &be) {
+			t.Errorf("%s: RunFrom err = %v, want an *event.BindError", tc.name, err)
+		}
+	}
+	if _, err := RunFrom(cfg, st); err != nil {
+		t.Fatalf("the undoctored snapshot no longer resumes: %v", err)
 	}
 }
 

@@ -13,12 +13,12 @@ import (
 	"biglittle/internal/workload"
 )
 
-// TestRunFromEqualsResume pins that a continuation which records nothing
-// changes no result. For every app at 8 s, forked at 25, 50 and 75% through
-// the codec, RunFrom must equal Resume, RunTo and Finish under the base
-// config and five variants, and for the base config also Run; with a digest
-// recorder attached to each, the digest chains must be equal too. The
-// decoded log of every snapshot is sized exactly.
+// TestRunFromEqualsResume pins that a continuation changes no result. For
+// every app at 8 s, forked at 25, 50 and 75% through the codec, RunFrom,
+// which runs on a pooled random source, must equal Resume, RunTo and Finish
+// under the base config and five variants, and for the base config also
+// Run; with a digest recorder attached to each, the digest chains must be
+// equal too. The decoded log of every snapshot is sized exactly.
 func TestRunFromEqualsResume(t *testing.T) {
 	variants := []struct {
 		name string

@@ -33,8 +33,8 @@ type gov interface {
 // it forward in steps with RunTo, capture a whole-simulation snapshot
 // between steps, and Finish to collect the Result. RunTo sequences the
 // config's phases on the one platform. Run is assembly plus run-to-end;
-// NewSim/Resume expose the stepping for snapshot/fork (DESIGN.md §9), and
-// Assemble for a live session.
+// NewSim exposes the stepping for snapshot capture and Resume for a fork's
+// continuation (DESIGN.md §9), and Assemble for a live session.
 type Sim struct {
 	cfg      Config
 	eng      *event.Engine
@@ -45,7 +45,7 @@ type Sim struct {
 	sampler  *metrics.Sampler
 	therm    *thermal.Model
 	rng      *rand.Rand         // the run's one random source, shared by every build
-	rec      *workload.Recorder // nil unless recording or replaying
+	rec      *workload.Recorder // records for a NewSim, off once resumed, nil otherwise
 	ctx      *workload.Ctx      // the workload of phase `phase`, the one built last
 	phase    int
 	end      event.Time   // when phase `phase` ends
@@ -397,7 +397,7 @@ func (s *Sim) Now() event.Time { return s.eng.Now() }
 func (s *Sim) Snapshot() (*snapshot.State, error) {
 	rec := s.rec
 	if !rec.Recording() {
-		return nil, errors.New("core: Snapshot needs a recording simulation (use NewSim, not Resume mid-replay)")
+		return nil, errors.New("core: Snapshot needs a run built by NewSim: only it records the workload log a snapshot carries, and a resumed run records nothing")
 	}
 	if s.finished {
 		return nil, errors.New("core: Snapshot after Finish")
@@ -484,27 +484,26 @@ func compat(cfg Config, st *snapshot.State) error {
 // workload build is re-run in replay mode to rebuild the closure graph and
 // RNG position, the engine is reset to the capture point with every pending
 // event re-bound under its original ordering key, and each subsystem's
-// state is restored. The returned Sim records from the fork point onwards,
-// so it can itself be snapshotted again. A continuation that only runs to
-// its end and is never snapshotted should use RunFrom, which records
-// nothing.
+// state is restored. From the fork point on the run records nothing and
+// takes a plain run's paths, so it cannot be snapshotted again: every
+// capture comes from a NewSim. A snapshot whose pending events cannot be
+// re-bound (a key before the capture clock or at or past its sequence
+// counter) is an error, as a log that diverges from the replay is.
 //
 // The State is read-only: Resume may be called any number of times on the
 // same decoded snapshot (that is how a fork sweep shares one prefix).
 func Resume(cfg Config, st *snapshot.State) (*Sim, error) {
-	return resume(cfg.Normalized(), st, nil, true)
+	return resume(cfg.Normalized(), st, nil)
 }
 
 // RunFrom resumes st under cfg, runs it to cfg.Duration and returns the
-// Result: it relates to Resume as Run relates to NewSim. Nothing can
-// snapshot the continuation, so from the fork point on it records no
-// workload log and takes the same paths as a plain run, and its Result
-// equals that of Resume, RunTo(cfg.Duration) and Finish.
+// Result: Resume, RunTo and Finish on a pooled random source, as Run is
+// assembly and run-to-end on one.
 func RunFrom(cfg Config, st *snapshot.State) (Result, error) {
 	cfg = cfg.Normalized()
 	rng := seededRand(cfg.Seed)
 	defer releaseRand(rng)
-	sim, err := resume(cfg, st, rng, false)
+	sim, err := resume(cfg, st, rng)
 	if err != nil {
 		return Result{}, err
 	}
@@ -513,9 +512,8 @@ func RunFrom(cfg Config, st *snapshot.State) (Result, error) {
 }
 
 // resume is Resume for a normalized cfg. rng, when non-nil, is the run's
-// random source, already seeded with cfg.Seed; record says whether the
-// continuation goes on recording its workload log (see Recorder.Resched).
-func resume(cfg Config, st *snapshot.State, rng *rand.Rand, record bool) (sim *Sim, err error) {
+// random source, already seeded with cfg.Seed.
+func resume(cfg Config, st *snapshot.State, rng *rand.Rand) (sim *Sim, err error) {
 	if err := snapshotCompat(cfg); err != nil {
 		return nil, err
 	}
@@ -523,14 +521,15 @@ func resume(cfg Config, st *snapshot.State, rng *rand.Rand, record bool) (sim *S
 		return nil, err
 	}
 	// Replay re-enters workload closures, which report any mismatch between
-	// the log and this binary/config by panicking; surface it as an error.
+	// the log and this binary/config by panicking, and the engine panics on
+	// a pending event it cannot re-bind; surface either as an error.
 	defer func() {
-		if r := recover(); r != nil {
-			de, ok := r.(*workload.DivergenceError)
-			if !ok {
-				panic(r)
-			}
-			sim, err = nil, fmt.Errorf("core: resume: %w", de)
+		switch r := recover().(type) {
+		case nil:
+		case *workload.DivergenceError, *event.BindError:
+			sim, err = nil, fmt.Errorf("core: resume: %w", r.(error))
+		default:
+			panic(r)
 		}
 	}()
 	rec := workload.NewReplayer(st.Workload.Log)
@@ -582,7 +581,7 @@ func resume(cfg Config, st *snapshot.State, rng *rand.Rand, record bool) (sim *S
 			return nil, err
 		}
 	}
-	rec.Resched(s.eng, st.Workload.Pending, record)
+	rec.Resched(s.eng, st.Workload.Pending)
 	// Replay rebuilt the performance trackers from the log; cross-check them
 	// against the captured copies before trusting the fork.
 	if err := checkTrackers(s.ctx, st); err != nil {

@@ -33,18 +33,27 @@ func (e *Engine) Reset(now Time, seq, fired uint64) {
 	e.stopped = false
 }
 
+// BindError reports a pending event that ScheduleAt cannot re-insert under
+// its captured key. Restore code has no error path inside the engine, so
+// ScheduleAt panics with it; core.Resume recovers it and returns it as an
+// ordinary error, because the key came from a decoded snapshot.
+type BindError struct{ Msg string }
+
+func (e *BindError) Error() string { return "event: " + e.Msg }
+
 // ScheduleAt schedules fn at absolute time at with an explicit scheduling
 // sequence number, without advancing the engine's own sequence counter. It
 // exists solely for snapshot restore, which re-inserts the pending events of
 // a captured run under their original (at, seq) ordering keys; seq must be
 // below the counter value passed to Reset and unique among re-inserted
-// events, which restore guarantees by construction.
+// events, which a faithful snapshot guarantees by construction. A time
+// before Now or a seq at or past the counter panics with *BindError.
 func (e *Engine) ScheduleAt(at Time, seq uint64, fn Handler) Handle {
 	if at < e.now {
-		panic(fmt.Sprintf("event: scheduling at %v before now %v", at, e.now))
+		panic(&BindError{fmt.Sprintf("scheduling at %v before now %v", at, e.now)})
 	}
 	if seq >= e.seq {
-		panic(fmt.Sprintf("event: ScheduleAt seq %d not below counter %d", seq, e.seq))
+		panic(&BindError{fmt.Sprintf("ScheduleAt seq %d not below counter %d", seq, e.seq)})
 	}
 	id := e.alloc()
 	n := &e.nodes[id]

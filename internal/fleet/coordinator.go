@@ -63,9 +63,6 @@ type Options struct {
 	// MaxAttempts bounds how many times a job may be leased before it is
 	// failed outright (default 3).
 	MaxAttempts int
-	// Retain is how long terminal jobs stay queryable before garbage
-	// collection (default 5m).
-	Retain time.Duration
 	// Cache, when non-nil, memoizes results coordinator-side: submissions
 	// hitting it complete instantly, and every published result is stored.
 	Cache *lab.Cache
@@ -115,7 +112,6 @@ type fleetJob struct {
 	worker   string
 	result   core.Result
 	errMsg   string
-	enqueued time.Time
 	finished time.Time
 	done     chan struct{} // closed on entering done/failed
 }
@@ -144,9 +140,6 @@ func NewCoordinator(opt Options) *Coordinator {
 	}
 	if opt.MaxAttempts <= 0 {
 		opt.MaxAttempts = 3
-	}
-	if opt.Retain <= 0 {
-		opt.Retain = 5 * time.Minute
 	}
 	if opt.Tel == nil {
 		opt.Tel = telemetry.NewCollector()
@@ -332,7 +325,7 @@ func (c *Coordinator) Submit(spec JobSpec) (SubmitReply, error) {
 		if res, ok := c.opt.Cache.Get(id); ok {
 			job := &fleetJob{
 				id: id, spec: spec, state: StateDone, cached: true,
-				result: res, enqueued: c.opt.Now(), finished: c.opt.Now(),
+				result: res, finished: c.opt.Now(),
 				done: make(chan struct{}),
 			}
 			close(job.done)
@@ -346,10 +339,7 @@ func (c *Coordinator) Submit(spec JobSpec) (SubmitReply, error) {
 		c.count("fleet_backpressure")
 		return SubmitReply{}, ErrQueueFull
 	}
-	job := &fleetJob{
-		id: id, spec: spec, state: StatePending,
-		enqueued: c.opt.Now(), done: make(chan struct{}),
-	}
+	job := &fleetJob{id: id, spec: spec, state: StatePending, done: make(chan struct{})}
 	c.jobs[id] = job
 	c.queue = append(c.queue, id)
 	c.pending++
@@ -520,7 +510,8 @@ func (c *Coordinator) Complete(leaseID, jobID, worker string, res core.Result) e
 // Fail reports that a worker could not execute its leased job. The job is
 // requeued for another attempt, or failed once its attempts are spent. A
 // failure under a lease that holds another job is refused with
-// ErrNotLeased.
+// ErrNotLeased. A failure under a lease that is no longer active (it
+// expired, so the job was requeued and maybe leased again) changes no job.
 func (c *Coordinator) Fail(leaseID, jobID, worker, msg string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -528,6 +519,7 @@ func (c *Coordinator) Fail(leaseID, jobID, worker, msg string) error {
 		return err
 	}
 	c.touchLocked(worker)
+	_, active := c.leases[leaseID]
 	c.releaseLocked(leaseID)
 	job := c.jobs[jobID]
 	if job == nil {
@@ -536,8 +528,8 @@ func (c *Coordinator) Fail(leaseID, jobID, worker, msg string) error {
 	if w := c.workers[worker]; w != nil {
 		w.failed++
 	}
-	if job.state != StateLeased {
-		return nil // already completed elsewhere or requeued by expiry
+	if !active || job.state != StateLeased {
+		return nil // a stale lease, or the job already completed elsewhere
 	}
 	c.requeueLocked(job, fmt.Sprintf("worker %q: %s", worker, msg))
 	c.updateGauges()
@@ -621,10 +613,13 @@ func (c *Coordinator) Job(ctx context.Context, id string, maxWait time.Duration)
 	return st, nil
 }
 
-// gc drops terminal jobs older than the retention window so a sweep of
-// millions of configs does not pin them all in coordinator memory.
+// retain is how long terminal jobs stay queryable before gc drops them.
+const retain = 5 * time.Minute
+
+// gc drops terminal jobs older than retain so a sweep of millions of
+// configs does not pin them all in coordinator memory.
 func (c *Coordinator) gc() {
-	horizon := c.opt.Now().Add(-c.opt.Retain)
+	horizon := c.opt.Now().Add(-retain)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for id, job := range c.jobs {

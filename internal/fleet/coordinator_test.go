@@ -333,6 +333,52 @@ func TestWorkerFailRequeues(t *testing.T) {
 	}
 }
 
+// TestStaleFailLeavesReleasedJob pins that a failure under a lease that has
+// expired changes nothing: with job A leased to w1 as l1, l1 expired and A
+// leased again to w2 as l2, w1's Fail(l1, A) leaves A leased under l2 on
+// its second attempt with nothing queued, and w2's Complete(l2, A) then
+// finishes it.
+func TestStaleFailLeavesReleasedJob(t *testing.T) {
+	clock := newFakeClock()
+	c := newTestCoordinator(t, Options{LeaseTTL: 30 * time.Second, Now: clock.now})
+	if _, err := c.Submit(testSpec(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	l1, err := c.Lease(context.Background(), "w1", 0)
+	if err != nil || l1 == nil {
+		t.Fatalf("lease l1 = %v, %v", l1, err)
+	}
+	clock.advance(31 * time.Second)
+	if n := c.ExpireLeases(); n != 1 {
+		t.Fatalf("ExpireLeases = %d, want 1", n)
+	}
+	l2, err := c.Lease(context.Background(), "w2", 0)
+	if err != nil || l2 == nil || l2.Job != l1.Job {
+		t.Fatalf("lease l2 = %+v, %v, want job A again", l2, err)
+	}
+
+	if err := c.Fail(l1.Lease, l1.Job, "w1", "boom"); err != nil {
+		t.Fatalf("stale Fail = %v, want nil", err)
+	}
+	if st, _ := c.Job(context.Background(), l1.Job, 0); st.State != StateLeased || st.Worker != "w2" || st.Attempts != 2 {
+		t.Fatalf("A after the stale Fail: %+v, want leased to w2 on attempt 2", st)
+	}
+	if s := c.Stats(); len(s.Leases) != 1 || s.Leases[0].Lease != l2.Lease || s.QueueDepth != 0 || s.Retries != 1 {
+		t.Fatalf("stats after the stale Fail: leases %+v, depth %d, retries %d; want l2 alone, 0, 1", s.Leases, s.QueueDepth, s.Retries)
+	}
+
+	if err := c.Complete(l2.Lease, l2.Job, "w2", core.Result{EnergyMJ: 5}); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := c.Job(context.Background(), l2.Job, 0)
+	if st.State != StateDone || st.Worker != "w2" || st.Result == nil || st.Result.EnergyMJ != 5 {
+		t.Fatalf("A after l2's completion: %+v, want done by w2", st)
+	}
+	if s := c.Stats(); s.Completed != 1 || s.FailedJobs != 0 {
+		t.Fatalf("completed/failed = %d/%d, want 1/0", s.Completed, s.FailedJobs)
+	}
+}
+
 func TestRenewExtendsLease(t *testing.T) {
 	clock := newFakeClock()
 	c := newTestCoordinator(t, Options{LeaseTTL: 30 * time.Second, Now: clock.now})

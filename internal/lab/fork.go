@@ -182,8 +182,8 @@ func prefixMismatch(st *snapshot.State, spec *ForkSpec) error {
 }
 
 // forkRun is the attempt body of a fork-accelerated job: run the job's
-// config out from the shared read-only prefix with core.RunFrom. Nothing
-// snapshots a continuation, so it records no workload log.
+// config out from the shared read-only prefix with core.RunFrom, which,
+// like every resumed run, records no workload log.
 func forkRun(st *snapshot.State) func(core.Config) (core.Result, error) {
 	return func(cfg core.Config) (core.Result, error) {
 		res, err := core.RunFrom(cfg, st)

@@ -66,29 +66,6 @@ func TestFrequencyInvariance(t *testing.T) {
 	}
 }
 
-func TestUpdateNMatchesLoop(t *testing.T) {
-	a, b := NewTracker(32), NewTracker(32)
-	a.Update(1, 1) // establish some state
-	b.Update(1, 1)
-	for _, step := range []struct {
-		n       int
-		ran, fs float64
-	}{{5, 0.3, 0.8}, {100, 1, 1}, {1, 0, 1}, {47, 0.9, 0.4}} {
-		for i := 0; i < step.n; i++ {
-			a.Update(step.ran, step.fs)
-		}
-		b.UpdateN(step.n, step.ran, step.fs)
-		if math.Abs(a.LoadF()-b.LoadF()) > 1e-6 {
-			t.Fatalf("UpdateN diverged from loop: %.6f vs %.6f", a.LoadF(), b.LoadF())
-		}
-	}
-	b.UpdateN(0, 1, 1)
-	b.UpdateN(-3, 1, 1) // no-ops
-	if math.Abs(a.LoadF()-b.LoadF()) > 1e-6 {
-		t.Fatal("non-positive UpdateN changed state")
-	}
-}
-
 func TestDefaults(t *testing.T) {
 	tr := NewTracker(0)
 	if tr.HalfLifeMs() != DefaultHalfLifeMs {

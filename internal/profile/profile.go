@@ -101,9 +101,6 @@ type Profiler struct {
 // New returns an enabled Profiler.
 func New() *Profiler { return &Profiler{} }
 
-// Enabled reports whether the profiler records anything (false for nil).
-func (p *Profiler) Enabled() bool { return p != nil }
-
 // task returns (creating if needed) the accumulator for id.
 func (p *Profiler) task(id int, name string) *taskState {
 	for id >= len(p.tasks) {

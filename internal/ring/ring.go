@@ -1,5 +1,5 @@
 // Package ring is the block-grown buffer behind telemetry's event log,
-// xray's span log and the workload recorder's log tail. A Ring keeps the
+// xray's span log and the workload recorder's log. A Ring keeps the
 // newest entries up to a limit and overwrites the oldest beyond it; the
 // workload recorder sets no limit. It grows in fixed-size blocks allocated
 // on demand, so filling it allocates about what it keeps, where an

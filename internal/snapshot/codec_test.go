@@ -29,7 +29,6 @@ func sampleState() *State {
 			Log: []workload.Record{
 				{Kind: workload.RecFire, Wid: 0, At: event.Second},
 				{Kind: workload.RecSeg, Th: 1, At: 2 * event.Second},
-				{Kind: workload.RecBusy, Busy: true},
 			},
 			Pending:  []workload.PendingEvent{{Wid: 3, At: 4 * event.Second, Seq: 870}},
 			Threads:  2,
@@ -104,8 +103,8 @@ func TestDecodeSizesLogOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if log := got.Workload.Log; len(log) != 3 || cap(log) != 3 {
-		t.Fatalf("decoded log has len %d cap %d, want 3 and 3", len(log), cap(log))
+	if log := got.Workload.Log; len(log) != 2 || cap(log) != 2 {
+		t.Fatalf("decoded log has len %d cap %d, want 2 and 2", len(log), cap(log))
 	}
 	spaced := bytes.ReplaceAll(payload, recordOpen, []byte(`{ "k":`))
 	if bytes.Equal(spaced, payload) {

@@ -198,9 +198,6 @@ func NewCollector() *Collector {
 	}
 }
 
-// Enabled reports whether the collector records anything (false for nil).
-func (c *Collector) Enabled() bool { return c != nil }
-
 // Emit records one event: aggregates always, the event buffer up to
 // MaxEvents (oldest entries dropped beyond that). Once the buffer is full,
 // and every (kind, reason) and frequency seen before, Emit allocates

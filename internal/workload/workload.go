@@ -152,52 +152,22 @@ type PeriodicConfig struct {
 	// Work per activation in cycles (mean) with uniform CV jitter.
 	Work float64
 	CV   float64
-	// DropIfBusy skips an activation when the previous one has not finished
-	// (games drop frames instead of queueing them).
-	DropIfBusy bool
-	// HeavyP/HeavyMult add a heavy-tail to the work distribution.
-	HeavyP    float64
-	HeavyMult float64
-	// Offset delays the first activation.
-	Offset event.Time
 	// OnDone fires on each completed activation (e.g. FPS accounting).
 	OnDone func(now event.Time)
-	// Until stops the loop (defaults to ctx.Duration).
-	Until event.Time
 }
 
-// Periodic runs cfg on th: every Period, push one activation's work.
+// Periodic runs cfg on th from now until ctx.Duration: every Period, push
+// one activation's work.
 func Periodic(ctx *Ctx, th *Thread, cfg PeriodicConfig) {
-	until := cfg.Until
-	if until == 0 {
-		until = ctx.Duration
-	}
 	var tick func(now event.Time)
 	tick = func(now event.Time) {
-		if now >= until {
+		if now >= ctx.Duration {
 			return
 		}
-		drop := false
-		if cfg.DropIfBusy {
-			drop = th.Task.CurState() != sched.Sleeping
-			if ctx.Rec != nil {
-				// A live scheduler read: recorded on capture, served from the
-				// log on replay (the scheduler does not run during replay).
-				drop = ctx.Rec.observeBusy(drop)
-			}
-		}
-		if !drop {
-			w := cfg.Work
-			if cfg.HeavyP > 0 {
-				w = ctx.HeavyTail(cfg.Work, cfg.CV, cfg.HeavyP, cfg.HeavyMult)
-			} else {
-				w = ctx.Jitter(cfg.Work, cfg.CV)
-			}
-			th.Push(w, cfg.OnDone)
-		}
+		th.Push(ctx.Jitter(cfg.Work, cfg.CV), cfg.OnDone)
 		ctx.At(now+cfg.Period, tick)
 	}
-	ctx.After(cfg.Offset, tick)
+	ctx.After(0, tick)
 }
 
 // Continuous keeps th 100% busy with segment-sized chunks until ctx.Duration
@@ -242,13 +212,6 @@ type Stage struct {
 	// utilization targeting) is why the paper measures <30% latency gain
 	// from big cores on mobile apps despite SPEC speedups of 2-4.5x.
 	PostDelay event.Time
-}
-
-// RunStages executes stages sequentially starting now; done fires when the
-// last stage completes. It only reads stages, drawing each thread's work
-// afresh, so a caller may pass the same table on every call.
-func RunStages(ctx *Ctx, stages []Stage, done func(now event.Time)) {
-	newPipeline(ctx).start(stages, done)
 }
 
 // pipeline runs one stage table at a time: the running stage's index and its

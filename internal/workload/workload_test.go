@@ -112,24 +112,6 @@ func TestPeriodicRuns(t *testing.T) {
 	}
 }
 
-func TestPeriodicDropIfBusy(t *testing.T) {
-	ctx := newCtx(event.Second)
-	th := NewThread(ctx, "p", 1)
-	done := 0
-	// Work takes 300ms at 500 MHz, period is 100ms: with DropIfBusy most
-	// activations are skipped.
-	Periodic(ctx, th, PeriodicConfig{
-		Period:     100 * event.Millisecond,
-		Work:       150e6,
-		DropIfBusy: true,
-		OnDone:     func(event.Time) { done++ },
-	})
-	ctx.Eng.Run(ctx.Duration)
-	if done >= 10 || done == 0 {
-		t.Fatalf("%d completions, want a dropped-frame count in (0,10)", done)
-	}
-}
-
 func TestContinuousSaturates(t *testing.T) {
 	ctx := newCtx(event.Second)
 	th := NewThread(ctx, "c", 1)
@@ -159,7 +141,7 @@ func TestRunStagesSequential(t *testing.T) {
 	var aDone, bDone event.Time
 	a.Task.OnIdle = func(now event.Time) { aDone = now }
 	b.Task.OnIdle = func(now event.Time) { bDone = now }
-	RunStages(ctx, []Stage{
+	newPipeline(ctx).start([]Stage{
 		{Threads: []*Thread{a}, Work: 5e5}, // 1ms at 500MHz
 		{Threads: []*Thread{b}, Work: 5e5},
 	}, func(now event.Time) { doneAt = now })
@@ -178,7 +160,7 @@ func TestRunStagesParallelBarrier(t *testing.T) {
 	b := NewThread(ctx, "b", 1)
 	c := NewThread(ctx, "c", 1)
 	var doneAt event.Time
-	RunStages(ctx, []Stage{
+	newPipeline(ctx).start([]Stage{
 		{Threads: []*Thread{a, b}, Work: 5e5},
 		{Threads: []*Thread{c}, Work: 5e5},
 	}, func(now event.Time) { doneAt = now })
@@ -195,7 +177,7 @@ func TestRunStagesPostDelay(t *testing.T) {
 	ctx := newCtx(event.Second)
 	a := NewThread(ctx, "a", 1)
 	var doneAt event.Time
-	RunStages(ctx, []Stage{
+	newPipeline(ctx).start([]Stage{
 		{Threads: []*Thread{a}, Work: 5e5, PostDelay: 50 * event.Millisecond},
 	}, func(now event.Time) { doneAt = now })
 	ctx.Eng.Run(ctx.Duration)
@@ -207,7 +189,7 @@ func TestRunStagesPostDelay(t *testing.T) {
 func TestRunStagesEmptyStage(t *testing.T) {
 	ctx := newCtx(event.Second)
 	fired := false
-	RunStages(ctx, []Stage{{}, {}}, func(event.Time) { fired = true })
+	newPipeline(ctx).start([]Stage{{}, {}}, func(event.Time) { fired = true })
 	if !fired {
 		t.Fatal("empty pipeline should complete immediately")
 	}

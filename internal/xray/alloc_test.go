@@ -18,7 +18,6 @@ func TestNilTracerZeroAlloc(t *testing.T) {
 		"Len":       func() { x.Len() },
 		"Dropped":   func() { x.Dropped() },
 		"Spans":     func() { x.Spans() },
-		"Enabled":   func() { x.Enabled() },
 	}
 	for name, fn := range cases {
 		if allocs := testing.AllocsPerRun(200, fn); allocs != 0 {

@@ -198,9 +198,6 @@ func New() *Tracer {
 	}
 }
 
-// Enabled reports whether the tracer records anything (false for nil).
-func (x *Tracer) Enabled() bool { return x != nil }
-
 // record puts a span into the ring, assigning its ID. inputs and cands are
 // copied into buffers the ring slot owns, so the caller keeps its slices.
 func (x *Tracer) record(s Span, inputs []Input, cands []Candidate) int64 {
