@@ -29,7 +29,7 @@ bench-smoke:
 # CPU model, and that comparison holds only at a fixed worker count; the
 # baseline was measured at -cpu 2.
 GATED_CPU = 2
-GATED_BENCH = BenchmarkSingleRun|BenchmarkFig2Speedup|BenchmarkFig3SpecPower|BenchmarkDerivedWarm|BenchmarkDigestOff|BenchmarkDigestOn|BenchmarkObserversOn|BenchmarkForkSweep|BenchmarkExplore|BenchmarkLongSession
+GATED_BENCH = BenchmarkSingleRun|BenchmarkFig2Speedup|BenchmarkFig3SpecPower|BenchmarkDerivedWarm|BenchmarkDigestOff|BenchmarkDigestOn|BenchmarkObserversOn|BenchmarkForkSweep|BenchmarkExplore|BenchmarkLongSession|BenchmarkPrefixCodec
 
 bench-baseline:
 	go test -run '^$$' -bench '$(GATED_BENCH)' -benchmem -cpu $(GATED_CPU) -count 6 . | tee /tmp/blbench-baseline.txt
@@ -256,6 +256,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzParsePhases$$' -fuzztime 30s ./internal/cli/
 	go test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 30s ./internal/explore/
 	go test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 30s ./internal/snapshot/
+	go test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 30s ./internal/snapshot/
 	go test -run '^$$' -fuzz '^FuzzJobSpec$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/fleet/
 	go test -run '^$$' -fuzz '^FuzzWorkerBodies$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/fleet/
 	go test -run '^$$' -fuzz '^FuzzCacheBlob$$' -fuzztime 30s -fuzzminimizetime 100x ./internal/lab/

@@ -543,6 +543,36 @@ var (
 	coldSweep time.Duration
 )
 
+// BenchmarkPrefixCodec times the disk prefix tier's codec, which
+// BenchmarkForkSweep never reaches (it runs without a cache): one op
+// encodes and decodes fifa15's 28.5 s prefix, the fork point of a 95% fork
+// sweep of a 30 s frame app, through EncodeSnapshot and DecodeSnapshot.
+// blob-KB is the prefix's size on disk.
+func BenchmarkPrefixCodec(b *testing.B) {
+	app, _ := biglittle.AppByName("fifa15")
+	cfg := biglittle.DefaultConfig(app)
+	sim, err := biglittle.NewSim(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sim.RunTo(cfg.Duration / 20 * 19)
+	st, err := sim.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var blob []byte
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if blob, err = biglittle.EncodeSnapshot(st); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := biglittle.DecodeSnapshot(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(blob))/1000, "blob-KB")
+}
+
 // forkSweepJobs builds the BenchmarkForkSweep grid twice over: the
 // fork-accelerated jobs and their from-scratch equivalents.
 func forkSweepJobs() ([]biglittle.LabJob, []biglittle.LabJob) {

@@ -163,6 +163,11 @@ func newFrameChain(ctx *workload.Ctx, period event.Time, logic frameStage, paral
 	pauseGap, pauseMean event.Time) {
 
 	fc := &frameChain{ctx: ctx, period: period, logic: logic, parallel: parallel}
+	// A tick starts at most one frame, and ticks that start one are at least
+	// a period apart, so the phase's frames fit in one reservation.
+	if ctx.FPS != nil {
+		ctx.FPS.Reserve(int((ctx.Duration-ctx.Eng.Now())/period) + 1)
+	}
 	// Pauses are user behaviour (menus, level loads): their schedule is
 	// drawn up front in wall-clock time so that runs compared across core
 	// configurations see the identical pause pattern.

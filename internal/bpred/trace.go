@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 
+	"biglittle/internal/randpool"
 	"biglittle/internal/synth"
 )
 
@@ -36,7 +37,8 @@ type site struct {
 // profile's MispredictRate: predictable workloads are loop-dominated,
 // unpredictable ones carry more data-dependent random branches.
 func Trace(p synth.Profile, n int) []Branch {
-	next := branches(p)
+	next, rng := branches(p)
+	defer randpool.Put(rng)
 	out := make([]Branch, n)
 	for i := range out {
 		out[i] = next()
@@ -54,7 +56,8 @@ func MeasureStream(p synth.Profile, n int, preds ...Predictor) []float64 {
 		return rates
 	}
 	miss := make([]int, len(preds))
-	next := branches(p)
+	next, rng := branches(p)
+	defer randpool.Put(rng)
 	for i := 0; i < n; i++ {
 		b := next()
 		for j, pr := range preds {
@@ -72,10 +75,12 @@ func MeasureStream(p synth.Profile, n int, preds ...Predictor) []float64 {
 
 // branches returns a generator of the profile's branch sequence: each call
 // draws the next branch. Trace and MeasureStream read the same sequence.
-func branches(p synth.Profile) func() Branch {
+// The generator draws from rng, a pooled source that the caller hands back
+// to randpool once it has drawn its last branch.
+func branches(p synth.Profile) (next func() Branch, rng *rand.Rand) {
 	h := fnv.New64a()
 	h.Write([]byte(p.Name + "/branches"))
-	rng := rand.New(rand.NewSource(int64(h.Sum64())))
+	rng = randpool.Get(int64(h.Sum64()))
 
 	// Every site class's difficulty scales with the profile's misprediction
 	// rate, so a bimodal predictor over the trace lands near the rate the
@@ -142,5 +147,5 @@ func branches(p synth.Profile) func() Branch {
 		}
 		prevTaken = taken
 		return Branch{Site: s.id, Taken: taken}
-	}
+	}, rng
 }

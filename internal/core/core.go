@@ -15,6 +15,7 @@ import (
 	"biglittle/internal/platform"
 	"biglittle/internal/power"
 	"biglittle/internal/profile"
+	"biglittle/internal/randpool"
 	"biglittle/internal/sched"
 	"biglittle/internal/telemetry"
 	"biglittle/internal/thermal"
@@ -357,11 +358,11 @@ func (c Config) Normalized() Config {
 // part-way, step a NewSim with RunTo and Snapshot instead (DESIGN.md §9).
 func Run(cfg Config) Result {
 	cfg = cfg.Normalized()
-	rng := seededRand(cfg.Seed)
+	rng := randpool.Get(cfg.Seed)
 	sim := newSim(cfg, nil, rng)
 	sim.RunTo(cfg.Duration)
 	res := sim.Finish()
-	releaseRand(rng)
+	randpool.Put(rng)
 	return res
 }
 

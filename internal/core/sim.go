@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 
 	"biglittle/internal/altsched"
 	"biglittle/internal/apps"
@@ -15,6 +13,7 @@ import (
 	"biglittle/internal/governor"
 	"biglittle/internal/metrics"
 	"biglittle/internal/platform"
+	"biglittle/internal/randpool"
 	"biglittle/internal/sched"
 	"biglittle/internal/snapshot"
 	"biglittle/internal/thermal"
@@ -84,42 +83,6 @@ func newSim(cfg Config, rec *workload.Recorder, rng *rand.Rand) *Sim {
 	}
 	s.build(app)
 	return s
-}
-
-// idleRands is the free list of random sources whose runs have finished.
-// Seeding a source resets all of it, the read position included, so a
-// reused source draws exactly what a fresh one would. Only Run and RunFrom
-// hand one back, because their Sims never escape. It keeps at most
-// GOMAXPROCS sources (about 5 KB each), and is a plain list rather than a
-// sync.Pool because a GC empties a pool.
-var (
-	idleRandMu sync.Mutex
-	idleRands  []*rand.Rand
-)
-
-// seededRand returns a source seeded with seed, reusing an idle one if any.
-func seededRand(seed int64) *rand.Rand {
-	idleRandMu.Lock()
-	n := len(idleRands)
-	if n == 0 {
-		idleRandMu.Unlock()
-		return rand.New(rand.NewSource(seed))
-	}
-	rng := idleRands[n-1]
-	idleRands[n-1] = nil
-	idleRands = idleRands[:n-1]
-	idleRandMu.Unlock()
-	rng.Seed(seed)
-	return rng
-}
-
-// releaseRand returns a finished run's source to the free list.
-func releaseRand(rng *rand.Rand) {
-	idleRandMu.Lock()
-	defer idleRandMu.Unlock()
-	if len(idleRands) < runtime.GOMAXPROCS(0) {
-		idleRands = append(idleRands, rng)
-	}
 }
 
 // assemble builds the simulation in a fixed order, which fixes the order of
@@ -501,8 +464,8 @@ func Resume(cfg Config, st *snapshot.State) (*Sim, error) {
 // assembly and run-to-end on one.
 func RunFrom(cfg Config, st *snapshot.State) (Result, error) {
 	cfg = cfg.Normalized()
-	rng := seededRand(cfg.Seed)
-	defer releaseRand(rng)
+	rng := randpool.Get(cfg.Seed)
+	defer randpool.Put(rng)
 	sim, err := resume(cfg, st, rng)
 	if err != nil {
 		return Result{}, err

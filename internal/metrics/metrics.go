@@ -8,6 +8,8 @@
 package metrics
 
 import (
+	"slices"
+
 	"biglittle/internal/event"
 	"biglittle/internal/platform"
 	"biglittle/internal/power"
@@ -347,17 +349,27 @@ func (m *Sampler) ResidencyPct(t platform.CoreType, freqs []int) []float64 {
 
 // FPSTracker measures frame performance for the FPS-oriented applications:
 // average FPS over the whole run and the worst 1-second window (the paper's
-// "minimum FPS").
+// "minimum FPS"). It keeps every frame time, in a log that a frame
+// pipeline reserves at build for every frame its phase can complete, so a
+// run appends into one allocation.
 type FPSTracker struct {
 	frames []event.Time
+}
+
+// Reserve makes room for n more frame times than are recorded.
+func (f *FPSTracker) Reserve(n int) {
+	if n > 0 {
+		f.frames = slices.Grow(f.frames, n)
+	}
 }
 
 // FrameDone records a frame completion.
 func (f *FPSTracker) FrameDone(now event.Time) { f.frames = append(f.frames, now) }
 
 // Times returns the recorded frame-completion timestamps in order — the raw
-// material for frame-time distributions.
-func (f *FPSTracker) Times() []event.Time { return f.frames }
+// material for frame-time distributions. The slice is capped at its length,
+// so appending to it cannot write into the reserve.
+func (f *FPSTracker) Times() []event.Time { return f.frames[:len(f.frames):len(f.frames)] }
 
 // Count returns total frames rendered.
 func (f *FPSTracker) Count() int { return len(f.frames) }

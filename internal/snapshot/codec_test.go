@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -73,20 +74,40 @@ func TestEncodeDeterministic(t *testing.T) {
 
 // TestEncodeFramesMarshal pins the blob to the framing of json.Marshal's
 // payload byte for byte, HTML escaping included, though Encode writes the
-// payload through an Encoder and cuts its newline.
+// log by hand into a blob it sizes first: records with every field zero or
+// set, at the extremes of their types, and nil, empty and one-record logs.
 func TestEncodeFramesMarshal(t *testing.T) {
-	st := sampleState()
-	st.App = "<a&b>"
-	payload, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
+	logs := map[string][]workload.Record{
+		"sample": sampleState().Workload.Log,
+		"nil":    nil,
+		"empty":  {},
+		"one":    {{Kind: workload.RecSeg, Th: 7, At: 123456789}},
+		"extremes": {
+			{},
+			{Kind: 255, Wid: -1, Th: math.MinInt64, At: math.MaxInt64},
+			{Kind: workload.RecFire, Wid: math.MaxInt64, Th: -10, At: math.MinInt64},
+			{Kind: workload.RecFire, Wid: 9, At: 10},
+			{Kind: workload.RecSeg, Th: 99, At: 1e18},
+		},
 	}
-	blob, err := Encode(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := frame(payload); !bytes.Equal(blob, want) {
-		t.Fatalf("Encode gave %d bytes, header ++ json.Marshal gives %d (or they differ)", len(blob), len(want))
+	for name, log := range logs {
+		st := sampleState()
+		st.App = "<a&b>"
+		st.Workload.Log = log
+		payload, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := Encode(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := frame(payload); !bytes.Equal(blob, want) {
+			t.Errorf("%s: Encode gave %d bytes, header ++ json.Marshal gives %d (or they differ)", name, len(blob), len(want))
+		}
+		if cap(blob) != len(blob) {
+			t.Errorf("%s: blob has len %d cap %d, want one allocation of its length", name, len(blob), cap(blob))
+		}
 	}
 }
 
@@ -196,6 +217,43 @@ func TestDecodeMalformedJSON(t *testing.T) {
 	blob := frame([]byte(`{"app":`))
 	if _, err := Decode(blob); err == nil {
 		t.Fatal("malformed JSON accepted")
+	}
+}
+
+// TestDecodePayloadRejections pins what the walk over the State and
+// workload objects refuses: malformed and truncated JSON at every level it
+// walks, a log that is no array, trailing data whether or not it is JSON,
+// and the inputs Encode never writes that encoding/json would accept (a
+// null State or workload, and keys spelled other than their tags).
+func TestDecodePayloadRejections(t *testing.T) {
+	cases := []struct{ payload, want string }{
+		{``, "decode payload"},
+		{`{`, "decode payload"},
+		{`{"app":"x"`, "decode payload"},
+		{`{"app":"x",}`, "decode payload"},
+		{`{"app" "x"}`, "decode payload"},
+		{`{"workload":`, "decode payload"},
+		{`{"workload":{`, "decode payload"},
+		{`{"workload":[]}`, "decode payload"},
+		{`{"workload":{"log":[`, "decode payload"},
+		{`{"workload":{"log":[{"k":1}`, "decode payload"},
+		{`{"workload":{"log":[{"k":1}}}`, "decode payload"},
+		{`{"workload":{"log":[{"k":1} {"k":2}]}}`, "decode payload"},
+		{`{"workload":{"log":{"k":1}}}`, "decode payload"},
+		{`{"workload":{"log":7}}`, "decode payload"},
+		{`{"workload":{"log":[{"k":1,"x":2}]}}`, "decode payload"},
+		{`{"workload":{"frames":"x"}}`, "decode payload"},
+		{`null`, "decode payload"},
+		{`{"workload":null}`, "decode payload"},
+		{`{"APP":"x"}`, `unknown field "APP"`},
+		{`{"workload":{"Log":[]}}`, `unknown field "Log"`},
+		{`{"app":"x"} }`, "trailing data"},
+	}
+	for _, tc := range cases {
+		_, err := Decode(frame([]byte(tc.payload)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got error %v, want one naming %q", tc.payload, err, tc.want)
+		}
 	}
 }
 

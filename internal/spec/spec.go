@@ -199,8 +199,10 @@ func Compile(f File) (apps.App, error) {
 		}
 	}
 	if fr := f.Frames; fr != nil {
-		if fr.PeriodMs <= 0 {
-			return apps.App{}, fmt.Errorf("spec: frames needs period_ms")
+		// A period that rounds to 0 ns is refused like a missing one: the
+		// frame loop would tick forever at one instant.
+		if ms(fr.PeriodMs) <= 0 {
+			return apps.App{}, fmt.Errorf("spec: frames needs period_ms of at least 1 ns")
 		}
 		if err := resolve("frames.logic", fr.Logic.Thread); err != nil {
 			return apps.App{}, err

@@ -148,6 +148,8 @@ func TestValidationErrors(t *testing.T) {
 			"frames":{"period_ms":16,"logic":{"thread":"nope","work_mc":1}}}`, "undeclared"},
 		{"frame no period", `{"name":"x","threads":[{"name":"a"}],
 			"frames":{"logic":{"thread":"a","work_mc":1}}}`, "period_ms"},
+		{"frame period under 1 ns", `{"name":"x","threads":[{"name":"a"}],
+			"frames":{"period_ms":1e-7,"logic":{"thread":"a","work_mc":1}}}`, "period_ms"},
 	}
 	for _, c := range cases {
 		_, err := Parse([]byte(c.doc))

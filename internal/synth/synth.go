@@ -110,21 +110,31 @@ type Stream struct {
 	loadT, storeT, branchT float64
 }
 
-// NewStream returns a generator seeded purely by the profile name, so two
-// streams for the same profile produce identical traces.
-func NewStream(p Profile) *Stream {
+// Reset makes s the start of p's trace. The stream is seeded purely by the
+// profile name, so two streams for the same profile produce identical
+// traces. A stream that has drawn before reseeds its random source instead
+// of making one; seeding resets a source completely, so the trace is the
+// same. The zero Stream is ready for Reset.
+func (s *Stream) Reset(p Profile) {
 	h := fnv.New64a()
 	h.Write([]byte(p.Name))
-	src := rand.NewSource(int64(h.Sum64()))
-	s := &Stream{
+	seed := int64(h.Sum64())
+	rng, src := s.rng, s.src
+	if rng == nil {
+		fresh := rand.NewSource(seed)
+		rng = rand.New(fresh)
+		src, _ = fresh.(rand.Source64)
+	} else {
+		rng.Seed(seed)
+	}
+	*s = Stream{
 		p:       p,
-		rng:     rand.New(src),
+		rng:     rng,
+		src:     src,
 		loadT:   p.LoadFrac,
 		storeT:  p.LoadFrac + p.StoreFrac,
 		branchT: p.LoadFrac + p.StoreFrac + p.BranchFrac,
 	}
-	s.src, _ = src.(rand.Source64)
-	return s
 }
 
 // f64 mirrors math/rand.(*Rand).Float64 over the stream's source: identical

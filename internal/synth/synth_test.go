@@ -5,11 +5,17 @@ import (
 	"testing"
 )
 
+// TestDeterminism pins that a stream's trace is a function of its profile
+// alone: a fresh stream and one reset after drawing another profile's
+// trace draw the same instructions.
 func TestDeterminism(t *testing.T) {
+	var reused Stream
 	for _, p := range SPEC() {
-		s1, s2 := NewStream(p), NewStream(p)
+		var fresh Stream
+		fresh.Reset(p)
+		reused.Reset(p)
 		for i := 0; i < 5000; i++ {
-			a, b := s1.Next(), s2.Next()
+			a, b := fresh.Next(), reused.Next()
 			if a != b {
 				t.Fatalf("%s: trace diverged at %d: %+v vs %+v", p.Name, i, a, b)
 			}
@@ -19,7 +25,8 @@ func TestDeterminism(t *testing.T) {
 
 func TestMixMatchesProfile(t *testing.T) {
 	for _, p := range SPEC() {
-		s := NewStream(p)
+		var s Stream
+		s.Reset(p)
 		n := 200_000
 		counts := map[Kind]int{}
 		mispred, taken, branches := 0, 0, 0
@@ -60,7 +67,8 @@ func TestMixMatchesProfile(t *testing.T) {
 
 func TestAddressesWithinFootprint(t *testing.T) {
 	for _, p := range SPEC() {
-		s := NewStream(p)
+		var s Stream
+		s.Reset(p)
 		for i := 0; i < 50_000; i++ {
 			in := s.Next()
 			if in.Kind == Load || in.Kind == Store {

@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -64,10 +65,16 @@ func TestRunMemoKeyedByLength(t *testing.T) {
 	}
 }
 
-// A trace reuses its caches and event buffer: once warm-up traces of mcf,
-// the profile with the most penalty events, have sized the scratch on both
-// models, a trace allocates the event log it keeps plus a fixed few objects
-// (its stream and RNG, the recorded trace), whatever its geometry.
+// A trace reuses its caches, its stream's random source and its event
+// buffer: once warm-up traces of mcf, the profile with the most penalty
+// events, have sized the scratch on both models, a trace allocates the
+// event log it keeps and its recorded trace, whatever its geometry. The
+// 4 KiB slack covers the log's round-up to its size class (at most 2 KiB
+// at these lengths) and the 128-byte trace; a fresh random source alone is
+// about 4.9 KB, so a trace that seeded one would fail. Each trace is
+// measured three times and the least reading kept: about one test process
+// in fifteen sees some 5 KB that the runtime allocates elsewhere land
+// inside one reading.
 func TestTraceAllocatesOnlyItsLog(t *testing.T) {
 	const instr = 100_000
 	models := []Model{CortexA7(), CortexA15()}
@@ -77,13 +84,20 @@ func TestTraceAllocatesOnlyItsLog(t *testing.T) {
 	}
 	for _, p := range synth.SPEC() {
 		for _, m := range models {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			tr := trace(m, p, instr)
-			runtime.ReadMemStats(&after)
-			log := uint64(len(tr.memEvents))
-			if got := after.TotalAlloc - before.TotalAlloc; got > log+16<<10 {
-				t.Errorf("%s on %s: trace allocated %d bytes, want at most its %d-byte event log + 16 KiB",
+			var log uint64
+			got := uint64(math.MaxUint64)
+			for range 3 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				tr := trace(m, p, instr)
+				runtime.ReadMemStats(&after)
+				log = uint64(len(tr.memEvents))
+				if n := after.TotalAlloc - before.TotalAlloc; n < got {
+					got = n
+				}
+			}
+			if got > log+4<<10 {
+				t.Errorf("%s on %s: trace allocated %d bytes, want at most its %d-byte event log + 4 KiB",
 					p.Name, m.Name, got, log)
 			}
 		}

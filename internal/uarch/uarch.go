@@ -231,10 +231,12 @@ func Run(m Model, p synth.Profile, freqMHz int, instructions int) Result {
 	}
 }
 
-// scratch is the working storage of one trace: its three caches and the
-// event log it grows before copying it out at its final length.
+// scratch is the working storage of one trace: its three caches, its
+// instruction stream, whose random source is reseeded for each trace, and
+// the event log it grows before copying it out at its final length.
 type scratch struct {
 	l1i, l1d, l2 cache.Cache
+	stream       synth.Stream
 	events       []uint8
 }
 
@@ -286,7 +288,8 @@ func trace(m Model, p synth.Profile, instructions int) *runTrace {
 		effIssue = 0.5
 	}
 
-	st := synth.NewStream(p)
+	st := &s.stream
+	st.Reset(p)
 	// Per-instruction costs are loop-invariant; hoisting them preserves the
 	// exact float64 values the in-loop expressions produced (each is the same
 	// left-to-right computation, evaluated once).
