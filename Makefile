@@ -85,7 +85,7 @@ fleet-smoke:
 	go build -o /tmp/blworker ./cmd/blworker
 	go build -o /tmp/blsweep ./cmd/blsweep
 	w1=$$(mktemp -d); w2=$$(mktemp -d); \
-		/tmp/blserve -addr 127.0.0.1:9815 -phases none -fleet-no-cache & spid=$$!; \
+		/tmp/blserve -addr 127.0.0.1:9815 -phases none & spid=$$!; \
 		sleep 1; \
 		/tmp/blworker -coordinator http://127.0.0.1:9815 -id w1 -cache-dir $$w1 & p1=$$!; \
 		/tmp/blworker -coordinator http://127.0.0.1:9815 -id w2 -cache-dir $$w2 & p2=$$!; \

@@ -184,8 +184,8 @@ func fleetCmd(args []string) {
 	fmt.Printf("queue depth:  %d pending (%d held: %d leased, %d done, %d failed)\n",
 		s.QueueDepth, s.Jobs, s.Leased, s.Done, s.Failed)
 	fmt.Printf("throughput:   %.1f jobs/sec (last 10s)\n", s.JobsPerSec)
-	fmt.Printf("lifetime:     %d submitted, %d deduped, %d completed, %d failed, %d cache hits\n",
-		s.Submitted, s.Deduped, s.Completed, s.FailedJobs, s.CacheHits)
+	fmt.Printf("lifetime:     %d submitted, %d deduped, %d completed, %d failed\n",
+		s.Submitted, s.Deduped, s.Completed, s.FailedJobs)
 	fmt.Printf("retries:      %d requeues, %d lease expiries, %d backpressured submissions\n",
 		s.Retries, s.LeaseExpiries, s.Backpressure)
 

@@ -93,8 +93,6 @@ func main() {
 		fleetQueue    = flag.Int("fleet-queue", 1024, "fleet: max pending jobs before 429 backpressure")
 		fleetTTL      = flag.Duration("fleet-lease-ttl", 30*time.Second, "fleet: lease duration before an unrenewed job is requeued")
 		fleetAttempts = flag.Int("fleet-max-attempts", 3, "fleet: lease attempts before a job is failed")
-		fleetCacheDir = flag.String("fleet-cache-dir", "", "fleet: coordinator result cache directory (default: the user cache dir)")
-		fleetNoCache  = flag.Bool("fleet-no-cache", false, "fleet: disable the coordinator result cache")
 		drainTimeout  = flag.Duration("drain-timeout", 10*time.Second, "fleet: max wait for in-flight jobs on shutdown")
 	)
 	flag.Parse()
@@ -147,22 +145,13 @@ func main() {
 		s.live = biglittle.NewLiveSession(cfg)
 	}
 
-	var fleetCache *biglittle.LabCache
-	if !*fleetNoCache {
-		var err error
-		fleetCache, err = biglittle.OpenLabCache(*fleetCacheDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "blserve: fleet cache:", err)
-			os.Exit(1)
-		}
-	}
 	// The coordinator shares the session's telemetry collector, so one
-	// /metrics scrape covers both the simulation and the fleet.
+	// /metrics scrape covers both the simulation and the fleet. It stores no
+	// results: submitters and workers cache their own.
 	coord := biglittle.NewFleetCoordinator(biglittle.FleetOptions{
 		MaxQueue:    *fleetQueue,
 		LeaseTTL:    *fleetTTL,
 		MaxAttempts: *fleetAttempts,
-		Cache:       fleetCache,
 		Tel:         tel,
 		Log:         logger,
 	})
@@ -220,8 +209,8 @@ func main() {
 	srv.Shutdown(shctx)
 
 	fs := coord.Stats()
-	fmt.Printf("\nblserve: fleet: %d jobs completed, %d failed, %d retries, %d cache hits\n",
-		fs.Completed, fs.FailedJobs, fs.Retries, fs.CacheHits)
+	fmt.Printf("\nblserve: fleet: %d jobs completed, %d failed, %d retries\n",
+		fs.Completed, fs.FailedJobs, fs.Retries)
 	if s.sim != nil {
 		s.mu.Lock()
 		now, done := s.sim.Now(), s.done

@@ -73,7 +73,10 @@ func main() {
 	defer stop()
 	fmt.Fprintf(os.Stderr, "blworker: leasing from %s\n", *coordinator)
 	start := time.Now()
-	w.Run(ctx)
+	if err := w.Run(ctx); err != nil {
+		fmt.Fprintln(os.Stderr, "blworker:", err)
+		os.Exit(1)
+	}
 
 	fmt.Fprintf(os.Stderr, "blworker: executed %d jobs (%d failed)\n", w.Executed(), w.Failed())
 	cli.PrintLabStats(os.Stderr, runner, time.Since(start))

@@ -9,7 +9,7 @@ import "biglittle/internal/fleet"
 type FleetCoordinator = fleet.Coordinator
 
 // FleetOptions configures a FleetCoordinator (queue bound, lease TTL,
-// attempt budget, coordinator-side cache, telemetry collector).
+// attempt budget, telemetry collector).
 type FleetOptions = fleet.Options
 
 // FleetClient talks to a coordinator. It implements the LabRunner.Remote

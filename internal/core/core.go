@@ -15,7 +15,6 @@ import (
 	"biglittle/internal/platform"
 	"biglittle/internal/power"
 	"biglittle/internal/profile"
-	"biglittle/internal/randpool"
 	"biglittle/internal/sched"
 	"biglittle/internal/telemetry"
 	"biglittle/internal/thermal"
@@ -358,12 +357,9 @@ func (c Config) Normalized() Config {
 // part-way, step a NewSim with RunTo and Snapshot instead (DESIGN.md §9).
 func Run(cfg Config) Result {
 	cfg = cfg.Normalized()
-	rng := randpool.Get(cfg.Seed)
-	sim := newSim(cfg, nil, rng)
+	sim := newSim(cfg, nil)
 	sim.RunTo(cfg.Duration)
-	res := sim.Finish()
-	randpool.Put(rng)
-	return res
+	return sim.Finish()
 }
 
 // Performance returns the app's scalar performance for comparisons: frames

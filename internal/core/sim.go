@@ -43,7 +43,7 @@ type Sim struct {
 	gov      gov
 	sampler  *metrics.Sampler
 	therm    *thermal.Model
-	rng      *rand.Rand         // the run's one random source, shared by every build
+	rng      *rand.Rand         // the run's one random source, from randpool until Finish
 	rec      *workload.Recorder // records for a NewSim, off once resumed, nil otherwise
 	ctx      *workload.Ctx      // the workload of phase `phase`, the one built last
 	phase    int
@@ -65,16 +65,14 @@ type sessionAcct struct {
 // Assemble builds cfg's platform, scheduler, policies and observers, and
 // its first phase's app, recording nothing: step it with RunTo.
 func Assemble(cfg Config) *Sim {
-	return newSim(cfg.Normalized(), nil, nil)
+	return newSim(cfg.Normalized(), nil)
 }
 
 // newSim assembles cfg and builds its first phase; a config without Phases
 // is the one phase {App, Duration}. rec, when non-nil, interposes workload
-// recording for snapshot capture (or replay, when resuming). rng, when
-// non-nil, is the run's random source, already seeded with cfg.Seed; nil
-// seeds a fresh one.
-func newSim(cfg Config, rec *workload.Recorder, rng *rand.Rand) *Sim {
-	s := assemble(cfg, rec, rng)
+// recording for snapshot capture (or replay, when resuming).
+func newSim(cfg Config, rec *workload.Recorder) *Sim {
+	s := assemble(cfg, rec)
 	app := cfg.App
 	s.end = cfg.Duration
 	if len(cfg.Phases) > 0 {
@@ -89,7 +87,8 @@ func newSim(cfg Config, rec *workload.Recorder, rng *rand.Rand) *Sim {
 // events due at the same instant: platform, scheduler, scheduler policy,
 // governor, metrics sampler, auditor, thermal model, digest recorder, then
 // OnSystem. The observers attach along the way, as Observers documents.
-func assemble(cfg Config, rec *workload.Recorder, rng *rand.Rand) *Sim {
+// The run's random source comes from randpool, and Finish gives it back.
+func assemble(cfg Config, rec *workload.Recorder) *Sim {
 	for i, ph := range cfg.Phases {
 		if ph.Duration <= 0 {
 			panic(fmt.Errorf("core: session phase %d (%s) lasts %v; a phase must last longer than zero", i, ph.App.Name, ph.Duration))
@@ -121,10 +120,7 @@ func assemble(cfg Config, rec *workload.Recorder, rng *rand.Rand) *Sim {
 	}
 	sys.Start()
 
-	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed))
-	}
-	s := &Sim{cfg: cfg, eng: eng, soc: soc, sys: sys, rng: rng, rec: rec}
+	s := &Sim{cfg: cfg, eng: eng, soc: soc, sys: sys, rng: randpool.Get(cfg.Seed), rec: rec}
 
 	switch cfg.Scheduler {
 	case EfficiencyBased:
@@ -301,7 +297,7 @@ func NewSim(cfg Config) (*Sim, error) {
 	if err := snapshotCompat(cfg); err != nil {
 		return nil, err
 	}
-	return newSim(cfg, workload.NewRecorder(), nil), nil
+	return newSim(cfg, workload.NewRecorder()), nil
 }
 
 // snapshotCompat rejects config hooks whose state a snapshot cannot capture
@@ -329,7 +325,11 @@ func snapshotCompat(cfg Config) error {
 // closes when the clock reaches its end, and the next phase's app is built
 // by the next call that moves past that end, after every event due then (a
 // build event would fire ahead of them), so any steps fire the same events.
+// RunTo after Finish panics: Finish gave the run's random source back.
 func (s *Sim) RunTo(t event.Time) {
+	if s.finished {
+		panic("core: RunTo after Finish; the run's random source may already serve another run")
+	}
 	t = min(t, s.cfg.Duration)
 	for {
 		if s.closed {
@@ -455,28 +455,8 @@ func compat(cfg Config, st *snapshot.State) error {
 //
 // The State is read-only: Resume may be called any number of times on the
 // same decoded snapshot (that is how a fork sweep shares one prefix).
-func Resume(cfg Config, st *snapshot.State) (*Sim, error) {
-	return resume(cfg.Normalized(), st, nil)
-}
-
-// RunFrom resumes st under cfg, runs it to cfg.Duration and returns the
-// Result: Resume, RunTo and Finish on a pooled random source, as Run is
-// assembly and run-to-end on one.
-func RunFrom(cfg Config, st *snapshot.State) (Result, error) {
+func Resume(cfg Config, st *snapshot.State) (sim *Sim, err error) {
 	cfg = cfg.Normalized()
-	rng := randpool.Get(cfg.Seed)
-	defer randpool.Put(rng)
-	sim, err := resume(cfg, st, rng)
-	if err != nil {
-		return Result{}, err
-	}
-	sim.RunTo(cfg.Duration)
-	return sim.Finish(), nil
-}
-
-// resume is Resume for a normalized cfg. rng, when non-nil, is the run's
-// random source, already seeded with cfg.Seed.
-func resume(cfg Config, st *snapshot.State, rng *rand.Rand) (sim *Sim, err error) {
 	if err := snapshotCompat(cfg); err != nil {
 		return nil, err
 	}
@@ -496,7 +476,7 @@ func resume(cfg Config, st *snapshot.State, rng *rand.Rand) (sim *Sim, err error
 		}
 	}()
 	rec := workload.NewReplayer(st.Workload.Log)
-	s := newSim(cfg, rec, rng)
+	s := newSim(cfg, rec)
 	rec.Replay(s.eng)
 	if got := rec.ThreadCount(); got != st.Workload.Threads {
 		return nil, fmt.Errorf("core: replayed build created %d threads, snapshot recorded %d", got, st.Workload.Threads)
@@ -553,6 +533,17 @@ func resume(cfg Config, st *snapshot.State, rng *rand.Rand) (sim *Sim, err error
 	return s, nil
 }
 
+// RunFrom resumes st under cfg, runs it to cfg.Duration and returns the
+// Result: Resume, RunTo and Finish, as Run is assembly and run-to-end.
+func RunFrom(cfg Config, st *snapshot.State) (Result, error) {
+	sim, err := Resume(cfg, st)
+	if err != nil {
+		return Result{}, err
+	}
+	sim.RunTo(sim.cfg.Duration)
+	return sim.Finish(), nil
+}
+
 // checkTrackers compares the replay-reconstructed FPS/latency trackers with
 // the snapshot's captured copies — a disagreement means the replay was not
 // faithful and the fork must not be trusted.
@@ -573,10 +564,10 @@ func checkTrackers(ctx *workload.Ctx, st *snapshot.State) error {
 	return nil
 }
 
-// Finish assembles the Result. It must be called exactly once, after the
-// clock has reached the configured Duration. A session's whole-run fields
-// cover every phase, its App and per-app performance fields stay zero, and
-// Phases holds its rows.
+// Finish assembles the Result and gives the run's random source back to
+// randpool. It must be called exactly once, after the clock has reached the
+// configured Duration. A session's whole-run fields cover every phase, its
+// App and per-app performance fields stay zero, and Phases holds its rows.
 func (s *Sim) Finish() Result {
 	if s.finished {
 		panic("core: Finish called twice")
@@ -650,5 +641,6 @@ func (s *Sim) Finish() Result {
 	if cfg.Check != nil {
 		cfg.Check.Finish(cfg.Duration, res.EnergyMJ)
 	}
+	randpool.Put(s.rng)
 	return res
 }

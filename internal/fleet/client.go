@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -43,6 +44,47 @@ type Client struct {
 	// sweep routes thousands of fork-accelerated jobs past the executor, and
 	// one Warn explains the routing better than one per job.
 	forkWarned atomic.Bool
+
+	// buildMu serializes the build check, so concurrent first requests
+	// share one /healthz exchange; buildChecked is set once it named a
+	// build, and buildErr when that build is not ours.
+	buildMu      sync.Mutex
+	buildChecked bool
+	buildErr     error
+}
+
+// A coordinator names its simulator build, computed once, in buildHeader on
+// /healthz, and a client moves jobs only through one of its own build.
+var (
+	buildHeader      = "X-Biglittle-Build"
+	build            = sync.OnceValue(lab.CodeVersion)
+	errBuildMismatch = errors.New("fleet: the coordinator runs another simulator build")
+)
+
+// checkBuild refuses a coordinator whose build differs or is missing: a
+// fingerprint hashes the config, not the code, so a worker of another build
+// would verify a spec and return that build's numbers. /healthz is read
+// once; a mismatch is remembered, an unreachable coordinator is not.
+func (c *Client) checkBuild(ctx context.Context) error {
+	c.buildMu.Lock()
+	defer c.buildMu.Unlock()
+	if c.buildChecked {
+		return c.buildErr
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/healthz", nil)
+	if err != nil {
+		return err
+	}
+	resp, err := c.http().Do(req)
+	if err != nil {
+		return fmt.Errorf("fleet: coordinator unreachable: %w", err)
+	}
+	resp.Body.Close()
+	c.buildChecked = true
+	if theirs := resp.Header.Get(buildHeader); theirs != build() {
+		c.buildErr = fmt.Errorf("%w: coordinator build %q, this process %q", errBuildMismatch, theirs, build())
+	}
+	return c.buildErr
 }
 
 func (c *Client) http() *http.Client {
@@ -179,28 +221,16 @@ func (c *Client) Await(ctx context.Context, id string) (core.Result, error) {
 
 // JobStatus queries one job, long-polling up to wait for a terminal state.
 func (c *Client) JobStatus(ctx context.Context, id string, wait time.Duration) (JobStatus, error) {
-	url := c.Base + "/fleet/jobs/" + id
-	if wait > 0 {
-		url += "?wait=" + wait.String()
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
+	if err := c.checkBuild(ctx); err != nil {
 		return JobStatus{}, err
 	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return JobStatus{}, fmt.Errorf("fleet: coordinator unreachable: %w", err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<22))
-	if resp.StatusCode != http.StatusOK {
-		return JobStatus{}, fmt.Errorf("fleet: job %s: %s", short(id), httpError(resp.StatusCode, body))
+	path := "/fleet/jobs/" + id
+	if wait > 0 {
+		path += "?wait=" + wait.String()
 	}
 	var st JobStatus
-	if err := json.Unmarshal(body, &st); err != nil {
-		return JobStatus{}, fmt.Errorf("fleet: bad job status: %w", err)
-	}
-	return st, nil
+	err := c.get(ctx, path, "job "+short(id), &st)
+	return st, err
 }
 
 // Lease asks for work on behalf of a worker, long-polling up to wait.
@@ -267,31 +297,43 @@ func (c *Client) Fail(ctx context.Context, g *LeaseGrant, worker, msg string) er
 	return nil
 }
 
-// Stats fetches the coordinator's queue/lease/worker snapshot.
+// Stats fetches the coordinator's queue/lease/worker snapshot. It moves no
+// job, so it works against a coordinator of any build.
 func (c *Client) Stats(ctx context.Context) (Stats, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/fleet/stats", nil)
+	var s Stats
+	err := c.get(ctx, "/fleet/stats", "stats", &s)
+	return s, err
+}
+
+// get fetches one JSON document and decodes it into out; what names the
+// document in errors.
+func (c *Client) get(ctx context.Context, path, what string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
 	if err != nil {
-		return Stats{}, err
+		return err
 	}
 	resp, err := c.http().Do(req)
 	if err != nil {
-		return Stats{}, fmt.Errorf("fleet: coordinator unreachable: %w", err)
+		return fmt.Errorf("fleet: coordinator unreachable: %w", err)
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<22))
 	if resp.StatusCode != http.StatusOK {
-		return Stats{}, fmt.Errorf("fleet: stats: %s", httpError(resp.StatusCode, body))
+		return fmt.Errorf("fleet: %s: %s", what, httpError(resp.StatusCode, body))
 	}
-	var s Stats
-	if err := json.Unmarshal(body, &s); err != nil {
-		return Stats{}, fmt.Errorf("fleet: bad stats: %w", err)
+	if err := json.Unmarshal(body, out); err != nil {
+		return fmt.Errorf("fleet: bad %s: %w", what, err)
 	}
-	return s, nil
+	return nil
 }
 
 // post sends one JSON request and decodes a JSON reply into out (when out
-// is non-nil and the status carries a body worth decoding).
+// is non-nil and the status carries a body worth decoding). Every post
+// moves a job, so it checks the coordinator's build first.
 func (c *Client) post(ctx context.Context, path string, in, out any) (int, []byte, http.Header, error) {
+	if err := c.checkBuild(ctx); err != nil {
+		return 0, nil, nil, err
+	}
 	payload, err := json.Marshal(in)
 	if err != nil {
 		return 0, nil, nil, err

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"biglittle/internal/core"
-	"biglittle/internal/lab"
 	"biglittle/internal/telemetry"
 )
 
@@ -63,15 +62,12 @@ type Options struct {
 	// MaxAttempts bounds how many times a job may be leased before it is
 	// failed outright (default 3).
 	MaxAttempts int
-	// Cache, when non-nil, memoizes results coordinator-side: submissions
-	// hitting it complete instantly, and every published result is stored.
-	Cache *lab.Cache
 	// Tel receives the fleet metrics (nil: a private collector). Counters:
 	// fleet_jobs_submitted, fleet_jobs_deduped, fleet_jobs_completed,
-	// fleet_jobs_failed, fleet_cache_hits, fleet_leases_granted,
-	// fleet_lease_expiries, fleet_retries, fleet_backpressure,
-	// fleet_duplicate_results. Gauges: fleet_queue_depth,
-	// fleet_leases_active, fleet_workers_live, fleet_jobs_per_sec.
+	// fleet_jobs_failed, fleet_leases_granted, fleet_lease_expiries,
+	// fleet_retries, fleet_backpressure, fleet_duplicate_results. Gauges:
+	// fleet_queue_depth, fleet_leases_active, fleet_workers_live,
+	// fleet_jobs_per_sec.
 	Tel *telemetry.Collector
 	// Log, when non-nil, narrates job transitions at Debug and lifecycle
 	// events at Info.
@@ -108,7 +104,6 @@ type fleetJob struct {
 	spec     JobSpec
 	state    JobState
 	attempts int
-	cached   bool // completed straight from the coordinator cache
 	worker   string
 	result   core.Result
 	errMsg   string
@@ -162,9 +157,8 @@ func NewCoordinator(opt Options) *Coordinator {
 	// exist before anything fails).
 	for _, name := range []string{
 		"fleet_jobs_submitted", "fleet_jobs_deduped", "fleet_jobs_completed",
-		"fleet_jobs_failed", "fleet_cache_hits", "fleet_leases_granted",
-		"fleet_lease_expiries", "fleet_retries", "fleet_backpressure",
-		"fleet_duplicate_results",
+		"fleet_jobs_failed", "fleet_leases_granted", "fleet_lease_expiries",
+		"fleet_retries", "fleet_backpressure", "fleet_duplicate_results",
 	} {
 		c.opt.Tel.Counter(name)
 	}
@@ -180,8 +174,8 @@ func NewCoordinator(opt Options) *Coordinator {
 	return c
 }
 
-// Close stops the lease reaper. Pending state is discarded with the
-// coordinator; persistent memoization lives in the cache.
+// Close stops the lease reaper. The queue and the jobs are discarded with
+// the coordinator; results persist in the submitters' and workers' caches.
 func (c *Coordinator) Close() {
 	close(c.stopReaper)
 	<-c.reaperDone
@@ -297,13 +291,12 @@ func (c *Coordinator) updateGauges() {
 type SubmitReply struct {
 	ID      string   `json:"id"`
 	State   JobState `json:"state"`
-	Cached  bool     `json:"cached"`  // completed instantly from the coordinator cache
 	Deduped bool     `json:"deduped"` // an identical job was already in flight or done
 }
 
-// Submit validates a spec, dedups it against in-flight and completed work,
-// consults the coordinator cache, and otherwise enqueues it. ErrQueueFull
-// signals backpressure; ErrDraining a shutdown in progress.
+// Submit validates a spec, dedups it against in-flight and recently
+// finished work, and otherwise enqueues it. ErrQueueFull signals
+// backpressure; ErrDraining a shutdown in progress.
 func (c *Coordinator) Submit(spec JobSpec) (SubmitReply, error) {
 	// Validate outside the lock: reconstruction re-runs the fingerprint.
 	if _, err := spec.Verify(); err != nil {
@@ -319,21 +312,7 @@ func (c *Coordinator) Submit(spec JobSpec) (SubmitReply, error) {
 	}
 	if job, ok := c.jobs[id]; ok {
 		c.count("fleet_jobs_deduped")
-		return SubmitReply{ID: id, State: job.state, Cached: job.cached, Deduped: true}, nil
-	}
-	if c.opt.Cache != nil {
-		if res, ok := c.opt.Cache.Get(id); ok {
-			job := &fleetJob{
-				id: id, spec: spec, state: StateDone, cached: true,
-				result: res, finished: c.opt.Now(),
-				done: make(chan struct{}),
-			}
-			close(job.done)
-			c.jobs[id] = job
-			c.count("fleet_cache_hits")
-			c.logf(slog.LevelDebug, "job served from cache", "job", short(id), "app", spec.App)
-			return SubmitReply{ID: id, State: StateDone, Cached: true}, nil
-		}
+		return SubmitReply{ID: id, State: job.state, Deduped: true}, nil
 	}
 	if c.pending >= c.opt.MaxQueue {
 		c.count("fleet_backpressure")
@@ -499,9 +478,6 @@ func (c *Coordinator) Complete(leaseID, jobID, worker string, res core.Result) e
 	if len(c.recent) > 4096 {
 		c.recent = append([]time.Time(nil), c.recent[len(c.recent)-2048:]...)
 	}
-	if c.opt.Cache != nil {
-		c.opt.Cache.Put(jobID, job.spec.App, "", res)
-	}
 	c.updateGauges()
 	c.logf(slog.LevelDebug, "job completed", "job", short(jobID), "app", job.spec.App, "worker", worker)
 	return nil
@@ -570,7 +546,6 @@ type JobStatus struct {
 	App      string       `json:"app"`
 	State    JobState     `json:"state"`
 	Attempts int          `json:"attempts"`
-	Cached   bool         `json:"cached"`
 	Worker   string       `json:"worker,omitempty"`
 	Result   *core.Result `json:"result,omitempty"`
 	Error    string       `json:"error,omitempty"`
@@ -603,7 +578,7 @@ func (c *Coordinator) Job(ctx context.Context, id string, maxWait time.Duration)
 	defer c.mu.Unlock()
 	st := JobStatus{
 		ID: job.id, App: job.spec.App, State: job.state,
-		Attempts: job.attempts, Cached: job.cached, Worker: job.worker,
+		Attempts: job.attempts, Worker: job.worker,
 		Error: job.errMsg,
 	}
 	if job.state == StateDone {
@@ -702,7 +677,6 @@ type Stats struct {
 	Deduped       int64 `json:"deduped"`
 	Completed     int64 `json:"completed"`
 	FailedJobs    int64 `json:"failed_jobs"`
-	CacheHits     int64 `json:"cache_hits"`
 	LeaseExpiries int64 `json:"lease_expiries"`
 	Retries       int64 `json:"retries"`
 	Backpressure  int64 `json:"backpressure"`
@@ -724,7 +698,6 @@ func (c *Coordinator) Stats() Stats {
 		Deduped:       c.opt.Tel.Counter("fleet_jobs_deduped").Value(),
 		Completed:     c.opt.Tel.Counter("fleet_jobs_completed").Value(),
 		FailedJobs:    c.opt.Tel.Counter("fleet_jobs_failed").Value(),
-		CacheHits:     c.opt.Tel.Counter("fleet_cache_hits").Value(),
 		LeaseExpiries: c.opt.Tel.Counter("fleet_lease_expiries").Value(),
 		Retries:       c.opt.Tel.Counter("fleet_retries").Value(),
 		Backpressure:  c.opt.Tel.Counter("fleet_backpressure").Value(),
@@ -751,20 +724,15 @@ func (c *Coordinator) Stats() Stats {
 	c.opt.Tel.Gauge("fleet_jobs_per_sec").Set(s.JobsPerSec)
 
 	for id, l := range c.leases {
-		app := ""
-		if job := c.jobs[l.jobID]; job != nil {
-			app = job.spec.App
+		v := LeaseView{
+			Lease: id, Job: short(l.jobID), Worker: l.worker,
+			AgeSec: now.Sub(l.expiry.Add(-c.opt.LeaseTTL)).Seconds(),
+			TTLSec: l.expiry.Sub(now).Seconds(),
 		}
-		attempt := 0
 		if job := c.jobs[l.jobID]; job != nil {
-			attempt = job.attempts
+			v.App, v.Attempt = job.spec.App, job.attempts
 		}
-		s.Leases = append(s.Leases, LeaseView{
-			Lease: id, Job: short(l.jobID), App: app, Worker: l.worker,
-			Attempt: attempt,
-			AgeSec:  now.Sub(l.expiry.Add(-c.opt.LeaseTTL)).Seconds(),
-			TTLSec:  l.expiry.Sub(now).Seconds(),
-		})
+		s.Leases = append(s.Leases, v)
 	}
 	sort.Slice(s.Leases, func(i, j int) bool { return s.Leases[i].Lease < s.Leases[j].Lease })
 	horizon := now.Add(-3 * c.opt.LeaseTTL)

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"biglittle/internal/core"
-	"biglittle/internal/lab"
 )
 
 // fakeClock drives the coordinator's idea of time so lease expiry is
@@ -223,16 +222,11 @@ func TestLateCompletionBeatsRequeue(t *testing.T) {
 // TestPublishUnderAnotherJobsLease pins that a completion or failure must
 // name the job its lease holds: with A leased as l1 and B pending,
 // completing or failing B under l1, or completing B with no lease at all,
-// is refused with 409 and changes nothing. B is not done, nothing is cached
-// under its fingerprint, and l1 still holds A, so A is requeued when l1
-// expires.
+// is refused with 409 and changes nothing. B is not done, and l1 still
+// holds A, so A is requeued when l1 expires.
 func TestPublishUnderAnotherJobsLease(t *testing.T) {
 	clock := newFakeClock()
-	cache, err := lab.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newTestCoordinator(t, Options{LeaseTTL: 30 * time.Second, Cache: cache, Now: clock.now})
+	c := newTestCoordinator(t, Options{LeaseTTL: 30 * time.Second, Now: clock.now})
 	a, b := testSpec(t, 1), testSpec(t, 2)
 	for _, spec := range []JobSpec{a, b} {
 		if _, err := c.Submit(spec); err != nil {
@@ -271,9 +265,6 @@ func TestPublishUnderAnotherJobsLease(t *testing.T) {
 
 	if st, _ := c.Job(context.Background(), b.Fingerprint, 0); st.State != StatePending || st.Attempts != 0 {
 		t.Errorf("B after the refusals: %+v, want pending and never leased", st)
-	}
-	if _, ok := cache.Get(b.Fingerprint); ok {
-		t.Error("the refused result was cached under B's fingerprint")
 	}
 	if s := c.Stats(); s.Completed != 0 || len(s.Leases) != 1 || s.Leases[0].Lease != g.Lease || s.QueueDepth != 1 {
 		t.Fatalf("stats after the refusals: completed %d, leases %+v, depth %d; want 0, A's lease alone, 1", s.Completed, s.Leases, s.QueueDepth)
@@ -445,39 +436,6 @@ func TestDrainStopsLeasingAndWaits(t *testing.T) {
 	}
 }
 
-func TestCoordinatorCacheShortCircuits(t *testing.T) {
-	cache, err := lab.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := newTestCoordinator(t, Options{Cache: cache})
-	spec := testSpec(t, 1)
-
-	// First pass: normal queue round.
-	if _, err := c.Submit(spec); err != nil {
-		t.Fatal(err)
-	}
-	g, _ := c.Lease(context.Background(), "w1", 0)
-	if err := c.Complete(g.Lease, g.Job, "w1", core.Result{EnergyMJ: 9}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second coordinator sharing the cache: the same spec completes on
-	// submit, no worker involved.
-	c2 := newTestCoordinator(t, Options{Cache: cache})
-	rep, err := c2.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.State != StateDone || !rep.Cached {
-		t.Fatalf("submit reply = %+v, want done from cache", rep)
-	}
-	st, err := c2.Job(context.Background(), rep.ID, 0)
-	if err != nil || st.Result == nil || st.Result.EnergyMJ != 9 {
-		t.Fatalf("cached status = %+v, %v", st, err)
-	}
-}
-
 // workerRoutes are the routes a worker posts to, with the statuses each
 // documents (server.go).
 var workerRoutes = []struct {
@@ -540,7 +498,7 @@ func FuzzWorkerBodies(f *testing.F) {
 			switch {
 			case job.state == StateLeased && !held[id]:
 				t.Errorf("%s: job %s is leased, but no active lease holds it", rt.path, short(id))
-			case job.state == StateDone && job.attempts == 0 && !job.cached:
+			case job.state == StateDone && job.attempts == 0:
 				t.Errorf("%s: job %s is done, but was never leased", rt.path, short(id))
 			case job.state == StatePending:
 				pending++

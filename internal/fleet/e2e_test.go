@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,17 +32,16 @@ func startFleet(t *testing.T, opt Options) (*Coordinator, *Client) {
 	return coord, &Client{Base: srv.URL, Timeout: time.Minute, PollWait: 100 * time.Millisecond}
 }
 
-// startWorker runs a fleet worker (own runner, own cache) until the test
-// ends, returning a cancel that waits for it to stop.
-func startWorker(t *testing.T, client *Client, id string) context.CancelFunc {
+// startWorker runs a fleet worker until the test ends, returning a cancel
+// that waits for it to stop. A nil runner gets a runner with its own cache.
+func startWorker(t *testing.T, client *Client, id string, runner *lab.Runner) context.CancelFunc {
 	t.Helper()
-	cache, err := lab.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	if runner == nil {
+		runner = cachedRunner(t)
 	}
 	w := &Worker{
 		Client:    client,
-		Runner:    &lab.Runner{Workers: 1, Cache: cache},
+		Runner:    runner,
 		ID:        id,
 		LeaseWait: 50 * time.Millisecond,
 		Backoff:   10 * time.Millisecond,
@@ -60,6 +60,16 @@ func startWorker(t *testing.T, client *Client, id string) context.CancelFunc {
 	return stop
 }
 
+// cachedRunner is a one-slot runner with its own result cache.
+func cachedRunner(t *testing.T) *lab.Runner {
+	t.Helper()
+	cache, err := lab.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &lab.Runner{Workers: 1, Cache: cache}
+}
+
 // TestFleetByteIdenticalToInProcess is the acceptance gate: a sweep executed
 // through a coordinator and two worker processes' runners must produce the
 // same bytes as plain in-process RunAll, in the same order.
@@ -68,8 +78,8 @@ func TestFleetByteIdenticalToInProcess(t *testing.T) {
 		t.Skip("end-to-end fleet sweep")
 	}
 	_, client := startFleet(t, Options{})
-	startWorker(t, client, "w1")
-	startWorker(t, client, "w2")
+	startWorker(t, client, "w1", nil)
+	startWorker(t, client, "w2", nil)
 
 	var jobs []lab.Job
 	for seed := int64(1); seed <= 6; seed++ {
@@ -107,7 +117,7 @@ func TestForkJobsStayLocal(t *testing.T) {
 		t.Skip("end-to-end fleet sweep")
 	}
 	_, client := startFleet(t, Options{})
-	startWorker(t, client, "w1")
+	startWorker(t, client, "w1", nil)
 	var logBuf bytes.Buffer
 	client.Log = slog.New(slog.NewTextHandler(&logBuf, nil))
 
@@ -169,7 +179,7 @@ func TestWorkerKilledMidJob(t *testing.T) {
 
 	// The reaper requeues the job once the TTL lapses; a live worker then
 	// picks it up and completes it.
-	startWorker(t, client, "survivor")
+	startWorker(t, client, "survivor", nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	res, err := client.Await(ctx, rep.ID)
@@ -310,5 +320,141 @@ func TestConcurrentSubmitLeaseComplete(t *testing.T) {
 	}
 	if s := coord.Stats(); s.Completed != 8 || s.FailedJobs != 0 {
 		t.Fatalf("completed/failed = %d/%d, want 8 completed (one per distinct seed), 0 failed", s.Completed, s.FailedJobs)
+	}
+}
+
+// TestWorkerCacheAnswersFreshCoordinator pins where a fleet result is
+// cached, now that the coordinator stores none: a sweep through coordinator
+// A warms its worker's cache, and the same sweep from a cacheless client
+// through a fresh coordinator B, as after a restart, is answered from that
+// cache result by result, with nothing simulated.
+func TestWorkerCacheAnswersFreshCoordinator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end fleet sweep")
+	}
+	var jobs []lab.Job
+	for seed := int64(1); seed <= 4; seed++ {
+		jobs = append(jobs, testJob(t, seed))
+	}
+	worker := cachedRunner(t)
+	sweep := func(name string) []core.Result {
+		t.Helper()
+		_, client := startFleet(t, Options{})
+		stop := startWorker(t, client, "w1", worker)
+		defer stop()
+		remote := &lab.Runner{Workers: 4, Remote: client}
+		res, err := remote.RunAll(jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s := remote.Stats(); s.Remote != int64(len(jobs)) {
+			t.Fatalf("coordinator %s: client stats %+v, want all %d jobs remote", name, s, len(jobs))
+		}
+		return res
+	}
+	a := sweep("A")
+	before := worker.Stats()
+	b := sweep("B")
+	after := worker.Stats()
+	for i := range a {
+		ja, _ := json.Marshal(a[i])
+		jb, _ := json.Marshal(b[i])
+		if !bytes.Equal(ja, jb) {
+			t.Fatalf("job %d: coordinator B returned\n%s\nA returned\n%s", i, jb, ja)
+		}
+	}
+	if hits, sims := after.Hits-before.Hits, after.Simulated-before.Simulated; hits != int64(len(jobs)) || sims != 0 {
+		t.Fatalf("worker under coordinator B: %d cache hits, %d simulated; want %d and 0", hits, sims, len(jobs))
+	}
+}
+
+// skewBuild is a transport that reports /healthz replies as coming from
+// another simulator build: it sets their build header to build, or drops
+// it when build is "".
+type skewBuild struct{ build string }
+
+func (s skewBuild) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && req.URL.Path == "/healthz" {
+		resp.Header.Del(buildHeader)
+		if s.build != "" {
+			resp.Header.Set(buildHeader, s.build)
+		}
+	}
+	return resp, err
+}
+
+// TestBuildMismatchRefused pins the fleet's one-build rule: a client whose
+// coordinator names another build, or none, moves no job. A sweep's job
+// falls back to a local simulation, equal to the in-process result, with
+// one remote error and nothing queued; a worker's Run returns the error
+// without leasing, and the job it could have taken stays pending.
+func TestBuildMismatchRefused(t *testing.T) {
+	for name, theirs := range map[string]string{"another build": "0123456789ab+dirty", "no build": ""} {
+		t.Run(name, func(t *testing.T) { refusesBuild(t, theirs) })
+	}
+}
+
+// refusesBuild runs TestBuildMismatchRefused against a coordinator whose
+// /healthz names the build theirs.
+func refusesBuild(t *testing.T, theirs string) {
+	coord, plain := startFleet(t, Options{})
+	skewed := &Client{Base: plain.Base, HTTP: &http.Client{Transport: skewBuild{theirs}}, Timeout: time.Minute}
+
+	job := testJob(t, 1)
+	r := &lab.Runner{Workers: 1, Remote: skewed}
+	got, err := r.RunAll([]lab.Job{job})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(got[0])
+	b, _ := json.Marshal(core.Run(job.Config))
+	if !bytes.Equal(a, b) {
+		t.Fatal("the local fallback differs from the in-process result")
+	}
+	if s := r.Stats(); s.RemoteErrors != 1 || s.Remote != 0 || s.Simulated != 1 {
+		t.Fatalf("client stats %+v, want 1 remote error and 1 local simulation", s)
+	}
+	if s := coord.Stats(); s.Submitted != 0 || s.Jobs != 0 {
+		t.Fatalf("coordinator took %d submissions and holds %d jobs, want none", s.Submitted, s.Jobs)
+	}
+
+	spec := testSpec(t, 2)
+	if _, err := coord.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	w := &Worker{Client: skewed, Runner: &lab.Runner{Workers: 1}, ID: "skewed", LeaseWait: 50 * time.Millisecond}
+	err = w.Run(context.Background())
+	if !errors.Is(err, errBuildMismatch) || !strings.Contains(err.Error(), build()) {
+		t.Fatalf("worker Run = %v, want the build mismatch naming both builds", err)
+	}
+	if st, _ := coord.Job(context.Background(), spec.Fingerprint, 0); st.State != StatePending || st.Attempts != 0 {
+		t.Fatalf("job after the refused worker: %+v, want pending and never leased", st)
+	}
+}
+
+// flakyHealthz fails the first /healthz request, as an unreachable
+// coordinator would, and passes the rest through.
+type flakyHealthz struct{ failed atomic.Bool }
+
+func (f *flakyHealthz) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == "/healthz" && f.failed.CompareAndSwap(false, true) {
+		return nil, errors.New("connection refused")
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestBuildCheckRetriesTransientErrors pins that an unreachable coordinator
+// fails one request but is not remembered: the next request checks the
+// build again and goes through.
+func TestBuildCheckRetriesTransientErrors(t *testing.T) {
+	_, plain := startFleet(t, Options{})
+	c := &Client{Base: plain.Base, HTTP: &http.Client{Transport: &flakyHealthz{}}}
+	spec := testSpec(t, 1)
+	if _, err := c.Submit(context.Background(), spec); err == nil || errors.Is(err, errBuildMismatch) {
+		t.Fatalf("first submit = %v, want the transport error", err)
+	}
+	if rep, err := c.Submit(context.Background(), spec); err != nil || rep.ID != spec.Fingerprint {
+		t.Fatalf("second submit = %+v, %v, want the job queued", rep, err)
 	}
 }

@@ -20,7 +20,7 @@ import (
 //	POST /fleet/complete      204 (idempotent) | 400 bad body | 404 unknown job | 409 not leased
 //	POST /fleet/fail          204 | 400 bad body | 404 unknown job | 409 not leased
 //	GET  /fleet/stats         200 queue/lease/worker snapshot
-//	GET  /healthz             200 while the process lives
+//	GET  /healthz             200 while the process lives; X-Biglittle-Build names the build
 //	GET  /readyz              200 serving | 503 draining
 type submitRequest struct {
 	Spec JobSpec `json:"spec"`
@@ -196,6 +196,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set(buildHeader, build())
 	w.WriteHeader(http.StatusOK)
 	w.Write([]byte("ok\n"))
 }

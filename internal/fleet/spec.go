@@ -8,9 +8,10 @@
 // Three properties carry over from lab unchanged:
 //
 //   - Determinism: a job spec is the serialized form of exactly the state
-//     lab.Fingerprint hashes, and both sides verify that the reconstructed
-//     config re-hashes to the submitted fingerprint — so a result computed
-//     on any worker is byte-identical to an in-process run, and RunAll's
+//     lab.Fingerprint hashes, both sides verify that the reconstructed
+//     config re-hashes to the submitted fingerprint, and a client moves jobs
+//     only through a coordinator of its own build — so a result computed on
+//     any worker is byte-identical to an in-process run, and RunAll's
 //     submission-order result slots keep reports byte-identical too.
 //   - Robustness: leases expire; a worker that dies mid-job loses its lease
 //     and the job is requeued for another worker (bounded attempts). A
@@ -37,8 +38,9 @@ import (
 // lab.Fingerprint hashes — app name, seed, duration and the core.Knobs, whose
 // Platform is a platform.ByName name. Fingerprint is the content hash the
 // submitter computed; both coordinator and worker re-derive it from the
-// reconstructed config and refuse the spec on mismatch, so a version skew
-// between fleet members surfaces as a loud error, not a wrong number.
+// reconstructed config and refuse the spec on mismatch. It hashes the
+// config, not the code, so a spec verifies on any build: the client's
+// build check is what keeps a fleet on one simulator build.
 type JobSpec struct {
 	Fingerprint string `json:"fingerprint"`
 

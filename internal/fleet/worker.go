@@ -80,7 +80,8 @@ func (w *Worker) logf(msg string, args ...any) {
 
 // Run is the worker loop: lease, execute, publish, repeat, until ctx is
 // cancelled. It returns nil on graceful shutdown — transient coordinator
-// outages are retried with backoff, never fatal.
+// outages are retried with backoff, never fatal. A coordinator of another
+// simulator build is fatal: Run returns the client's error without leasing.
 func (w *Worker) Run(ctx context.Context) error {
 	w.logf("worker starting", "coordinator", w.Client.Base)
 	for ctx.Err() == nil {
@@ -88,6 +89,8 @@ func (w *Worker) Run(ctx context.Context) error {
 		switch {
 		case ctx.Err() != nil:
 			// Cancelled mid-poll; no lease was granted.
+		case errors.Is(err, errBuildMismatch):
+			return err
 		case errors.Is(err, ErrDraining):
 			w.logf("coordinator draining; standing by")
 			w.sleep(ctx, w.backoff())

@@ -2,8 +2,9 @@
 // branch traces for reuse. A math/rand source is about 5 KB, and seeding
 // one resets all of it, the read position included, so a reused source
 // draws exactly what a fresh one seeded alike would. A source goes back
-// only from a caller it cannot outlive: core.Run and core.RunFrom, whose
-// Sims never escape, and bpred's Trace and MeasureStream.
+// only once nothing will draw from it: a core.Sim borrows one at assembly
+// and gives it back in Finish, after which the Sim refuses to run on, and
+// bpred's Trace and MeasureStream give theirs back when they return.
 package randpool
 
 import (

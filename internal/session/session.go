@@ -100,11 +100,9 @@ func (l *Live) Advance(to event.Time) bool {
 	if !l.Done() {
 		return false
 	}
-	// Finish after the last row is final so reconciliation can never perturb
-	// what the caller observes.
-	if l.cfg.Check != nil {
-		l.cfg.Check.Finish(l.cfg.Duration, l.Sampler.EnergyMJ())
-	}
+	// The last row is final: Finish runs the auditor's reconciliation and
+	// gives the run's random source back.
+	l.sim.Finish()
 	return true
 }
 

@@ -117,6 +117,11 @@ type HumSpec struct {
 
 func ms(v float64) event.Time { return event.Time(v * float64(event.Millisecond)) }
 
+// lasts reports whether a period_ms of v lasts at least 1 ns once ms
+// truncates it. A period that does not is refused like a missing one: its
+// loop would fire forever at one instant.
+func lasts(v float64) bool { return ms(v) > 0 }
+
 // Parse validates a JSON workload document and compiles it to an App.
 func Parse(data []byte) (apps.App, error) {
 	var f File
@@ -186,8 +191,8 @@ func Compile(f File) (apps.App, error) {
 		if err := resolve("periodic", p.Thread); err != nil {
 			return apps.App{}, err
 		}
-		if p.PeriodMs <= 0 || p.WorkMc <= 0 {
-			return apps.App{}, fmt.Errorf("spec: periodic %d needs period_ms and work_mc", i)
+		if !lasts(p.PeriodMs) || p.WorkMc <= 0 {
+			return apps.App{}, fmt.Errorf("spec: periodic %d needs period_ms of at least 1 ns and work_mc", i)
 		}
 	}
 	for i, p := range f.Poisson {
@@ -199,9 +204,7 @@ func Compile(f File) (apps.App, error) {
 		}
 	}
 	if fr := f.Frames; fr != nil {
-		// A period that rounds to 0 ns is refused like a missing one: the
-		// frame loop would tick forever at one instant.
-		if ms(fr.PeriodMs) <= 0 {
+		if !lasts(fr.PeriodMs) {
 			return apps.App{}, fmt.Errorf("spec: frames needs period_ms of at least 1 ns")
 		}
 		if err := resolve("frames.logic", fr.Logic.Thread); err != nil {

@@ -142,6 +142,10 @@ func TestValidationErrors(t *testing.T) {
 			"interactions":[{"stages":[{"threads":["a"],"work_mc":1}]}]}`, "think_ms"},
 		{"bad periodic", `{"name":"x","threads":[{"name":"a"}],
 			"periodics":[{"thread":"a","period_ms":0,"work_mc":1}]}`, "period_ms"},
+		{"periodic period under 1 ns", `{"name":"x","threads":[{"name":"a"}],
+			"periodics":[{"thread":"a","period_ms":1e-7,"work_mc":1}]}`, "period_ms"},
+		{"periodic no work", `{"name":"x","threads":[{"name":"a"}],
+			"periodics":[{"thread":"a","period_ms":10}]}`, "work_mc"},
 		{"bad poisson thread", `{"name":"x","threads":[{"name":"a"}],
 			"poisson":[{"thread":"q","mean_ms":5,"work_mc":1}]}`, "undeclared"},
 		{"bad frame thread", `{"name":"x","threads":[{"name":"a"}],
