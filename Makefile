@@ -210,11 +210,11 @@ report-par:
 # Line-coverage floors for the simulation kernel packages, the governors, the
 # workload generators and their snapshot recorder, the ring buffer, the
 # microarchitecture layer behind Figures 2-3, the lab and explore
-# orchestration above them, and the session stepper. The profile can contain
-# one copy of each block per test binary, so blocks are deduplicated by
-# location before aggregating per package.
+# orchestration above them, the session stepper, and the paper's experiment
+# drivers. The profile can contain one copy of each block per test binary, so
+# blocks are deduplicated by location before aggregating per package.
 cover:
-	go test -coverpkg=./internal/core,./internal/sched,./internal/platform,./internal/snapshot,./internal/governor,./internal/uarch,./internal/cache,./internal/bpred,./internal/lab,./internal/explore,./internal/workload,./internal/ring,./internal/session \
+	go test -coverpkg=./internal/core,./internal/sched,./internal/platform,./internal/snapshot,./internal/governor,./internal/uarch,./internal/cache,./internal/bpred,./internal/lab,./internal/explore,./internal/workload,./internal/ring,./internal/session,./internal/analysis \
 		-coverprofile=/tmp/biglittle-cover.out ./... > /dev/null
 	awk 'NR>1 {key=$$1; stmts[key]=$$2; if ($$3>0) hit[key]=1} \
 		END { \
@@ -231,6 +231,7 @@ cover:
 			floors["biglittle/internal/workload"]=90; \
 			floors["biglittle/internal/ring"]=95; \
 			floors["biglittle/internal/session"]=90; \
+			floors["biglittle/internal/analysis"]=95; \
 			bad=0; \
 			for (k in stmts) {p=k; sub(/:.*/, "", p); sub(/\/[^\/]*$$/, "", p); total[p]+=stmts[k]; if (hit[k]) cov[p]+=stmts[k]} \
 			for (p in floors) { \

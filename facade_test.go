@@ -2,6 +2,8 @@ package biglittle_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -11,33 +13,70 @@ import (
 // quick options exercise every facade driver end to end at minimal cost.
 var quick = biglittle.ExperimentOptions{Duration: 2 * biglittle.Second, Seed: 1, Instructions: 30_000}
 
+// driverGolden is one driver's render followed by its rows at full
+// precision, one per line.
+func driverGolden[T any](rows []T, render func([]T) string) string {
+	var b strings.Builder
+	b.WriteString(render(rows))
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%+v\n", r)
+	}
+	return b.String()
+}
+
+// TestFacadeDriversRender pins eighteen drivers' renders and rows at the
+// quick options byte for byte against testdata/drivers.golden;
+// `go test -run TestFacadeDriversRender -golden-update .` rewrites it.
 func TestFacadeDriversRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("facade sweep")
 	}
-	checks := map[string]func() string{
-		"fig2":       func() string { return biglittle.RenderFig2(biglittle.Fig2(quick)) },
-		"fig3":       func() string { return biglittle.RenderFig3(biglittle.Fig3(quick)) },
-		"fig4":       func() string { return biglittle.RenderFig4(biglittle.Fig4(quick)) },
-		"fig5":       func() string { return biglittle.RenderFig5(biglittle.Fig5(quick)) },
-		"tuning":     func() string { return biglittle.RenderTuning(biglittle.TuningStudy(quick)) },
-		"coreconfig": func() string { return biglittle.RenderCoreConfigs(biglittle.CoreConfigs(quick)) },
-		"tiny":       func() string { return biglittle.RenderTiny(biglittle.TinyStudy(quick)) },
-		"sched":      func() string { return biglittle.RenderSchedulers(biglittle.SchedulerStudy(quick)) },
-		"gov":        func() string { return biglittle.RenderGovernors(biglittle.GovernorStudy(quick)) },
-		"idle":       func() string { return biglittle.RenderIdle(biglittle.IdleStudy(quick)) },
-		"battery":    func() string { return biglittle.RenderBattery(biglittle.BatteryStudy(quick)) },
-		"multitask":  func() string { return biglittle.RenderMultitask(biglittle.MultitaskStudy(quick)) },
-		"seeds":      func() string { return biglittle.RenderSeedStats(biglittle.SeedStats(quick, 2)) },
-		"pred":       func() string { return biglittle.RenderPredictors(biglittle.PredictorStudy(quick)) },
-		"edp":        func() string { return biglittle.RenderEDP(biglittle.EDP(quick)) },
-		"fidelity":   func() string { return biglittle.RenderFidelity(biglittle.Fidelity(quick)) },
+	drivers := []struct {
+		name string
+		run  func() string
+	}{
+		{"fig2", func() string { return driverGolden(biglittle.Fig2(quick), biglittle.RenderFig2) }},
+		{"fig3", func() string { return driverGolden(biglittle.Fig3(quick), biglittle.RenderFig3) }},
+		{"fig4", func() string { return driverGolden(biglittle.Fig4(quick), biglittle.RenderFig4) }},
+		{"fig5", func() string { return driverGolden(biglittle.Fig5(quick), biglittle.RenderFig5) }},
+		{"tuning", func() string { return driverGolden(biglittle.TuningStudy(quick), biglittle.RenderTuning) }},
+		{"coreconfig", func() string { return driverGolden(biglittle.CoreConfigs(quick), biglittle.RenderCoreConfigs) }},
+		{"tiny", func() string { return driverGolden(biglittle.TinyStudy(quick), biglittle.RenderTiny) }},
+		{"sched", func() string { return driverGolden(biglittle.SchedulerStudy(quick), biglittle.RenderSchedulers) }},
+		{"gov", func() string { return driverGolden(biglittle.GovernorStudy(quick), biglittle.RenderGovernors) }},
+		{"idle", func() string { return driverGolden(biglittle.IdleStudy(quick), biglittle.RenderIdle) }},
+		{"thermal", func() string { return driverGolden(biglittle.ThermalStudy(quick), biglittle.RenderThermal) }},
+		{"battery", func() string { return driverGolden(biglittle.BatteryStudy(quick), biglittle.RenderBattery) }},
+		{"multitask", func() string { return driverGolden(biglittle.MultitaskStudy(quick), biglittle.RenderMultitask) }},
+		{"seeds", func() string { return driverGolden(biglittle.SeedStats(quick, 2), biglittle.RenderSeedStats) }},
+		{"pred", func() string { return driverGolden(biglittle.PredictorStudy(quick), biglittle.RenderPredictors) }},
+		{"edp", func() string { return driverGolden(biglittle.EDP(quick), biglittle.RenderEDP) }},
+		{"crossplatform", func() string { return driverGolden(biglittle.CrossPlatform(quick), biglittle.RenderCrossPlatform) }},
+		{"fidelity", func() string { return driverGolden(biglittle.Fidelity(quick), biglittle.RenderFidelity) }},
 	}
-	for name, fn := range checks {
-		out := fn()
+	var b strings.Builder
+	for _, d := range drivers {
+		out := d.run()
 		if len(out) == 0 || !strings.Contains(out, "\n") {
-			t.Errorf("%s: empty render", name)
+			t.Errorf("%s: empty render", d.name)
 		}
+		fmt.Fprintf(&b, "== %s ==\n%s", d.name, out)
+	}
+	got := b.String()
+
+	path := filepath.Join("testdata", "drivers.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no %s (regenerate with -golden-update): %v", path, err)
+	}
+	if explain := biglittle.ExplainTextDiff(string(want), got); explain != "" {
+		t.Fatalf("driver outputs moved: %s", explain)
 	}
 }
 

@@ -10,11 +10,9 @@ import (
 	"biglittle/internal/apps"
 	"biglittle/internal/core"
 	"biglittle/internal/event"
-	"biglittle/internal/governor"
 	"biglittle/internal/lab"
 	"biglittle/internal/platform"
 	"biglittle/internal/power"
-	"biglittle/internal/sched"
 	"biglittle/internal/synth"
 	"biglittle/internal/uarch"
 )
@@ -77,6 +75,27 @@ func (o Options) runAll(jobs []lab.Job) []core.Result {
 func (o Options) forEach(n int, fn func(i int)) { o.lab().ForEach(n, fn) }
 
 func job(cfg core.Config) lab.Job { return lab.Job{Config: cfg} }
+
+// grid runs every app of suite under each variant and returns res[a][v]. The
+// jobs go app by app, each app's variants in order; a variant edits the job's
+// config in place, and a nil variant keeps the app's default config.
+func (o Options) grid(suite []apps.App, variants ...func(*core.Config)) [][]core.Result {
+	jobs := make([]lab.Job, 0, len(suite)*len(variants))
+	for _, app := range suite {
+		for _, vary := range variants {
+			jobs = append(jobs, job(o.appConfig(app)))
+			if vary != nil {
+				vary(&jobs[len(jobs)-1].Config)
+			}
+		}
+	}
+	res, n := o.runAll(jobs), len(variants)
+	grid := make([][]core.Result, len(suite))
+	for a := range grid {
+		grid[a] = res[a*n : (a+1)*n]
+	}
+	return grid
+}
 
 // uarchKey is every input of one microarchitecture run, the identity of its
 // memoized result.
@@ -190,32 +209,22 @@ type ClusterCompareRow struct {
 	LittleMW, BigMW  float64
 }
 
-// clusterCompare builds the little-only and big-only configs for one app,
-// and assembles the comparison row from their results.
-func clusterConfigs(o Options, app apps.App) (littleCfg, bigCfg core.Config) {
-	littleCfg = o.appConfig(app)
-	littleCfg.Cores = platform.CoreConfig{Little: 4}
+// littleOnly runs an app on the four little cores alone.
+func littleOnly(c *core.Config) { c.Cores = platform.CoreConfig{Little: 4} }
 
-	bigCfg = o.appConfig(app)
-	bigCfg.Cores = platform.CoreConfig{Little: 1, Big: 4}
-	// Force everything onto the big cluster: with a zero up-threshold every
-	// runnable task migrates up immediately, emulating the paper's
-	// big-cores-only runs (one little core must stay online in hardware).
-	bigCfg.Sched.UpThreshold = -1
-	bigCfg.Sched.DownThreshold = -1
-	return littleCfg, bigCfg
+// bigOnly emulates the paper's big-cores-only runs. One little core must
+// stay online in hardware, so both HMP thresholds go to -1: every runnable
+// task migrates up at once and never back down.
+func bigOnly(c *core.Config) {
+	c.Cores = platform.CoreConfig{Little: 1, Big: 4}
+	c.Sched.UpThreshold, c.Sched.DownThreshold = -1, -1
 }
 
 func clusterCompareRows(o Options, suite []apps.App) []ClusterCompareRow {
-	jobs := make([]lab.Job, 0, 2*len(suite))
-	for _, app := range suite {
-		littleCfg, bigCfg := clusterConfigs(o, app)
-		jobs = append(jobs, job(littleCfg), job(bigCfg))
-	}
-	res := o.runAll(jobs)
+	res := o.grid(suite, littleOnly, bigOnly)
 	rows := make([]ClusterCompareRow, len(suite))
 	for i, app := range suite {
-		lr, br := res[2*i], res[2*i+1]
+		lr, br := res[i][0], res[i][1]
 		row := ClusterCompareRow{
 			App:              app.Name,
 			LittleMW:         lr.AvgPowerMW,
@@ -347,22 +356,16 @@ func CoreConfigs(o Options) []CoreConfigRow {
 	o = o.withDefaults()
 	all := apps.All()
 	cfgs := platform.StudyConfigs()
-	per := 1 + len(cfgs) // baseline first, then each hotplug config
-	jobs := make([]lab.Job, 0, len(all)*per)
-	for _, app := range all {
-		jobs = append(jobs, job(o.appConfig(app)))
-		for _, cc := range cfgs {
-			cfg := o.appConfig(app)
-			cfg.Cores = cc
-			jobs = append(jobs, job(cfg))
-		}
+	vary := []func(*core.Config){nil} // the baseline, then each hotplug config
+	for _, cc := range cfgs {
+		vary = append(vary, func(c *core.Config) { c.Cores = cc })
 	}
-	res := o.runAll(jobs)
-	rows := make([]CoreConfigRow, len(all)*len(cfgs))
+	res := o.grid(all, vary...)
+	rows := make([]CoreConfigRow, 0, len(all)*len(cfgs))
 	for ai, app := range all {
-		base := res[ai*per]
+		base := res[ai][0]
 		for ci, cc := range cfgs {
-			r := res[ai*per+1+ci]
+			r := res[ai][1+ci]
 			row := CoreConfigRow{
 				App:            app.Name,
 				Config:         cc,
@@ -372,7 +375,7 @@ func CoreConfigs(o Options) []CoreConfigRow {
 			if app.Metric == apps.FPS {
 				row.MinFPSChange = pct(r.MinFPS, base.MinFPS)
 			}
-			rows[ai*len(cfgs)+ci] = row
+			rows = append(rows, row)
 		}
 	}
 	return rows
@@ -381,24 +384,24 @@ func CoreConfigs(o Options) []CoreConfigRow {
 // ---------------------------------------------------------------------------
 // Figures 11-13: governor and HMP parameter study.
 
-// Tuning is one of the eight §VI-C configurations.
+// Tuning is one of the eight §VI-C configurations: a named edit of the
+// baseline config.
 type Tuning struct {
-	Name  string
-	Gov   func(*governor.InteractiveConfig)
-	Sched func(*sched.Config)
+	Name string
+	Edit func(*core.Config)
 }
 
 // Tunings returns the paper's eight parameter variations.
 func Tunings() []Tuning {
 	return []Tuning{
-		{Name: "interval60", Gov: func(g *governor.InteractiveConfig) { g.SampleMs = 60 }},
-		{Name: "interval100", Gov: func(g *governor.InteractiveConfig) { g.SampleMs = 100 }},
-		{Name: "target80", Gov: func(g *governor.InteractiveConfig) { g.TargetLoad = 80 }},
-		{Name: "target60", Gov: func(g *governor.InteractiveConfig) { g.TargetLoad = 60 }},
-		{Name: "hmp_conservative", Sched: func(s *sched.Config) { s.UpThreshold, s.DownThreshold = 850, 400 }},
-		{Name: "hmp_aggressive", Sched: func(s *sched.Config) { s.UpThreshold, s.DownThreshold = 550, 100 }},
-		{Name: "weight_2x", Sched: func(s *sched.Config) { s.HalfLifeMs = 64 }},
-		{Name: "weight_half", Sched: func(s *sched.Config) { s.HalfLifeMs = 16 }},
+		{Name: "interval60", Edit: func(c *core.Config) { c.Gov.SampleMs = 60 }},
+		{Name: "interval100", Edit: func(c *core.Config) { c.Gov.SampleMs = 100 }},
+		{Name: "target80", Edit: func(c *core.Config) { c.Gov.TargetLoad = 80 }},
+		{Name: "target60", Edit: func(c *core.Config) { c.Gov.TargetLoad = 60 }},
+		{Name: "hmp_conservative", Edit: func(c *core.Config) { c.Sched.UpThreshold, c.Sched.DownThreshold = 850, 400 }},
+		{Name: "hmp_aggressive", Edit: func(c *core.Config) { c.Sched.UpThreshold, c.Sched.DownThreshold = 550, 100 }},
+		{Name: "weight_2x", Edit: func(c *core.Config) { c.Sched.HalfLifeMs = 64 }},
+		{Name: "weight_half", Edit: func(c *core.Config) { c.Sched.HalfLifeMs = 16 }},
 	}
 }
 
@@ -417,27 +420,16 @@ func TuningStudy(o Options) []TuningRow {
 	o = o.withDefaults()
 	all := apps.All()
 	tns := Tunings()
-	per := 1 + len(tns) // baseline first, then each tuning
-	jobs := make([]lab.Job, 0, len(all)*per)
-	for _, app := range all {
-		jobs = append(jobs, job(o.appConfig(app)))
-		for _, tn := range tns {
-			cfg := o.appConfig(app)
-			if tn.Gov != nil {
-				tn.Gov(&cfg.Gov)
-			}
-			if tn.Sched != nil {
-				tn.Sched(&cfg.Sched)
-			}
-			jobs = append(jobs, job(cfg))
-		}
+	vary := []func(*core.Config){nil} // the baseline, then each tuning
+	for _, tn := range tns {
+		vary = append(vary, tn.Edit)
 	}
-	res := o.runAll(jobs)
-	rows := make([]TuningRow, len(all)*len(tns))
+	res := o.grid(all, vary...)
+	rows := make([]TuningRow, 0, len(all)*len(tns))
 	for ai, app := range all {
-		base := res[ai*per]
+		base := res[ai][0]
 		for ti, tn := range tns {
-			r := res[ai*per+1+ti]
+			r := res[ai][1+ti]
 			row := TuningRow{
 				App:            app.Name,
 				Tuning:         tn.Name,
@@ -448,7 +440,7 @@ func TuningStudy(o Options) []TuningRow {
 			} else {
 				row.AvgFPSDeltaPct = pct(r.AvgFPS, base.AvgFPS)
 			}
-			rows[ai*len(tns)+ti] = row
+			rows = append(rows, row)
 		}
 	}
 	return rows

@@ -2,11 +2,13 @@ package analysis
 
 import (
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"biglittle/internal/apps"
+	"biglittle/internal/core"
 	"biglittle/internal/event"
 	"biglittle/internal/platform"
 )
@@ -290,8 +292,11 @@ func TestTuningsComplete(t *testing.T) {
 			t.Fatalf("duplicate tuning %s", tn.Name)
 		}
 		seen[tn.Name] = true
-		if tn.Gov == nil && tn.Sched == nil {
-			t.Errorf("%s changes nothing", tn.Name)
+		// Config holds the app's Build func, so only its Knobs compare.
+		cfg := core.DefaultConfig(apps.All()[0])
+		tn.Edit(&cfg)
+		if reflect.DeepEqual(cfg.Knobs, core.DefaultKnobs()) {
+			t.Errorf("%s changes no knob", tn.Name)
 		}
 	}
 }

@@ -29,14 +29,10 @@ func BatteryStudy(o Options) []BatteryRow {
 	o = o.withDefaults()
 	pack := battery.GalaxyS5()
 	all := apps.All()
-	jobs := make([]lab.Job, len(all))
-	for i, app := range all {
-		jobs[i] = job(o.appConfig(app))
-	}
-	res := o.runAll(jobs)
+	res := o.grid(all, nil)
 	rows := make([]BatteryRow, len(all))
 	for i := range all {
-		r := res[i]
+		r := res[i][0]
 		row := BatteryRow{
 			App:             all[i].Name,
 			AvgMW:           r.AvgPowerMW,

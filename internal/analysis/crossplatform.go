@@ -5,7 +5,7 @@ import (
 	"text/tabwriter"
 
 	"biglittle/internal/apps"
-	"biglittle/internal/lab"
+	"biglittle/internal/core"
 	"biglittle/internal/power"
 )
 
@@ -28,18 +28,13 @@ type CrossPlatformRow struct {
 func CrossPlatform(o Options) []CrossPlatformRow {
 	o = o.withDefaults()
 	all := apps.All()
-	jobs := make([]lab.Job, 0, 2*len(all))
-	for _, app := range all {
-		jobs = append(jobs, job(o.appConfig(app)))
-		cfg := o.appConfig(app)
-		cfg.Platform = "snapdragon810"
-		cfg.Power = power.Snapdragon810Params()
-		jobs = append(jobs, job(cfg))
-	}
-	res := o.runAll(jobs)
+	res := o.grid(all, nil, func(c *core.Config) {
+		c.Platform = "snapdragon810"
+		c.Power = power.Snapdragon810Params()
+	})
 	rows := make([]CrossPlatformRow, len(all)*2)
 	for ai, app := range all {
-		base, r := res[2*ai], res[2*ai+1]
+		base, r := res[ai][0], res[ai][1]
 		rows[ai*2] = CrossPlatformRow{
 			App: app.Name, Platform: "exynos5422", BigPct: base.TLP.BigPct,
 		}

@@ -5,7 +5,7 @@ import (
 	"text/tabwriter"
 
 	"biglittle/internal/apps"
-	"biglittle/internal/lab"
+	"biglittle/internal/core"
 	"biglittle/internal/platform"
 )
 
@@ -45,20 +45,16 @@ func EDP(o Options) []EDPRow {
 	o = o.withDefaults()
 	all := apps.All()
 	cfgs := edpConfigs()
-	jobs := make([]lab.Job, 0, len(all)*len(cfgs))
-	for _, app := range all {
-		for _, cc := range cfgs {
-			cfg := o.appConfig(app)
-			cfg.Cores = cc
-			jobs = append(jobs, job(cfg))
-		}
+	var vary []func(*core.Config)
+	for _, cc := range cfgs {
+		vary = append(vary, func(c *core.Config) { c.Cores = cc })
 	}
-	res := o.runAll(jobs)
+	res := o.grid(all, vary...)
 	rows := make([]EDPRow, len(all)*len(cfgs))
 	for ai, app := range all {
 		bestIdx, bestEDP := -1, 0.0
 		for ci, cc := range cfgs {
-			r := res[ai*len(cfgs)+ci]
+			r := res[ai][ci]
 
 			ops := float64(r.Interactions)
 			delay := r.MeanLatency.Seconds()

@@ -6,7 +6,6 @@ import (
 
 	"biglittle/internal/apps"
 	"biglittle/internal/core"
-	"biglittle/internal/lab"
 )
 
 // GovernorRow compares one app across DVFS governors, relative to the
@@ -27,28 +26,22 @@ func GovernorStudy(o Options) []GovernorRow {
 	o = o.withDefaults()
 	kinds := []core.GovernorKind{core.Ondemand, core.Conservative, core.PAST, core.Performance}
 	all := apps.All()
-	per := 1 + len(kinds)
-	jobs := make([]lab.Job, 0, len(all)*per)
-	for _, app := range all {
-		jobs = append(jobs, job(o.appConfig(app)))
-		for _, k := range kinds {
-			cfg := o.appConfig(app)
-			cfg.Governor = k
-			jobs = append(jobs, job(cfg))
-		}
+	vary := []func(*core.Config){nil} // the interactive baseline, then each governor
+	for _, k := range kinds {
+		vary = append(vary, func(c *core.Config) { c.Governor = k })
 	}
-	res := o.runAll(jobs)
-	rows := make([]GovernorRow, len(all)*len(kinds))
+	res := o.grid(all, vary...)
+	rows := make([]GovernorRow, 0, len(all)*len(kinds))
 	for ai, app := range all {
-		base := res[ai*per]
+		base := res[ai][0]
 		for ki, k := range kinds {
-			r := res[ai*per+1+ki]
-			rows[ai*len(kinds)+ki] = GovernorRow{
+			r := res[ai][1+ki]
+			rows = append(rows, GovernorRow{
 				App:            app.Name,
 				Governor:       k.String(),
 				PerfChangePct:  pct(r.Performance(), base.Performance()),
 				PowerChangePct: pct(r.AvgPowerMW, base.AvgPowerMW),
-			}
+			})
 		}
 	}
 	return rows

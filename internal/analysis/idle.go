@@ -5,8 +5,8 @@ import (
 	"text/tabwriter"
 
 	"biglittle/internal/apps"
+	"biglittle/internal/core"
 	"biglittle/internal/event"
-	"biglittle/internal/lab"
 )
 
 // IdleRow compares one app with and without the deep (cluster-sleep) idle
@@ -28,18 +28,13 @@ type IdleRow struct {
 func IdleStudy(o Options) []IdleRow {
 	o = o.withDefaults()
 	all := apps.All()
-	jobs := make([]lab.Job, 0, 2*len(all))
-	for _, app := range all {
-		jobs = append(jobs, job(o.appConfig(app)))
-		cfg := o.appConfig(app)
-		cfg.Sched.DeepIdleAfter = 2 * event.Millisecond
-		cfg.Sched.DeepIdleWake = event.Millisecond
-		jobs = append(jobs, job(cfg))
-	}
-	res := o.runAll(jobs)
+	res := o.grid(all, nil, func(c *core.Config) {
+		c.Sched.DeepIdleAfter = 2 * event.Millisecond
+		c.Sched.DeepIdleWake = event.Millisecond
+	})
 	rows := make([]IdleRow, len(all))
 	for i, app := range all {
-		base, r := res[2*i], res[2*i+1]
+		base, r := res[i][0], res[i][1]
 		row := IdleRow{
 			App:            app.Name,
 			PowerSavingPct: pct(base.AvgPowerMW, r.AvgPowerMW),

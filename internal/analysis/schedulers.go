@@ -6,7 +6,6 @@ import (
 
 	"biglittle/internal/apps"
 	"biglittle/internal/core"
-	"biglittle/internal/lab"
 )
 
 // SchedulerRow compares one app across the three §IV-A mapping policies:
@@ -30,36 +29,30 @@ func SchedulerStudy(o Options) []SchedulerRow {
 	o = o.withDefaults()
 	all := apps.All()
 	kinds := []core.SchedulerKind{core.EfficiencyBased, core.ParallelismAware, core.EAS}
-	per := 1 + len(kinds)
-	jobs := make([]lab.Job, 0, len(all)*per)
-	for _, app := range all {
-		jobs = append(jobs, job(o.appConfig(app)))
-		for _, k := range kinds {
-			cfg := o.appConfig(app)
-			cfg.Scheduler = k
-			jobs = append(jobs, job(cfg))
-		}
+	vary := []func(*core.Config){nil} // the HMP baseline, then each policy
+	for _, k := range kinds {
+		vary = append(vary, func(c *core.Config) { c.Scheduler = k })
 	}
-	res := o.runAll(jobs)
-	rows := make([]SchedulerRow, len(all)*per)
+	res := o.grid(all, vary...)
+	rows := make([]SchedulerRow, 0, len(all)*len(vary))
 	for ai, app := range all {
-		base := res[ai*per]
-		rows[ai*per] = SchedulerRow{
+		base := res[ai][0]
+		rows = append(rows, SchedulerRow{
 			App:         app.Name,
 			Scheduler:   core.HMP.String(),
 			BigSharePct: base.TLP.BigPct,
 			Migrations:  base.HMPMigrations,
-		}
+		})
 		for ki, k := range kinds {
-			r := res[ai*per+1+ki]
-			rows[ai*per+1+ki] = SchedulerRow{
+			r := res[ai][1+ki]
+			rows = append(rows, SchedulerRow{
 				App:            app.Name,
 				Scheduler:      k.String(),
 				PerfChangePct:  pct(r.Performance(), base.Performance()),
 				PowerChangePct: pct(r.AvgPowerMW, base.AvgPowerMW),
 				BigSharePct:    r.TLP.BigPct,
 				Migrations:     r.HMPMigrations,
-			}
+			})
 		}
 	}
 	return rows

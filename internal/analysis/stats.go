@@ -6,7 +6,7 @@ import (
 	"text/tabwriter"
 
 	"biglittle/internal/apps"
-	"biglittle/internal/lab"
+	"biglittle/internal/core"
 )
 
 // Stat is a mean with spread over repeated seeded runs.
@@ -64,15 +64,12 @@ func SeedStats(o Options, seeds int) []SeedStatsRow {
 		seeds = 2
 	}
 	all := apps.All()
-	jobs := make([]lab.Job, 0, len(all)*seeds)
-	for _, app := range all {
-		for s := 0; s < seeds; s++ {
-			cfg := o.appConfig(app)
-			cfg.Seed = o.Seed + int64(s)*7919 // distinct, deterministic seeds
-			jobs = append(jobs, job(cfg))
-		}
+	vary := make([]func(*core.Config), seeds)
+	for s := range vary {
+		seed := o.Seed + int64(s)*7919 // distinct, deterministic seeds
+		vary[s] = func(c *core.Config) { c.Seed = seed }
 	}
-	res := o.runAll(jobs)
+	res := o.grid(all, vary...)
 	rows := make([]SeedStatsRow, len(all))
 	for ai, app := range all {
 		idle := make([]float64, seeds)
@@ -81,7 +78,7 @@ func SeedStats(o Options, seeds int) []SeedStatsRow {
 		pw := make([]float64, seeds)
 		perf := make([]float64, seeds)
 		for s := 0; s < seeds; s++ {
-			r := res[ai*seeds+s]
+			r := res[ai][s]
 			idle[s] = r.TLP.IdlePct
 			big[s] = r.TLP.BigPct
 			tlp[s] = r.TLP.TLP

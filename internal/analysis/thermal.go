@@ -7,7 +7,6 @@ import (
 	"biglittle/internal/apps"
 	"biglittle/internal/core"
 	"biglittle/internal/event"
-	"biglittle/internal/lab"
 	"biglittle/internal/thermal"
 )
 
@@ -30,11 +29,11 @@ type ThermalRow struct {
 	ThrottledPct   float64
 }
 
-// ThermalStudy runs the four CPU-heaviest apps for an extended duration
-// (3x the configured duration, min 45 s) with and without the thermal
-// model: sustained gaming and encoding trip the big cluster's throttle,
-// while light apps never do — the dimension the paper's 30-second runs
-// could not observe.
+// ThermalStudy runs five apps and a four-thread stress load for an extended
+// duration (3x the configured duration, min 45 s) with and without the
+// thermal model: the apps never sustain enough power to throttle, even on
+// the big cores alone, while the stress load trips the throttle — the
+// dimension the paper's 30-second runs could not observe.
 func ThermalStudy(o Options) []ThermalRow {
 	o = o.withDefaults()
 	dur := 3 * o.Duration
@@ -53,52 +52,32 @@ func ThermalStudy(o Options) []ThermalRow {
 	}
 	suite = append(suite, apps.Stress(4))
 
-	type cell struct {
-		app     apps.App
-		mapping string
+	// Each app runs long under the HMP and the big-only mapping, each
+	// without and then with the thermal model.
+	hmp := func(c *core.Config) { c.Duration = dur }
+	big := func(c *core.Config) { hmp(c); bigOnly(c) }
+	heated := func(mapping func(*core.Config)) func(*core.Config) {
+		return func(c *core.Config) { mapping(c); c.Thermal = &par }
 	}
-	var (
-		cells []cell
-		jobs  []lab.Job
-	)
-	for _, app := range suite {
-		for _, mapping := range []string{"hmp", "big"} {
-			mutate := func(c *core.Config) {
-				c.Duration = dur
-				if mapping == "big" {
-					c.Cores.Little, c.Cores.Big = 1, 4
-					c.Sched.UpThreshold = -1
-					c.Sched.DownThreshold = -1
-				}
+	res := o.grid(suite, hmp, heated(hmp), big, heated(big))
+	rows := make([]ThermalRow, 0, 2*len(suite))
+	for ai, app := range suite {
+		for mi, mapping := range []string{"hmp", "big"} {
+			cold, hot := res[ai][2*mi], res[ai][2*mi+1]
+			perf := pct(hot.Performance(), cold.Performance())
+			if hot.Performance() == 0 {
+				perf = pct(hot.TotalWorkGc, cold.TotalWorkGc)
 			}
-			base := o.appConfig(app)
-			mutate(&base)
-
-			cfg := o.appConfig(app)
-			mutate(&cfg)
-			cfg.Thermal = &par
-
-			cells = append(cells, cell{app, mapping})
-			jobs = append(jobs, job(base), job(cfg))
-		}
-	}
-	res := o.runAll(jobs)
-	rows := make([]ThermalRow, len(cells))
-	for i, c := range cells {
-		cold, hot := res[2*i], res[2*i+1]
-		perf := pct(hot.Performance(), cold.Performance())
-		if hot.Performance() == 0 {
-			perf = pct(hot.TotalWorkGc, cold.TotalWorkGc)
-		}
-		rows[i] = ThermalRow{
-			App:            c.app.Name,
-			Mapping:        c.mapping,
-			FPSFirstHalf:   hot.FPSFirstHalf,
-			FPSSecondHalf:  hot.FPSSecondHalf,
-			PerfChangePct:  perf,
-			PowerChangePct: pct(hot.AvgPowerMW, cold.AvgPowerMW),
-			MaxTempC:       hot.MaxTempC,
-			ThrottledPct:   hot.ThrottledPct,
+			rows = append(rows, ThermalRow{
+				App:            app.Name,
+				Mapping:        mapping,
+				FPSFirstHalf:   hot.FPSFirstHalf,
+				FPSSecondHalf:  hot.FPSSecondHalf,
+				PerfChangePct:  perf,
+				PowerChangePct: pct(hot.AvgPowerMW, cold.AvgPowerMW),
+				MaxTempC:       hot.MaxTempC,
+				ThrottledPct:   hot.ThrottledPct,
+			})
 		}
 	}
 	return rows

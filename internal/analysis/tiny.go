@@ -5,7 +5,7 @@ import (
 	"text/tabwriter"
 
 	"biglittle/internal/apps"
-	"biglittle/internal/lab"
+	"biglittle/internal/core"
 	"biglittle/internal/platform"
 )
 
@@ -37,17 +37,10 @@ type TinyRow struct {
 func TinyStudy(o Options) []TinyRow {
 	o = o.withDefaults()
 	all := apps.All()
-	jobs := make([]lab.Job, 0, 2*len(all))
-	for _, app := range all {
-		jobs = append(jobs, job(o.appConfig(app)))
-		cfg := o.appConfig(app)
-		cfg.Cores = platform.CoreConfig{Tiny: 2, Little: 4, Big: 4}
-		jobs = append(jobs, job(cfg))
-	}
-	res := o.runAll(jobs)
+	res := o.grid(all, nil, func(c *core.Config) { c.Cores = platform.CoreConfig{Tiny: 2, Little: 4, Big: 4} })
 	rows := make([]TinyRow, len(all))
 	for i, app := range all {
-		base, r := res[2*i], res[2*i+1]
+		base, r := res[i][0], res[i][1]
 		row := TinyRow{
 			App:            app.Name,
 			PowerSavingPct: pct(base.AvgPowerMW, r.AvgPowerMW),

@@ -137,7 +137,8 @@ func ParsePhases(arg string) ([]core.Phase, error) {
 // PrintLabStats writes the runner's job and cache counters to w — the
 // commands pass stderr, so report stdout stays byte-identical whatever the
 // cache state. A fully warm run shows "0 simulated", and "0 computed" on
-// its memo line when it read derived results.
+// its memo line when it read derived results. The fork, memo, fleet and
+// audit lines print only when their counters moved.
 func PrintLabStats(w io.Writer, r *lab.Runner, elapsed time.Duration) {
 	s := r.Stats()
 	cache := "off"
@@ -153,7 +154,10 @@ func PrintLabStats(w io.Writer, r *lab.Runner, elapsed time.Duration) {
 	if s.MemoHits+s.MemoMisses > 0 {
 		fmt.Fprintf(w, "lab: memo: %d derived results reused, %d computed\n", s.MemoHits, s.MemoMisses)
 	}
-	if r.Check {
+	if s.RemoteErrors > 0 {
+		fmt.Fprintf(w, "lab: fleet: %d jobs fell back to local simulation after a fleet error\n", s.RemoteErrors)
+	}
+	if s.Audited+s.AuditFailures > 0 {
 		fmt.Fprintf(w, "lab: audit: %d runs verified, %d failed\n", s.Audited, s.AuditFailures)
 	}
 }

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"errors"
 	"flag"
 	"reflect"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"biglittle/internal/apps"
 	"biglittle/internal/core"
 	"biglittle/internal/event"
+	"biglittle/internal/lab"
 )
 
 func TestParsePhases(t *testing.T) {
@@ -101,6 +103,52 @@ func TestRunnerRemoteWiring(t *testing.T) {
 	r3, err := e.Runner()
 	if err != nil || r3.Remote != nil {
 		t.Fatalf("runner without -remote has an executor: %+v, %v", r3.Remote, err)
+	}
+}
+
+// downFleet is a lab.Executor whose every attempt fails, as a coordinator
+// that is down or of another build does.
+type downFleet struct{}
+
+func (downFleet) Execute(lab.Job) (core.Result, bool, error) {
+	return core.Result{}, false, errors.New("fleet down")
+}
+
+// TestPrintLabStatsOptionalLines pins that the fleet-fallback and audit
+// lines print from the runner's counters, and that a clean run prints
+// neither (the smoke targets grep the summary line around them).
+func TestPrintLabStatsOptionalLines(t *testing.T) {
+	app, err := apps.ByName("bbench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig(app)
+	cfg.Duration = 200 * event.Millisecond
+	stats := func(r *lab.Runner) string {
+		t.Helper()
+		if _, err := r.Run(lab.Job{Config: cfg}); err != nil {
+			t.Fatal(err)
+		}
+		// blexplore audits its final rung and then turns Check off again.
+		r.Check = false
+		var b strings.Builder
+		PrintLabStats(&b, r, 0)
+		return b.String()
+	}
+	const fleet, audit = "lab: fleet: ", "lab: audit: "
+
+	clean := stats(lab.New(1, nil))
+	if strings.Contains(clean, fleet) || strings.Contains(clean, audit) {
+		t.Errorf("clean run printed an optional line:\n%s", clean)
+	}
+	fellBack := stats(&lab.Runner{Workers: 1, Remote: downFleet{}})
+	if !strings.Contains(fellBack, fleet+"1 jobs fell back to local simulation after a fleet error\n") ||
+		!strings.Contains(fellBack, " 0 remote,") {
+		t.Errorf("fleet fallback not reported:\n%s", fellBack)
+	}
+	audited := stats(&lab.Runner{Workers: 1, Check: true})
+	if !strings.Contains(audited, audit+"1 runs verified, 0 failed\n") {
+		t.Errorf("audit not reported once Check was off:\n%s", audited)
 	}
 }
 
