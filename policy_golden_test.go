@@ -22,9 +22,9 @@ import (
 // spec-loaded apps of internal/spec's tests under all four. Ties in the
 // policies' rankings and the thermal hotplug order are exercised here and
 // nowhere else in tier 1. A governor section pins the six other governors
-// and interactive with its hold tunables on, with what telemetry and the
-// x-ray tracer saw of their decisions, and forks between governors through
-// the snapshot codec. `-golden-update` rewrites the file.
+// and interactive, with what telemetry and the x-ray tracer saw of their
+// decisions, and forks between governors through the snapshot codec.
+// `-golden-update` rewrites the file.
 
 // policyGoldenScheds lists the four scheduling policies, HMP first.
 var policyGoldenScheds = []core.SchedulerKind{core.HMP, core.EfficiencyBased, core.ParallelismAware, core.EAS}
@@ -142,7 +142,7 @@ func TestPolicyGolden(t *testing.T) {
 
 // governorGoldenRuns are the governor setups the governor section pins: the
 // three load-tracking alternatives at a non-default sampling period, the
-// static governors, and interactive with both hold tunables on.
+// static governors, and interactive with its default tunables.
 var governorGoldenRuns = []struct {
 	name string
 	set  func(*biglittle.Config)
@@ -153,7 +153,7 @@ var governorGoldenRuns = []struct {
 	{"performance", func(c *biglittle.Config) { c.Governor = core.Performance }},
 	{"powersave", func(c *biglittle.Config) { c.Governor = core.Powersave }},
 	{"userspace", func(c *biglittle.Config) { c.Governor, c.PinnedMHz = core.Userspace, map[int]int{0: 1000, 1: 1200} }},
-	{"interactive-hold", func(c *biglittle.Config) { c.Gov.AboveHispeedDelayMs, c.Gov.MinSampleTimeMs = 40, 60 }},
+	{"interactive", func(*biglittle.Config) {}},
 }
 
 // governorGoldenConfig is app on L4+B4 for goldenDur under the named
@@ -226,9 +226,9 @@ func writeGovernorGolden(t *testing.T, b *strings.Builder) {
 		t.Fatal(err)
 	}
 	for _, f := range [][2]string{
-		{"interactive-hold", "ondemand"},
+		{"interactive", "ondemand"},
 		{"ondemand", "ondemand"},
-		{"interactive-hold", "interactive-hold"},
+		{"interactive", "interactive"},
 		{"past", "conservative"},
 	} {
 		cfg := governorGoldenConfig(t, app, f[0])
