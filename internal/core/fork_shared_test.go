@@ -63,8 +63,6 @@ func TestConcurrentResumeSharesLog(t *testing.T) {
 		func(c *Config) { c.Gov.TargetLoad = 50 },
 		func(c *Config) { c.Gov.TargetLoad = 90 },
 		func(c *Config) { c.Gov.DownThreshold = 20 },
-		func(c *Config) { c.Gov.HispeedBigMHz, c.Gov.HispeedLittleMHz = 800, 600 },
-		func(c *Config) { c.Gov.AboveHispeedDelayMs, c.Gov.MinSampleTimeMs = 40, 60 },
 	}
 	cfgs := make([]Config, len(tunings))
 	for i, tune := range tunings {

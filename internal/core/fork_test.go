@@ -307,6 +307,41 @@ func TestResumeCompat(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesAnotherSoC pins that a snapshot names its SoC: a
+// snapdragon810 prefix, round-tripped through BLSNAP, does not continue on
+// the Exynos 5422, whose 4+4 cores would accept its state, and still
+// continues on its own SoC.
+func TestResumeRefusesAnotherSoC(t *testing.T) {
+	cfg := DefaultConfig(apps.BBench())
+	cfg.Duration = 2 * event.Second
+	cfg.Platform = "snapdragon810"
+	sim, err := NewSim(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.RunTo(event.Second)
+	st, err := sim.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Finish()
+	blob, err := snapshot.Encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = snapshot.Decode(blob); err != nil {
+		t.Fatal(err)
+	}
+	other := cfg
+	other.Platform = "exynos5422"
+	if _, err := RunFrom(other, st); err == nil || !strings.Contains(err.Error(), "identity") {
+		t.Errorf("RunFrom on exynos5422 from a snapdragon810 snapshot: err = %v, want an identity mismatch", err)
+	}
+	if _, err := RunFrom(cfg, st); err != nil {
+		t.Errorf("RunFrom on the capturing SoC: %v", err)
+	}
+}
+
 // TestResumeRefusesUnbindableEvents pins that a snapshot whose pending
 // events cannot be re-bound under their captured keys is an error from
 // Resume and RunFrom, not a panic: a workload event before the capture
@@ -399,11 +434,11 @@ func TestSnapshotErrorPaths(t *testing.T) {
 		t.Error("Snapshot after Finish succeeded")
 	}
 
-	// A custom-platform mismatch between snapshot and resume must refuse.
+	// A platform mismatch between snapshot and resume must refuse.
 	plat := *st
-	plat.CustomPlatform = true
+	plat.Platform = "snapdragon810"
 	if _, err := Resume(cfg, &plat); err == nil {
-		t.Error("Resume accepted a custom-platform mismatch")
+		t.Error("Resume accepted a platform mismatch")
 	}
 
 	// Doctored tracker state: a replay that disagrees with the captured

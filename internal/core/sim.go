@@ -370,14 +370,14 @@ func (s *Sim) Snapshot() (*snapshot.State, error) {
 	}
 	id := s.cfg.Identity()
 	st := &snapshot.State{
-		App:            id.App,
-		Seed:           id.Seed,
-		Cores:          id.Cores,
-		CustomPlatform: id.CustomPlatform,
-		SchedKind:      s.cfg.Scheduler.String(),
-		GovKind:        s.cfg.Governor.String(),
-		Time:           s.eng.Now(),
-		Duration:       s.cfg.Duration,
+		App:       id.App,
+		Seed:      id.Seed,
+		Cores:     id.Cores,
+		Platform:  id.Platform,
+		SchedKind: s.cfg.Scheduler.String(),
+		GovKind:   s.cfg.Governor.String(),
+		Time:      s.eng.Now(),
+		Duration:  s.cfg.Duration,
 		Engine: snapshot.EngineSnap{
 			Now:   s.eng.Now(),
 			Seq:   s.eng.Scheduled(),
@@ -419,21 +419,21 @@ func (s *Sim) Snapshot() (*snapshot.State, error) {
 // from a snapshot only when its Identity equals the capturing run's. Every
 // other knob is policy a fork may vary.
 type Identity struct {
-	App            string
-	Seed           int64
-	Cores          platform.CoreConfig
-	CustomPlatform bool
+	App      string
+	Seed     int64
+	Cores    platform.CoreConfig
+	Platform string
 }
 
 // Identity returns c's snapshot identity.
 func (c Config) Identity() Identity {
-	return Identity{App: c.App.Name, Seed: c.Seed, Cores: c.Cores, CustomPlatform: c.Platform != ""}
+	return Identity{App: c.App.Name, Seed: c.Seed, Cores: c.Cores, Platform: c.Platform}
 }
 
 // compat verifies that cfg can legally continue from st: identities must
 // match, and the horizon must not precede the capture point.
 func compat(cfg Config, st *snapshot.State) error {
-	captured := Identity{App: st.App, Seed: st.Seed, Cores: st.Cores, CustomPlatform: st.CustomPlatform}
+	captured := Identity{App: st.App, Seed: st.Seed, Cores: st.Cores, Platform: st.Platform}
 	switch id := cfg.Identity(); {
 	case id != captured:
 		return fmt.Errorf("core: resume identity %+v, snapshot captured %+v", id, captured)

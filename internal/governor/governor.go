@@ -31,29 +31,11 @@ type InteractiveConfig struct {
 	// DownThreshold: below this utilization percent the frequency is scaled
 	// down to the target (default 45).
 	DownThreshold int
-	// HispeedMHz maps core type to the preset jump frequency.
-	HispeedLittleMHz int
-	HispeedBigMHz    int
-	HispeedTinyMHz   int
-	// AboveHispeedDelayMs delays climbing beyond the hispeed frequency
-	// until the load has persisted that long (0 = climb immediately), and
-	// MinSampleTimeMs holds the current frequency for at least that long
-	// before any down-scaling — both are tunables of the real interactive
-	// governor that damp frequency thrash.
-	AboveHispeedDelayMs int
-	MinSampleTimeMs     int
 }
 
 // DefaultInteractive returns the paper's baseline governor parameters.
 func DefaultInteractive() InteractiveConfig {
-	return InteractiveConfig{
-		SampleMs:         20,
-		TargetLoad:       70,
-		DownThreshold:    45,
-		HispeedLittleMHz: 1000,
-		HispeedBigMHz:    1500,
-		HispeedTinyMHz:   500,
-	}
+	return InteractiveConfig{SampleMs: 20, TargetLoad: 70, DownThreshold: 45}
 }
 
 // Sampler is the load-tracking governor loop that interactive, ondemand,
@@ -69,8 +51,7 @@ func DefaultInteractive() InteractiveConfig {
 // candidates; the cluster takes the max), the thresholds compared, and the
 // reason. Nil observers cost one pointer check per sample.
 type Sampler struct {
-	// cfg holds the tunables, fixed at construction. Its hold delays are
-	// zero, and the hold step inert, for every policy but interactive's.
+	// cfg holds the tunables, fixed at construction.
 	cfg      InteractiveConfig
 	sys      *sched.System
 	pol      policy
@@ -78,10 +59,6 @@ type Sampler struct {
 	sampleFn event.Handler // cached method value: evaluating g.onSample allocates
 	sampleEv event.Handle  // the pending sample (retained for snapshot capture)
 	lastBusy []event.Time
-	// Interactive's per-cluster hold state for the delay tunables; nil for
-	// the other policies.
-	hispeedSince []event.Time
-	lastRaise    []event.Time
 	// xrayCands is the scratch candidate buffer, reused across samples so
 	// tracing only allocates when a span is actually recorded. A span's
 	// inputs are xrayIn[:nIn]: max_util_pct, then the policy's thresholds.
@@ -100,7 +77,7 @@ type policy struct {
 	target func(g *Sampler, cl *platform.Cluster, curMHz int, util float64) int
 	// step, when non-nil, sees every change of cluster ci from prevMHz to
 	// mhz and names its reason.
-	step func(g *Sampler, ci, prevMHz, mhz int, now event.Time) string
+	step func(g *Sampler, ci, prevMHz, mhz int) string
 }
 
 func newSampler(sys *sched.System, cfg InteractiveConfig, pol policy) *Sampler {
@@ -130,11 +107,6 @@ func NewInteractive(sys *sched.System, cfg InteractiveConfig) *Sampler {
 		cfg.DownThreshold = 45
 	}
 	g := newSampler(sys, cfg, policy{target: (*Sampler).coreTarget, step: (*Sampler).interactiveStep})
-	g.hispeedSince = make([]event.Time, len(sys.SoC.Clusters))
-	g.lastRaise = make([]event.Time, len(sys.SoC.Clusters))
-	for i := range g.hispeedSince {
-		g.hispeedSince[i] = -1
-	}
 	g.xrayIn[1] = xray.Input{Name: "target_load", Value: float64(cfg.TargetLoad)}
 	g.xrayIn[2] = xray.Input{Name: "down_threshold", Value: float64(cfg.DownThreshold)}
 	g.xrayIn[3].Name = "hispeed_mhz"
@@ -197,20 +169,6 @@ func (g *Sampler) Start() {
 	g.sampleEv = g.sys.Eng.After(g.sample, g.sampleFn)
 }
 
-func (g *Sampler) hispeed(t platform.CoreType) int {
-	switch t {
-	case platform.Big:
-		return g.cfg.HispeedBigMHz
-	case platform.Tiny:
-		if g.cfg.HispeedTinyMHz > 0 {
-			return g.cfg.HispeedTinyMHz
-		}
-		return 500
-	default:
-		return g.cfg.HispeedLittleMHz
-	}
-}
-
 func (g *Sampler) onSample(now event.Time) {
 	g.sys.SyncAll(now)
 	tel, xr := g.sys.Tel, g.sys.Xray
@@ -251,7 +209,7 @@ func (g *Sampler) onSample(now event.Time) {
 		if target == 0 {
 			target = cl.MinMHz()
 		}
-		if target = g.hold(ci, cur, target, now); target == cur {
+		if target == cur {
 			continue
 		}
 		mhz := g.sys.SetClusterFreq(ci, target)
@@ -260,7 +218,7 @@ func (g *Sampler) onSample(now event.Time) {
 		}
 		reason := g.pol.reason
 		if g.pol.step != nil {
-			reason = g.pol.step(g, ci, cur, mhz, now)
+			reason = g.pol.step(g, ci, cur, mhz)
 		}
 		if tel != nil {
 			tel.Emit(telemetry.Event{
@@ -280,41 +238,15 @@ func (g *Sampler) onSample(now event.Time) {
 	g.sampleEv = g.sys.Eng.After(g.sample, g.sampleFn)
 }
 
-// hold applies interactive's damping tunables to cluster ci's target:
-// above_hispeed_delay holds at hispeed until the demand persists, and
-// min_sample_time blocks scaling down right after a raise. Both delays are
-// zero for every other policy, which leaves the target as it is.
-func (g *Sampler) hold(ci, cur, target int, now event.Time) int {
-	if d := g.cfg.AboveHispeedDelayMs; d > 0 {
-		hs := g.hispeed(g.sys.SoC.Clusters[ci].Type)
-		if target > hs && cur >= hs {
-			if g.hispeedSince[ci] < 0 {
-				g.hispeedSince[ci] = now
-			}
-			if now-g.hispeedSince[ci] < event.Time(d)*event.Millisecond {
-				target = cur
-			}
-		} else if target <= hs {
-			g.hispeedSince[ci] = -1
-		}
-	}
-	if m := g.cfg.MinSampleTimeMs; m > 0 && target < cur && now-g.lastRaise[ci] < event.Time(m)*event.Millisecond {
-		target = cur
-	}
-	return target
-}
-
-// interactiveStep is interactive's step: it records a raise for
-// min_sample_time, fills the hispeed_mhz x-ray input, and names the change a
-// hispeed jump (from below hispeed to at least it), a scale-up, or a
-// scale-down.
-func (g *Sampler) interactiveStep(ci, prevMHz, mhz int, now event.Time) string {
-	hs := g.hispeed(g.sys.SoC.Clusters[ci].Type)
+// interactiveStep is interactive's step: it fills the hispeed_mhz x-ray
+// input and names the change a hispeed jump (from below hispeed to at least
+// it), a scale-up, or a scale-down.
+func (g *Sampler) interactiveStep(ci, prevMHz, mhz int) string {
+	hs := hispeed(g.sys.SoC.Clusters[ci].Type)
 	g.xrayIn[3].Value = float64(hs)
 	if mhz < prevMHz {
 		return telemetry.ReasonScaleDown
 	}
-	g.lastRaise[ci] = now
 	if prevMHz < hs && mhz >= hs {
 		return telemetry.ReasonHispeed
 	}
@@ -328,8 +260,8 @@ func (g *Sampler) interactiveStep(ci, prevMHz, mhz int, now event.Time) string {
 // tracer copies when it records the span.
 func markGovernorChoice(out []xray.Candidate, target int) []xray.Candidate {
 	// Prefer the core whose target exactly equals the programmed frequency;
-	// when the hold/clamp logic overrode the raw max, fall back to the
-	// highest per-core demand as the driving core.
+	// when the clamp overrode the raw max, fall back to the highest per-core
+	// demand as the driving core.
 	chosen := -1
 	for i := range out {
 		if out[i].Rejected != "" {
@@ -351,13 +283,26 @@ func markGovernorChoice(out []xray.Candidate, target int) []xray.Candidate {
 	return out
 }
 
+// hispeed is interactive's preset jump frequency for a cluster of type t.
+// The tiny cluster runs at one frequency, so its preset never moves it.
+func hispeed(t platform.CoreType) int {
+	switch t {
+	case platform.Big:
+		return 1500
+	case platform.Tiny:
+		return 500
+	default:
+		return 1000
+	}
+}
+
 // coreTarget applies Algorithm 2 for one core.
 func (g *Sampler) coreTarget(cl *platform.Cluster, curMHz int, util float64) int {
 	utilPct := int(util*100 + 0.5)
 	targetFreq := int(float64(curMHz) * util * 100 / float64(g.cfg.TargetLoad))
 	switch {
 	case utilPct > g.cfg.TargetLoad:
-		hs := g.hispeed(cl.Type)
+		hs := hispeed(cl.Type)
 		if curMHz < hs {
 			return hs
 		}

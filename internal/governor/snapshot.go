@@ -7,14 +7,11 @@ import (
 )
 
 // Snap is a governor's dynamic state for whole-simulation snapshot/fork: the
-// per-core busy baselines, the interactive governor's per-cluster hold state,
-// and the pending self-rescheduled sample event's (at, seq) key. One type
-// covers every governor; unused fields stay empty (the static governors have
-// no dynamic state at all).
+// per-core busy baselines and the pending self-rescheduled sample event's
+// (at, seq) key. One type covers every governor; the static governors leave
+// it empty, as they have no dynamic state at all.
 type Snap struct {
-	LastBusy     []event.Time `json:"lastBusy,omitempty"`
-	HispeedSince []event.Time `json:"hispeedSince,omitempty"`
-	LastRaise    []event.Time `json:"lastRaise,omitempty"`
+	LastBusy []event.Time `json:"lastBusy,omitempty"`
 
 	SamplePending bool       `json:"sampleP,omitempty"`
 	SampleAt      event.Time `json:"sampleAt,omitempty"`
@@ -29,25 +26,9 @@ func (sn *Snap) PendingEvents() int {
 	return 0
 }
 
-func copyTimes(ts []event.Time) []event.Time { return append([]event.Time(nil), ts...) }
-
-func restoreTimes(dst, src []event.Time, what string) error {
-	if len(src) != len(dst) {
-		return fmt.Errorf("governor: snapshot has %d %s entries, governor has %d", len(src), what, len(dst))
-	}
-	copy(dst, src)
-	return nil
-}
-
-// Snapshot captures a load-tracking governor's dynamic state. Only
-// interactive keeps hold state; the other policies' nil slices copy to nil,
-// which the wire form omits.
+// Snapshot captures a load-tracking governor's dynamic state.
 func (g *Sampler) Snapshot() Snap {
-	sn := Snap{
-		LastBusy:     copyTimes(g.lastBusy),
-		HispeedSince: copyTimes(g.hispeedSince),
-		LastRaise:    copyTimes(g.lastRaise),
-	}
+	sn := Snap{LastBusy: append([]event.Time(nil), g.lastBusy...)}
 	if seq, ok := g.sampleEv.EventSeq(); ok {
 		sn.SamplePending, sn.SampleAt, sn.SampleSeq = true, g.sampleEv.At(), seq
 	}
@@ -56,15 +37,10 @@ func (g *Sampler) Snapshot() Snap {
 
 // Restore loads sn; the engine must already be Reset to the capture point.
 func (g *Sampler) Restore(sn *Snap) error {
-	if err := restoreTimes(g.lastBusy, sn.LastBusy, "lastBusy"); err != nil {
-		return err
+	if len(sn.LastBusy) != len(g.lastBusy) {
+		return fmt.Errorf("governor: snapshot has %d lastBusy entries, governor has %d", len(sn.LastBusy), len(g.lastBusy))
 	}
-	if err := restoreTimes(g.hispeedSince, sn.HispeedSince, "hispeedSince"); err != nil {
-		return err
-	}
-	if err := restoreTimes(g.lastRaise, sn.LastRaise, "lastRaise"); err != nil {
-		return err
-	}
+	copy(g.lastBusy, sn.LastBusy)
 	if sn.SamplePending {
 		g.sampleEv = g.sys.Eng.ScheduleAt(sn.SampleAt, sn.SampleSeq, g.sampleFn)
 	}

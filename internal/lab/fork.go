@@ -106,10 +106,10 @@ func (r *Runner) prefixState(p *prefixSlot) (*snapshot.State, error) {
 	}
 	app := p.spec.Base.App.Name
 	if built && p.simulated {
-		r.count(func(s *Stats) { s.PrefixMisses++ }, "lab_prefix_misses")
+		r.count(func(s *Stats) { s.PrefixMisses++ })
 		r.logJob("prefix simulated", app, logAt(p.spec.At), slog.String("key", p.key[:12]))
 	} else {
-		r.count(func(s *Stats) { s.PrefixHits++ }, "lab_prefix_hits")
+		r.count(func(s *Stats) { s.PrefixHits++ })
 		r.logJob("prefix reused", app, logAt(p.spec.At), slog.String("key", p.key[:12]))
 	}
 	return p.state, nil
@@ -165,7 +165,7 @@ func (r *Runner) loadOrBuildPrefix(spec *ForkSpec, key string) (st *snapshot.Sta
 // not recorded, so a blob captured under other tunables passes.
 func prefixMismatch(st *snapshot.State, spec *ForkSpec) error {
 	base := spec.Base.Normalized()
-	captured := core.Identity{App: st.App, Seed: st.Seed, Cores: st.Cores, CustomPlatform: st.CustomPlatform}
+	captured := core.Identity{App: st.App, Seed: st.Seed, Cores: st.Cores, Platform: st.Platform}
 	switch at := min(spec.At, base.Duration); {
 	case captured != base.Identity():
 		return fmt.Errorf("captured identity %+v, base has %+v", captured, base.Identity())

@@ -275,6 +275,7 @@ func TestPrefixMismatch(t *testing.T) {
 	}
 	for name, mut := range map[string]func(s *snapshot.State){
 		"seed":      func(s *snapshot.State) { s.Seed++ },
+		"platform":  func(s *snapshot.State) { s.Platform = "snapdragon810" },
 		"scheduler": func(s *snapshot.State) { s.SchedKind = core.EAS.String() },
 		"governor":  func(s *snapshot.State) { s.GovKind = core.Ondemand.String() },
 		"horizon":   func(s *snapshot.State) { s.Duration++ },

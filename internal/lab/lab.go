@@ -36,7 +36,6 @@ import (
 	"biglittle/internal/core"
 	"biglittle/internal/delta"
 	"biglittle/internal/event"
-	"biglittle/internal/telemetry"
 )
 
 // Job is one declarative experiment: a fully resolved simulation config
@@ -126,7 +125,7 @@ type Stats struct {
 }
 
 // Runner executes jobs on a worker pool with caching. The zero value is
-// usable: GOMAXPROCS workers, no cache, no telemetry.
+// usable: GOMAXPROCS workers, no cache.
 type Runner struct {
 	// Workers caps concurrent simulations (<=0: GOMAXPROCS).
 	Workers int
@@ -138,18 +137,6 @@ type Runner struct {
 	// Remote never changes results — only where they are computed. Remote
 	// results are stored into the local cache like fresh simulations.
 	Remote Executor
-	// Tel, when non-nil, receives progress and cache hit/miss counters —
-	// one per Stats field: "lab_jobs", "lab_cache_hits", "lab_cache_misses",
-	// "lab_simulations", "lab_stored", "lab_retries", "lab_failures",
-	// "lab_remote", "lab_remote_errors", "lab_audited",
-	// "lab_audit_failures", "lab_forks", "lab_prefix_hits",
-	// "lab_prefix_misses", "lab_memo_hits", "lab_memo_misses". The runner
-	// updates them under its own mutex so Stats and the mirrored counters
-	// stay in lockstep; the registry itself is goroutine-safe, so exporting
-	// this collector (e.g. WritePrometheus) while a sweep runs is fine. Do
-	// not share it with concurrently running jobs' event emission — the
-	// event bus is still single-threaded.
-	Tel *telemetry.Collector
 	// Log, when non-nil, receives structured sweep observability: per-job
 	// state transitions (cache hit/miss, simulated, stored, retry, failure,
 	// audit) at Debug, and sweep-level progress — completed/total, jobs/sec,
@@ -203,16 +190,11 @@ func (r *Runner) workers(n int) int {
 	return w
 }
 
-// count applies fn to the stats and mirrors named counters into the
-// attached telemetry registry, all under one lock (the Collector is not
-// goroutine-safe).
-func (r *Runner) count(fn func(*Stats), counters ...string) {
+// count applies fn to the stats under the runner's lock.
+func (r *Runner) count(fn func(*Stats)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	fn(&r.stats)
-	for _, name := range counters {
-		r.Tel.Counter(name).Inc()
-	}
 }
 
 // RunAll executes every job and returns the results in submission order.
@@ -270,10 +252,10 @@ func (r *Runner) RunAll(jobs []Job) ([]core.Result, error) {
 		}
 		results[i], errs[i] = results[j], errs[j]
 		if errs[i] != nil {
-			r.count(func(s *Stats) { s.Jobs++; s.Failures++ }, "lab_jobs", "lab_failures")
+			r.count(func(s *Stats) { s.Jobs++; s.Failures++ })
 			r.logJob("job failed", jobs[i].Config.App.Name, slog.Any("err", errs[i]), slog.Int("duplicate_of", j))
 		} else {
-			r.count(func(s *Stats) { s.Jobs++; s.Hits++ }, "lab_jobs", "lab_cache_hits")
+			r.count(func(s *Stats) { s.Jobs++; s.Hits++ })
 			r.logJob("batch duplicate", jobs[i].Config.App.Name, slog.String("fingerprint", fp), slog.Int("duplicate_of", j))
 		}
 		prog.step()
@@ -464,7 +446,7 @@ func (f *fanOut) call(i int) {
 // neither a cache nor a remote executor to use it with, so a runner with
 // neither never encodes or hashes a config. slot is a fork job's prefix.
 func (r *Runner) runOne(job Job, fp string, slot *prefixSlot) (core.Result, error) {
-	r.count(func(s *Stats) { s.Jobs++ }, "lab_jobs")
+	r.count(func(s *Stats) { s.Jobs++ })
 
 	cfg := job.Config
 	if job.Fork != nil && r.Check {
@@ -473,7 +455,7 @@ func (r *Runner) runOne(job Job, fp string, slot *prefixSlot) (core.Result, erro
 		// config (its knobs apply only from the fork point), so auditing
 		// would flag correct results as corrupt.
 		err := fmt.Errorf("lab: job %q: fork acceleration and Check auditing are mutually exclusive — an audit re-simulates from scratch, which a variant fork legitimately diverges from", cfg.App.Name)
-		r.count(func(s *Stats) { s.Failures++ }, "lab_failures")
+		r.count(func(s *Stats) { s.Failures++ })
 		r.logJob("job failed", cfg.App.Name, slog.Any("err", err))
 		return core.Result{}, err
 	}
@@ -481,20 +463,14 @@ func (r *Runner) runOne(job Job, fp string, slot *prefixSlot) (core.Result, erro
 	cacheable := printable && r.Cache != nil
 	if cacheable {
 		if res, ok := r.Cache.Get(fp); ok {
-			if r.Check {
-				if aerr := r.auditCached(cfg, res); aerr != nil {
-					r.count(func(s *Stats) { s.AuditFailures++ }, "lab_audit_failures")
-					r.logJob("audit failure", cfg.App.Name, slog.Any("err", aerr))
-					return core.Result{}, aerr
-				}
-				r.count(func(s *Stats) { s.Audited++ }, "lab_audited")
-				r.logJob("audited", cfg.App.Name, slog.String("source", "cache"))
+			if aerr := r.auditServed(cfg, res, "cache"); aerr != nil {
+				return core.Result{}, aerr
 			}
-			r.count(func(s *Stats) { s.Hits++ }, "lab_cache_hits")
+			r.count(func(s *Stats) { s.Hits++ })
 			r.logJob("cache hit", cfg.App.Name, slog.String("fingerprint", fp))
 			return res, nil
 		}
-		r.count(func(s *Stats) { s.Misses++ }, "lab_cache_misses")
+		r.count(func(s *Stats) { s.Misses++ })
 		r.logJob("cache miss", cfg.App.Name, slog.String("fingerprint", fp))
 	}
 
@@ -506,27 +482,16 @@ func (r *Runner) runOne(job Job, fp string, slot *prefixSlot) (core.Result, erro
 		res, ok, rerr := r.Remote.Execute(job)
 		switch {
 		case rerr != nil:
-			r.count(func(s *Stats) { s.RemoteErrors++ }, "lab_remote_errors")
+			r.count(func(s *Stats) { s.RemoteErrors++ })
 			r.logJob("remote error", cfg.App.Name, slog.Any("err", rerr))
 		case ok:
-			if r.Check {
-				// A remote result is audited exactly like a cache hit: re-simulate
-				// locally with the auditor attached and require byte equality.
-				if aerr := r.auditCached(cfg, res); aerr != nil {
-					r.count(func(s *Stats) { s.AuditFailures++ }, "lab_audit_failures")
-					r.logJob("audit failure", cfg.App.Name, slog.Any("err", aerr))
-					return core.Result{}, aerr
-				}
-				r.count(func(s *Stats) { s.Audited++ }, "lab_audited")
-				r.logJob("audited", cfg.App.Name, slog.String("source", "remote"))
+			if aerr := r.auditServed(cfg, res, "remote"); aerr != nil {
+				return core.Result{}, aerr
 			}
-			r.count(func(s *Stats) { s.Remote++ }, "lab_remote")
+			r.count(func(s *Stats) { s.Remote++ })
 			r.logJob("remote", cfg.App.Name, slog.String("fingerprint", fp))
 			if cacheable {
-				if perr := r.Cache.Put(fp, cfg.App.Name, job.Salt, res); perr == nil {
-					r.count(func(s *Stats) { s.Stored++ }, "lab_stored")
-					r.logJob("stored", cfg.App.Name, slog.String("fingerprint", fp))
-				}
+				r.store(fp, job, res)
 			}
 			return res, nil
 		}
@@ -540,7 +505,7 @@ func (r *Runner) runOne(job Job, fp string, slot *prefixSlot) (core.Result, erro
 	if job.Fork != nil {
 		st, ferr := r.prefixState(slot)
 		if ferr != nil {
-			r.count(func(s *Stats) { s.Failures++ }, "lab_failures")
+			r.count(func(s *Stats) { s.Failures++ })
 			r.logJob("job failed", cfg.App.Name, slog.Any("err", ferr))
 			return core.Result{}, ferr
 		}
@@ -550,7 +515,7 @@ func (r *Runner) runOne(job Job, fp string, slot *prefixSlot) (core.Result, erro
 	var err error
 	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
-			r.count(func(s *Stats) { s.Retries++ }, "lab_retries")
+			r.count(func(s *Stats) { s.Retries++ })
 			r.logJob("retry", cfg.App.Name, slog.Int("attempt", attempt), slog.Any("err", err))
 		}
 		// A fresh auditor per attempt: one auditor instance observes one run.
@@ -568,39 +533,62 @@ func (r *Runner) runOne(job Job, fp string, slot *prefixSlot) (core.Result, erro
 		if aud != nil {
 			if aerr := aud.Err(); aerr != nil {
 				// Violations are deterministic, so retrying cannot help.
-				r.count(func(s *Stats) { s.AuditFailures++ }, "lab_audit_failures")
+				r.count(func(s *Stats) { s.AuditFailures++ })
 				r.logJob("audit failure", cfg.App.Name, slog.Any("err", aerr))
 				return core.Result{}, fmt.Errorf("lab: job %q failed audit: %w", cfg.App.Name, aerr)
 			}
-			r.count(func(s *Stats) { s.Audited++ }, "lab_audited")
+			r.count(func(s *Stats) { s.Audited++ })
 			r.logJob("audited", cfg.App.Name, slog.String("source", "fresh"))
 		}
 		if job.Fork != nil {
-			r.count(func(s *Stats) { s.Forks++ }, "lab_forks")
+			r.count(func(s *Stats) { s.Forks++ })
 			r.logJob("forked", cfg.App.Name, logAt(job.Fork.At))
 		}
-		r.count(func(s *Stats) { s.Simulated++ }, "lab_simulations")
+		r.count(func(s *Stats) { s.Simulated++ })
 		r.logJob("simulated", cfg.App.Name, slog.Int("attempt", attempt+1))
 		if cacheable {
-			if perr := r.Cache.Put(fp, cfg.App.Name, job.Salt, res); perr == nil {
-				r.count(func(s *Stats) { s.Stored++ }, "lab_stored")
-				r.logJob("stored", cfg.App.Name, slog.String("fingerprint", fp))
-			}
+			r.store(fp, job, res)
 		}
 		return res, nil
 	}
-	r.count(func(s *Stats) { s.Failures++ }, "lab_failures")
+	r.count(func(s *Stats) { s.Failures++ })
 	r.logJob("job failed", cfg.App.Name, slog.Any("err", err))
 	return core.Result{}, err
 }
 
-// auditCached re-simulates a cache hit with an auditor attached and requires
-// the cached result to equal the fresh one byte for byte (Go float64 JSON
+// store writes a result to the cache and counts and logs the write. A write
+// that fails is best effort: the result still serves this run.
+func (r *Runner) store(fp string, job Job, res core.Result) {
+	if err := r.Cache.Put(fp, job.Config.App.Name, job.Salt, res); err == nil {
+		r.count(func(s *Stats) { s.Stored++ })
+		r.logJob("stored", job.Config.App.Name, slog.String("fingerprint", fp))
+	}
+}
+
+// auditServed audits a result the runner did not simulate, a cache hit or a
+// remote result, when Check is on, and counts and logs the outcome; source
+// names where the result came from.
+func (r *Runner) auditServed(cfg core.Config, res core.Result, source string) error {
+	if !r.Check {
+		return nil
+	}
+	if err := auditCached(cfg, res); err != nil {
+		r.count(func(s *Stats) { s.AuditFailures++ })
+		r.logJob("audit failure", cfg.App.Name, slog.Any("err", err))
+		return err
+	}
+	r.count(func(s *Stats) { s.Audited++ })
+	r.logJob("audited", cfg.App.Name, slog.String("source", source))
+	return nil
+}
+
+// auditCached re-simulates a served result with an auditor attached and
+// requires it to equal the fresh one byte for byte (Go float64 JSON
 // round-trips exactly, so marshaling both is an exact comparison). This is
 // the defense against a silently wrong number being memoized and re-served
-// forever: any divergence between the cache blob and today's simulator —
-// violation, drift, or corruption — surfaces as an error.
-func (r *Runner) auditCached(cfg core.Config, cached core.Result) error {
+// forever: any divergence between the served result and today's simulator
+// — violation, drift, or corruption — surfaces as an error.
+func auditCached(cfg core.Config, cached core.Result) error {
 	aud := check.New()
 	cfg.Check = aud
 	fresh, err := runRecovered(cfg, runScratch)

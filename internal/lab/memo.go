@@ -56,7 +56,7 @@ func Memo[K, V any](r *Runner, kind string, key K, fn func() V) V {
 	}
 	fp, err := memoFingerprint(kind, key)
 	if err != nil {
-		r.count(func(s *Stats) { s.MemoMisses++ }, "lab_memo_misses")
+		r.count(func(s *Stats) { s.MemoMisses++ })
 		return fn()
 	}
 	p := r.Cache.path(fp)
@@ -67,10 +67,10 @@ func Memo[K, V any](r *Runner, kind string, key K, fn func() V) V {
 				panic(fmt.Sprintf("lab: memoized %s result %s disagrees with a fresh computation", kind, fp))
 			}
 		}
-		r.count(func(s *Stats) { s.MemoHits++ }, "lab_memo_hits")
+		r.count(func(s *Stats) { s.MemoHits++ })
 		return v
 	}
-	r.count(func(s *Stats) { s.MemoMisses++ }, "lab_memo_misses")
+	r.count(func(s *Stats) { s.MemoMisses++ })
 	v := fn()
 	c := getCodec()
 	if data, err := c.encode(&memoBlob[V]{Fingerprint: fp, App: kind, SavedAt: time.Now().UTC(), Value: v}); err == nil {

@@ -42,8 +42,7 @@ func TestRemoteExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := &stubExecutor{run: true}
-	tel := telemetry.NewCollector()
-	r := &Runner{Workers: 1, Cache: cache, Remote: ex, Tel: tel}
+	r := &Runner{Workers: 1, Cache: cache, Remote: ex}
 
 	cfg := testConfig(t)
 	res, err := r.Run(Job{Config: cfg})
@@ -56,9 +55,6 @@ func TestRemoteExecution(t *testing.T) {
 	s := r.Stats()
 	if s.Remote != 1 || s.Simulated != 0 || s.Stored != 1 {
 		t.Fatalf("stats = %+v, want 1 remote, 0 simulated, 1 stored", s)
-	}
-	if got := tel.Counter("lab_remote").Value(); got != 1 {
-		t.Fatalf("lab_remote counter = %d, want 1", got)
 	}
 
 	// The remote result must be the result: byte-compare against a local run.

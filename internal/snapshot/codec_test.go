@@ -247,6 +247,8 @@ func TestDecodePayloadRejections(t *testing.T) {
 		{`{"workload":null}`, "decode payload"},
 		{`{"APP":"x"}`, `unknown field "APP"`},
 		{`{"workload":{"Log":[]}}`, `unknown field "Log"`},
+		{`{"gov":{"lastBusy":[1],"hispeedSince":[-1,-1]}}`, `unknown field "hispeedSince"`},
+		{`{"customPlatform":true}`, `unknown field "customPlatform"`},
 		{`{"app":"x"} }`, "trailing data"},
 	}
 	for _, tc := range cases {

@@ -56,16 +56,18 @@ type WorkloadSnap struct {
 }
 
 // State is one whole-simulation snapshot. The identity fields pin what a
-// resuming config must agree on (app, seed, topology); the remaining
+// resuming config must agree on (app, seed, cores, SoC); the remaining
 // config knobs (governor tuning, scheduler policy, thermal envelope) may
 // legitimately differ — that is what a fork sweep varies, and the change
 // takes effect at the fork point.
 type State struct {
 	// Identity: a resuming run must match these exactly.
-	App            string              `json:"app"`
-	Seed           int64               `json:"seed"`
-	Cores          platform.CoreConfig `json:"cores"`
-	CustomPlatform bool                `json:"customPlatform,omitempty"`
+	App   string              `json:"app"`
+	Seed  int64               `json:"seed"`
+	Cores platform.CoreConfig `json:"cores"`
+	// Platform names the SoC preset; empty is the default Exynos 5422 (or
+	// its tiny-extended variant), as in core.Knobs.
+	Platform string `json:"platform,omitempty"`
 
 	// Provenance: the kinds the capturing run used. Resume restores policy
 	// state only when the resuming config's kind matches; otherwise the new

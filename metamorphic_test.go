@@ -125,11 +125,6 @@ var govKnobs = []struct {
 	{"sample-ms", func(k *core.Knobs, rng *rand.Rand) { k.Gov.SampleMs = pick(rng, 10, 30, 40, 60, 100) }},
 	{"target-load", func(k *core.Knobs, rng *rand.Rand) { k.Gov.TargetLoad = pick(rng, 50, 60, 80, 90, 99) }},
 	{"down-threshold", func(k *core.Knobs, rng *rand.Rand) { k.Gov.DownThreshold = pick(rng, 20, 25, 30, 35, 40) }},
-	{"hispeed-little-mhz", func(k *core.Knobs, rng *rand.Rand) { k.Gov.HispeedLittleMHz = pick(rng, 600, 800, 1100, 1300) }},
-	{"hispeed-big-mhz", func(k *core.Knobs, rng *rand.Rand) { k.Gov.HispeedBigMHz = pick(rng, 1000, 1200, 1700, 1900) }},
-	{"hispeed-tiny-mhz", func(k *core.Knobs, rng *rand.Rand) { k.Gov.HispeedTinyMHz = pick(rng, 550, 600, 700) }},
-	{"above-hispeed-delay-ms", func(k *core.Knobs, rng *rand.Rand) { k.Gov.AboveHispeedDelayMs = pick(rng, 20, 40, 80) }},
-	{"min-sample-time-ms", func(k *core.Knobs, rng *rand.Rand) { k.Gov.MinSampleTimeMs = pick(rng, 40, 60, 100) }},
 	{"pinned-mhz", func(k *core.Knobs, rng *rand.Rand) {
 		k.PinnedMHz = map[int]int{0: pick(rng, 600, 900, 1300), 1: pick(rng, 900, 1400, 1900)}
 	}},
@@ -272,11 +267,6 @@ func TestMetamorphicInertKnobs(t *testing.T) {
 
 	for _, g := range govs {
 		for _, kn := range govKnobs {
-			if kn.name == "hispeed-tiny-mhz" {
-				// Every preset's tiny cluster runs at one frequency, so no
-				// Result can show the knob, though interactive reads it.
-				continue
-			}
 			cands := configs(g)
 			probe := cands[0].Knobs
 			kn.set(&probe, rng)
